@@ -175,7 +175,8 @@ class CostEnsemble:
     def dim(self):
         return self.costs[0].dim
 
-    # -- batched per-agent evaluation (rows of `q` are the agents' points)
+    # -- batched per-agent evaluation (rows of `q` are the agents' points;
+    # leading axes, e.g. the cells of a sweep, broadcast)
 
     def _build_batch(self):
         if all(isinstance(c, QuadraticCost) for c in self.costs):
@@ -191,49 +192,58 @@ class CostEnsemble:
         return None
 
     def gradient_stack(self, q):
-        """(N, m) array of per-agent gradients at the rows of `q`."""
+        """(..., N, m) array of per-agent gradients at the rows of `q`."""
         q = np.asarray(q, dtype=float)
         if self._batch and self._batch[0] == "quadratic":
             _, h, b = self._batch
-            return np.einsum("nij,nj->ni", h, q) + b
+            return np.einsum("nij,...nj->...ni", h, q) + b
         if self._batch and self._batch[0] == "logistic":
             _, aug, labels, floor = self._batch
-            margins = labels * np.einsum("ndm,nm->nd", aug, q)
+            margins = labels * np.einsum("ndm,...nm->...nd", aug, q)
             s = _sigmoid(-margins)
-            return np.einsum("nd,ndm->nm", -labels * s, aug) + floor * q
-        return np.stack([c.gradient(q[i]) for i, c in enumerate(self.costs)])
+            return np.einsum("...nd,ndm->...nm", -labels * s, aug) + floor * q
+        return self._per_agent(lambda c, theta: c.gradient(theta), q)
 
     def hessian_stack(self, q):
-        """(N, m, m) array of per-agent Hessians at the rows of `q`."""
+        """(..., N, m, m) array of per-agent Hessians at the rows of `q`."""
         q = np.asarray(q, dtype=float)
         if self._batch and self._batch[0] == "quadratic":
-            return self._batch[1].copy()
+            h = self._batch[1]
+            out = np.empty(q.shape[:-2] + h.shape)
+            out[...] = h
+            return out
         if self._batch and self._batch[0] == "logistic":
             _, aug, labels, floor = self._batch
-            margins = labels * np.einsum("ndm,nm->nd", aug, q)
+            margins = labels * np.einsum("ndm,...nm->...nd", aug, q)
             s = _sigmoid(-margins)
             w = s * (1.0 - s)
-            h = np.einsum("nd,ndi,ndj->nij", w, aug, aug)
-            h += floor * np.eye(self.dim)[None, :, :]
+            h = np.einsum("...nd,ndi,ndj->...nij", w, aug, aug)
+            h += floor * np.eye(self.dim)
             return h
-        return np.stack([c.hessian(q[i]) for i, c in enumerate(self.costs)])
+        return self._per_agent(lambda c, theta: c.hessian(theta), q)
+
+    def _per_agent(self, evaluate, q):
+        """Stack `evaluate(cost_i, q[..., i, :])` over agents and leading axes."""
+        rows = q.reshape(-1, self.n_agents, self.dim)
+        out = np.stack([np.stack([evaluate(c, row[i]) for i, c in enumerate(self.costs)])
+                        for row in rows])
+        return out.reshape(q.shape[:-2] + out.shape[1:])
 
     def value_sum(self, theta):
         """Sum of all local costs at a common point."""
         return float(sum(c.value(theta) for c in self.costs))
 
+    def _everywhere(self, theta):
+        """`theta` as the (N, m) stack that puts it at every agent."""
+        theta = as_vector(theta, "theta")
+        if theta.shape[0] != self.dim:
+            raise DimensionMismatchError(
+                f"theta has dimension {theta.shape[0]}, costs expect {self.dim}")
+        return np.broadcast_to(theta, (self.n_agents, self.dim))
+
     def gradient_sum(self, theta):
         """Gradient of the summed cost at a common point."""
-        out = np.zeros(self.dim)
-        for c in self.costs:
-            out += c.gradient(theta)
-        return out
-
-    def hessian_sum(self, theta):
-        out = np.zeros((self.dim, self.dim))
-        for c in self.costs:
-            out += c.hessian(theta)
-        return out
+        return self.gradient_stack(self._everywhere(theta)).sum(axis=0)
 
     def hessian_blocks(self):
         """Constant per-agent Hessians (quadratic ensembles only)."""
@@ -250,8 +260,12 @@ class CostEnsemble:
             raise ValueError("tol must be > 0")
         settings = SolverSettings(residual_tolerance=tol,
                                   max_iterations=max_iterations)
-        return newton_solve(self.gradient_sum, self.hessian_sum,
-                            np.zeros(self.dim), settings)
+
+        def hessian_sum(theta):
+            return self.hessian_stack(self._everywhere(theta)).sum(axis=0)
+
+        return newton_solve(self.gradient_sum, hessian_sum, np.zeros(self.dim),
+                            settings)
 
 
 def ensemble_constants(costs):

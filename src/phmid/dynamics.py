@@ -20,14 +20,19 @@ from .numerics import DimensionMismatchError, kron, min_eigenvalue_symmetric
 
 
 class NetworkState:
-    """Stacked per-agent states: rows of `q` and `p` index agents."""
+    """Stacked per-agent states: rows of `q` and `p` index agents.
+
+    `q` and `p` are (N, m), or (T, N, m) for a stack of T independent
+    cells advanced together.
+    """
 
     def __init__(self, q, p):
         q = np.asarray(q, dtype=float)
         p = np.asarray(p, dtype=float)
-        if q.shape != p.shape or q.ndim != 2:
+        if q.shape != p.shape or q.ndim not in (2, 3):
             raise DimensionMismatchError(
-                f"q and p must be matching (N, m) arrays, got {q.shape} and {p.shape}")
+                f"q and p must be matching (N, m) or (T, N, m) arrays, "
+                f"got {q.shape} and {p.shape}")
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise ValueError("state contains non-finite entries")
         self.q = q
@@ -35,11 +40,11 @@ class NetworkState:
 
     @property
     def n_agents(self):
-        return self.q.shape[0]
+        return self.q.shape[-2]
 
     @property
     def dim(self):
-        return self.q.shape[1]
+        return self.q.shape[-1]
 
     def agent_stack(self):
         """Agent-major flat vector [q_1, p_1, q_2, p_2, ...]."""
@@ -85,16 +90,17 @@ class PhsDesign:
         return np.hstack([-grads, np.zeros_like(grads)]).ravel()
 
 
-def continuous_rhs(state, ensemble, graph):
+def continuous_rhs(state, ensemble, graph, degrees=None, adjacency=None):
     """Time derivative of the network state, in neighbor-sum form.
 
     Per agent: deg_i x_i minus the sum of neighbor states, evaluated with
     adjacency products so all agents are handled at once. Returns a
-    NetworkState-shaped pair of arrays (dq, dp).
+    NetworkState-shaped pair of arrays (dq, dp). `degrees` and
+    `adjacency` default to the graph's own.
     """
     _check_shapes(state, ensemble, graph)
-    adj = graph.adjacency()
-    deg = graph.degrees[:, None]
+    adj = graph.adjacency() if adjacency is None else adjacency
+    deg = (graph.degrees if degrees is None else degrees)[:, None]
     grads = ensemble.gradient_stack(state.q)
     consensus_q = deg * state.q - adj @ state.q
     consensus_p = deg * state.p - adj @ state.p

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .numerics import min_eigenvalue_symmetric, spectral_norm_symmetric
+from .numerics import spectral_norm_symmetric
 
 
 class DisconnectedGraphError(ValueError):
@@ -46,10 +46,11 @@ class Graph:
             canon.add((min(i, j), max(i, j)))
         self.n = n
         self.edges = frozenset(canon)
-        self._neighbors = tuple(
-            tuple(sorted({j for i, j in self.edges if i == v}
-                         | {i for i, j in self.edges if j == v}))
-            for v in range(n))
+        adjacent = [[] for _ in range(n)]
+        for i, j in self.edges:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        self._neighbors = tuple(tuple(sorted(nb)) for nb in adjacent)
         if not self._connected():
             raise DisconnectedGraphError(
                 f"graph on {n} vertices with {len(self.edges)} edges is not connected")
@@ -137,10 +138,6 @@ class Graph:
         if norm <= 0.0:
             return math.inf
         return float(mu) / norm
-
-    def min_q_eigenvalue(self):
-        """Smallest eigenvalue of (D + A) / 2 (diagnostic helper)."""
-        return min_eigenvalue_symmetric(self.q_matrix())
 
 
 def cycle(n):

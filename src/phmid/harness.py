@@ -20,6 +20,7 @@ from . import costs as costs_mod
 from . import graphs as graphs_mod
 from . import integrators
 from .dynamics import NetworkState, bregman_lyapunov, equilibrium_state
+from .numerics import MaxIterationsError, SingularMatrixError
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -115,93 +116,186 @@ class RunTrace:
                 f"final_error={self.final_error:.3e})")
 
 
-def _consensus_error(q, theta_star):
-    return float(np.linalg.norm(q - theta_star[None, :]))
+# Solver failures a cell can raise; `_simulate` takes the failing cell out.
+SOLVER_ERRORS = (MaxIterationsError, SingularMatrixError)
+
+
+def _consensus_errors(q, theta_star):
+    """||q_t - 1 (x) theta*|| for each cell t of a (T, N, m) stack.
+
+    The row products run through the same BLAS dot product that
+    `np.linalg.norm` uses on one flattened cell, so each value is bitwise
+    the single-cell norm.
+    """
+    d = (q - theta_star).reshape(q.shape[0], 1, -1)
+    return np.sqrt(np.matmul(d, d.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _squared_norms(a):
+    """Per-cell sum of squares of a (T, N, m) stack."""
+    return np.sum((a ** 2).reshape(a.shape[0], -1), axis=1)
 
 
 def run(config):
     """Execute one experiment and return its trace."""
+    scheme = integrators.parse_scheme_spec(config.scheme_spec)
+    return _simulate(config, [scheme])[0]
+
+
+def _stepper(kind, graph, ensemble, solver):
+    """`step(state, taus) -> (state, newton_max_iters per cell)` for one
+    scheme, with the graph arrays it needs built once."""
+    if kind in ("mid", "euler"):
+        degrees, adjacency = graph.degrees, graph.adjacency()
+
+    if kind == "mid":
+        def step(state, taus):
+            report = integrators.mid_step(state, ensemble, graph, taus, solver,
+                                          degrees, adjacency)
+            return report.state, report.newton_iterations.max(axis=-1)
+    elif kind == "euler":
+        def step(state, taus):
+            return (integrators.euler_step(state, ensemble, graph, taus,
+                                           degrees, adjacency),
+                    np.zeros(len(taus), dtype=int))
+    elif kind == "dg":
+        def step(state, taus):
+            qs, ps, iters = [], [], []
+            for cell, tau in enumerate(taus):
+                try:
+                    report = integrators.dg_central_step(
+                        NetworkState(state.q[cell], state.p[cell]), ensemble,
+                        graph, tau, solver)
+                except SOLVER_ERRORS as exc:
+                    exc.cell = cell
+                    raise
+                qs.append(report.state.q)
+                ps.append(report.state.p)
+                iters.append(report.newton_iterations.max())
+            return NetworkState(np.stack(qs), np.stack(ps)), np.array(iters)
+    else:  # gt
+        weights = integrators.metropolis_weights(graph)
+
+        def step(state, taus):
+            return (integrators.gradient_tracking_step(state, ensemble, graph,
+                                                       taus, weights),
+                    np.zeros(len(taus), dtype=int))
+    return step
+
+
+def _keep(state, cells):
+    """The cells `cells` (an index or mask over the leading axis) of a
+    batched state."""
+    if isinstance(state, integrators.GtState):
+        return integrators.GtState(state.q[cells], state.tracker[cells])
+    return NetworkState(state.q[cells], state.p[cells])
+
+
+def _simulate(config, schemes):
+    """Run one cell per scheme in `schemes` and return their traces.
+
+    The schemes share one kind and solver and differ in tau only; all
+    cells share the config's graph, costs and seeded q(0). They advance
+    together as one (T, N, m) state stack, one kernel call per step, and
+    each trace is bitwise the one a run of that cell alone records, the
+    wall-clock column aside: a cell's `wall_ns` is the batch step's. A cell
+    that diverges leaves the batch at that step. When cells raise a solver
+    failure, the one that comes first in `schemes` is re-raised after the
+    others have run; cells after a failing cell stop at once, since their
+    results would be dropped.
+    """
     graph = graphs_mod.from_spec(config.graph_spec)
     ensemble = costs_mod.from_spec(config.cost_spec, graph.n)
-    scheme = integrators.parse_scheme_spec(config.scheme_spec)
     theta_star = ensemble.centralized_optimum(tol=1e-12)
+    kind, solver = schemes[0].kind, schemes[0].solver
+    cells = len(schemes)
+    taus = np.array([scheme.tau for scheme in schemes])
 
     rng = np.random.default_rng(config.seed)
     q0 = rng.standard_normal((graph.n, ensemble.dim))
     p0 = np.zeros_like(q0)
+    q_stack = np.repeat(q0[None], cells, axis=0)
+    step = _stepper(kind, graph, ensemble, solver)
+    if kind == "gt":
+        state = integrators.gradient_tracking_init(q_stack, ensemble)
+    else:
+        state = NetworkState(q_stack, np.zeros_like(q_stack))
 
-    record = config.record_lyapunov and scheme.kind != "gt"
-    equilibrium = None
+    record = config.record_lyapunov and kind != "gt"
     if record:
-        mid_tau = scheme.tau if scheme.kind == "mid" else None
-        equilibrium = equilibrium_state(ensemble, graph,
-                                        initial=NetworkState(q0, p0),
-                                        mid_tau=mid_tau)
+        initial = NetworkState(q0, p0)
+        equilibria = [equilibrium_state(ensemble, graph, initial=initial,
+                                        mid_tau=tau if kind == "mid" else None)
+                      for tau in taus]
+        lyap = [[bregman_lyapunov(initial, eq)] for eq in equilibria]
+        q_hist = [[q0.copy()] for _ in range(cells)]
+        p_hist = [[p0.copy()] for _ in range(cells)]
 
-    errors = [_consensus_error(q0, theta_star)]
-    newton_iters = [0]
-    wall_ns = [0]
-    lyap = None
-    q_hist = p_hist = None
-    state = NetworkState(q0, p0)
-    gt_state = None
-    gt_weights = None
-    if scheme.kind == "gt":
-        gt_state = integrators.gradient_tracking_init(q0, ensemble)
-        gt_weights = integrators.metropolis_weights(graph)
-    if record:
-        lyap = [bregman_lyapunov(state, equilibrium)]
-        q_hist = [q0.copy()]
-        p_hist = [p0.copy()]
+    steps = config.steps
+    errors = np.empty((cells, steps + 1))
+    errors[:, 0] = _consensus_errors(state.q, theta_star)
+    newton_iters = np.zeros((cells, steps + 1), dtype=int)
+    wall_ns = np.zeros(steps + 1, dtype=np.int64)
+    lengths = np.full(cells, steps + 1)
+    status = [STATUS_MAX_STEPS] * cells
+    live = np.arange(cells)  # the batch's cells, by index into `schemes`
+    failure = None
 
-    status = STATUS_MAX_STEPS
-    for _ in range(config.steps):
-        tic = time.perf_counter_ns()
-        iters = 0
-        if scheme.kind == "euler":
-            new_q, new_p = _euler_arrays(state, ensemble, graph, scheme.tau)
-        elif scheme.kind == "dg":
-            report = integrators.dg_central_step(state, ensemble, graph,
-                                                 scheme.tau, scheme.solver)
-            new_q, new_p = report.state.q, report.state.p
-            iters = int(report.newton_iterations.max())
-        elif scheme.kind == "mid":
-            report = integrators.mid_step(state, ensemble, graph,
-                                          scheme.tau, scheme.solver)
-            new_q, new_p = report.state.q, report.state.p
-            iters = int(report.newton_iterations.max())
-        else:  # gt
-            gt_state = integrators.gradient_tracking_step(
-                gt_state, ensemble, graph, scheme.tau, gt_weights)
-            new_q, new_p = gt_state.q, None
-        toc = time.perf_counter_ns()
-
-        norm_sq = float(np.sum(new_q ** 2))
-        if new_p is not None:
-            norm_sq += float(np.sum(new_p ** 2))
-        if not np.isfinite(norm_sq) or norm_sq > DIVERGENCE_LIMIT ** 2:
-            status = STATUS_DIVERGED
+    for k in range(1, steps + 1):
+        while True:
+            tic = time.perf_counter_ns()
+            try:
+                new, iters = step(state, taus[live])
+            except SOLVER_ERRORS as exc:
+                cut = getattr(exc, "cell", 0)
+                if cut == 0:
+                    # A raised error that this frame still holds forms a
+                    # reference cycle with its traceback, which keeps the
+                    # whole batch alive until the garbage collector runs.
+                    failure = None
+                    raise
+                failure = exc
+                live, state = live[:cut], _keep(state, slice(cut))
+                continue
+            toc = time.perf_counter_ns()
             break
 
-        if new_p is not None:
-            state = NetworkState(new_q, new_p)
-        errors.append(_consensus_error(new_q, theta_star))
-        newton_iters.append(iters)
-        wall_ns.append(toc - tic)
+        norm_sq = _squared_norms(new.q)
+        if kind != "gt":
+            norm_sq += _squared_norms(new.p)
+        ok = np.isfinite(norm_sq) & (norm_sq <= DIVERGENCE_LIMIT ** 2)
+        if not ok.all():
+            for cell in live[~ok]:
+                status[cell] = STATUS_DIVERGED
+                lengths[cell] = k
+            live, new, iters = live[ok], _keep(new, ok), iters[ok]
+            if not live.size:
+                break
+
+        state = new
+        errors[live, k] = _consensus_errors(state.q, theta_star)
+        newton_iters[live, k] = iters
+        wall_ns[k] = toc - tic
         if record:
-            lyap.append(bregman_lyapunov(state, equilibrium))
-            q_hist.append(new_q.copy())
-            p_hist.append(new_p.copy())
+            for i, cell in enumerate(live):
+                lyap[cell].append(bregman_lyapunov(
+                    NetworkState(state.q[i], state.p[i]), equilibria[cell]))
+                q_hist[cell].append(state.q[i].copy())
+                p_hist[cell].append(state.p[i].copy())
 
-    return RunTrace(errors=errors, lyapunov=lyap, newton_max_iters=newton_iters,
-                    wall_ns=wall_ns, status=status, theta_star=theta_star,
-                    q_history=None if q_hist is None else np.stack(q_hist),
-                    p_history=None if p_hist is None else np.stack(p_hist))
-
-
-def _euler_arrays(state, ensemble, graph, tau):
-    new = integrators.euler_step(state, ensemble, graph, tau)
-    return new.q, new.p
+    if failure is not None:
+        try:
+            raise failure
+        finally:
+            failure = None  # the same cycle as above
+    return [RunTrace(errors=errors[cell, :n].copy(),
+                     lyapunov=lyap[cell] if record else None,
+                     newton_max_iters=newton_iters[cell, :n].copy(),
+                     wall_ns=wall_ns[:n].copy(), status=status[cell],
+                     theta_star=theta_star,
+                     q_history=np.stack(q_hist[cell]) if record else None,
+                     p_history=np.stack(p_hist[cell]) if record else None)
+            for cell, n in enumerate(lengths)]
 
 
 def k_b(trace, accuracy_b):
@@ -262,17 +356,20 @@ def tau_sweep(base_config, tau_values, schemes):
 
     All cells reuse the base config's seed and spec strings, so data and
     initialization are identical across cells; only the scheme changes.
+    The whole grid is validated before any cell runs. The cells of one
+    scheme run as one batched simulation (see `_simulate`); each row is
+    bitwise the row of a standalone `run` of that cell.
     """
+    kinds = [str(scheme).split(":")[0] for scheme in schemes]
+    grids = [[integrators.SchemeConfig(kind.lower(), tau) for tau in tau_values]
+             for kind in kinds]
     rows = []
-    for scheme in schemes:
-        kind = str(scheme).split(":")[0]
-        for tau in tau_values:
-            if not tau > 0:
-                raise ValueError("all tau values must be > 0")
-            cfg = base_config.replaced(scheme_spec=f"{kind}:tau={tau!r}")
-            trace = run(cfg)
-            rows.append(SweepRow(kind, tau, k_b(trace, cfg.accuracy_b),
-                                 trace.final_error, trace.status))
+    for kind, grid in zip(kinds, grids):
+        if grid:
+            # a comprehension, so no trace outlives its scheme's rows
+            rows += [SweepRow(kind, scheme.tau, k_b(trace, base_config.accuracy_b),
+                              trace.final_error, trace.status)
+                     for scheme, trace in zip(grid, _simulate(base_config, grid))]
     return SweepTable(rows)
 
 

@@ -13,12 +13,21 @@ Three discretizations of the same flow plus one conventional baseline:
   solves a small local system and communicates once per step.
 - ``gt``: a standard gradient-tracking baseline with Metropolis weights,
   included for speed comparisons only.
+
+``euler_step``, ``mid_step`` and ``gradient_tracking_step`` also advance
+a stack of T independent cells at once: states of shape (T, N, m) with
+one step size per cell, tau of shape (T,). Every cell's result is bitwise
+the one its own (N, m) call gives. A run builds the degrees, adjacency
+and Metropolis weights once and passes them in, so no step rebuilds them.
 """
+
+import math
 
 import numpy as np
 
 from .dynamics import NetworkState, continuous_rhs
-from .numerics import (MaxIterationsError, SolverSettings, kron, newton_solve)
+from .numerics import (DimensionMismatchError, MaxIterationsError,
+                       SolverSettings, kron, newton_solve)
 
 SCHEME_KINDS = ("euler", "dg", "mid", "gt")
 
@@ -29,14 +38,12 @@ class SchemeConfig:
     def __init__(self, kind, tau, solver=None):
         if kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {kind!r}, expected one of {SCHEME_KINDS}")
-        if not tau > 0:
-            raise ValueError("tau must be > 0")
+        tau = float(tau)
+        if not 0 < tau < math.inf:
+            raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
         self.kind = kind
-        self.tau = float(tau)
+        self.tau = tau
         self.solver = solver or SolverSettings()
-
-    def with_tau(self, tau):
-        return SchemeConfig(self.kind, tau, self.solver)
 
     def __repr__(self):
         return f"SchemeConfig(kind={self.kind!r}, tau={self.tau})"
@@ -69,11 +76,29 @@ class StepReport:
         self.max_residual = float(max_residual)
 
 
-def euler_step(state, ensemble, graph, tau):
-    """Forward Euler step x+ = x + tau * rhs(x)."""
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    dq, dp = continuous_rhs(state, ensemble, graph)
+def _step_sizes(tau, q):
+    """Validated step sizes, shaped to scale per-agent rows of `q`.
+
+    A single (N, m) state takes a scalar tau; a (T, N, m) stack of cells
+    takes a scalar or one tau per cell. Returns shape (1,) or (T, 1), so
+    `tau * degrees` runs per agent and `tau[..., None] * q` per entry.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if tau.shape not in ((), q.shape[:-2]):
+        raise DimensionMismatchError(
+            f"tau has shape {tau.shape}, states have shape {q.shape}")
+    if not ((0 < tau) & (tau < math.inf)).all():
+        raise ValueError("tau must be a finite number > 0")
+    return tau[..., None]
+
+
+def euler_step(state, ensemble, graph, tau, degrees=None, adjacency=None):
+    """Forward Euler step x+ = x + tau * rhs(x).
+
+    `degrees` and `adjacency` default to the graph's own.
+    """
+    tau = _step_sizes(tau, state.q)[..., None]
+    dq, dp = continuous_rhs(state, ensemble, graph, degrees, adjacency)
     return NetworkState(state.q + tau * dq, state.p + tau * dp)
 
 
@@ -88,10 +113,11 @@ def dg_central_step(state, ensemble, graph, tau, solver=None):
     over the whole network at once. The stacked residual in the unknown
     [q+; p+] is driven to the solver tolerance by damped Newton. This
     scheme exists as the centrally-solved reference that the per-agent
-    mixed implicit scheme is validated against at small tau.
+    mixed implicit scheme is validated against at small tau. It takes a
+    single (N, m) state only.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be a finite number > 0")
     solver = solver or SolverSettings()
     n, m = state.q.shape
     nm = n * m
@@ -132,7 +158,8 @@ def dg_central_step(state, ensemble, graph, tau, solver=None):
     return StepReport(NetworkState(qp, pp), iters, res_norm)
 
 
-def mid_step(state, ensemble, graph, tau, solver=None):
+def mid_step(state, ensemble, graph, tau, solver=None, degrees=None,
+             adjacency=None):
     """Mixed implicit step: per-agent local solves, one exchange per step.
 
     Eliminating p_i+ through its own update leaves, for each agent, the
@@ -150,44 +177,49 @@ def mid_step(state, ensemble, graph, tau, solver=None):
     started at q_i), then p_i+ = p_i + tau (deg_i q+_i - sum_j q_j). No
     neighbor future values are used anywhere, so agent i's result depends
     only on its own and its neighbors' current states.
+
+    A (T, N, m) stack of cells solves all T*N agents together. An agent's
+    Newton iterates never depend on other agents, so each cell's result is
+    bitwise its own step's. A failing agent raises MaxIterationsError
+    naming it; the error's `cell` is the first cell with a failing agent
+    (0 for a single state). `degrees` and `adjacency` default to the
+    graph's own.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
     solver = solver or SolverSettings()
-    n, m = state.q.shape
     q0, p0 = state.q, state.p
-    deg = graph.degrees
-    adj = graph.adjacency()
+    tau = _step_sizes(tau, q0)
+    deg = graph.degrees if degrees is None else degrees
+    adj = graph.adjacency() if adjacency is None else adjacency
     nbr_q = adj @ q0
     nbr_p = adj @ p0
     gdiag = 1.0 / tau + deg + tau * deg ** 2
-    const = (-q0 / tau - (1.0 + tau * deg)[:, None] * nbr_q
+    const = (-q0 / tau[..., None] - (1.0 + tau * deg)[..., None] * nbr_q
              + deg[:, None] * p0 - nbr_p)
 
     def residual(qp):
-        return gdiag[:, None] * qp + ensemble.gradient_stack((qp + q0) / 2.0) + const
+        return gdiag[..., None] * qp + ensemble.gradient_stack((qp + q0) / 2.0) + const
 
     qp = q0.copy()
     res = residual(qp)
-    rnorm = np.linalg.norm(res, axis=1)
-    iters = np.zeros(n, dtype=int)
-    eye = np.eye(m)
+    rnorm = np.linalg.norm(res, axis=-1)
+    iters = np.zeros(rnorm.shape, dtype=int)
+    eye = np.eye(q0.shape[-1])
     tol = solver.residual_tolerance
     for _ in range(solver.max_iterations):
         active = rnorm > tol
         if not active.any():
             break
-        jac = gdiag[:, None, None] * eye + 0.5 * ensemble.hessian_stack((qp + q0) / 2.0)
+        jac = gdiag[..., None, None] * eye + 0.5 * ensemble.hessian_stack((qp + q0) / 2.0)
         delta = np.linalg.solve(jac, -res[..., None])[..., 0]
         # per-agent backtracking: halve until the row residual decreases
-        alpha = np.ones(n)
+        alpha = np.ones(rnorm.shape)
         pending = active.copy()
         for _ in range(60):
             if not pending.any():
                 break
-            cand = qp + alpha[:, None] * delta
+            cand = qp + alpha[..., None] * delta
             cres = residual(cand)
-            cnorm = np.linalg.norm(cres, axis=1)
+            cnorm = np.linalg.norm(cres, axis=-1)
             ok = pending & np.isfinite(cnorm) & (cnorm < rnorm)
             qp[ok] = cand[ok]
             res[ok] = cres[ok]
@@ -195,21 +227,33 @@ def mid_step(state, ensemble, graph, tau, solver=None):
             pending &= ~ok
             alpha[pending] *= solver.damping_shrink
         if pending.any():
-            worst = int(np.argmax(np.where(pending, rnorm, -np.inf)))
-            raise MaxIterationsError(
-                f"agent {worst}: backtracking stalled (residual {rnorm[worst]:.3e})",
-                iterate=qp[worst], residual_norm=float(rnorm[worst]))
+            raise _agent_failure(pending, rnorm, qp, "backtracking stalled")
         iters[active] += 1
     else:
         active = rnorm > tol
         if active.any():
-            worst = int(np.argmax(np.where(active, rnorm, -np.inf)))
-            raise MaxIterationsError(
-                f"agent {worst}: no convergence in {solver.max_iterations} "
-                f"iterations (residual {rnorm[worst]:.3e})",
-                iterate=qp[worst], residual_norm=float(rnorm[worst]))
-    pp = p0 + tau * (deg[:, None] * qp - nbr_q)
+            raise _agent_failure(
+                active, rnorm, qp,
+                f"no convergence in {solver.max_iterations} iterations")
+    pp = p0 + tau[..., None] * (deg[:, None] * qp - nbr_q)
     return StepReport(NetworkState(qp, pp), iters, float(rnorm.max()))
+
+
+def _agent_failure(flagged, rnorm, qp, what):
+    """MaxIterationsError for the worst flagged agent of the first cell
+    that has one; `cell` is that cell's index."""
+    n = flagged.shape[-1]
+    flagged = flagged.reshape(-1, n)
+    cell = int(np.argmax(flagged.any(axis=1)))
+    norms = rnorm.reshape(-1, n)[cell]
+    worst = int(np.argmax(np.where(flagged[cell], norms, -np.inf)))
+    residual = float(norms[worst])
+    error = MaxIterationsError(
+        f"agent {worst}: {what} (residual {residual:.3e})",
+        iterate=qp.reshape(-1, n, qp.shape[-1])[cell, worst],
+        residual_norm=residual)
+    error.cell = cell
+    return error
 
 
 def metropolis_weights(graph):
@@ -248,8 +292,7 @@ def gradient_tracking_step(gt, ensemble, graph, tau, weights=None):
 
     q+ = W q - tau g;  g+ = W g + grad f(q+) - grad f(q).
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    tau = _step_sizes(tau, gt.q)[..., None]
     w = metropolis_weights(graph) if weights is None else weights
     q_next = w @ gt.q - tau * gt.tracker
     tracker_next = (w @ gt.tracker

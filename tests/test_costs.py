@@ -172,6 +172,25 @@ def test_gradient_stack_matches_per_agent():
         assert np.abs(hs - hrows).max() <= 1e-14
 
 
+def test_stacks_broadcast_over_leading_axes():
+    # leading axes (the cells of a sweep) evaluate slice by slice, bitwise
+    rng = np.random.default_rng(18)
+    mixed = CostEnsemble([QuadraticCost(np.eye(3), np.ones(3)),
+                          LogisticCost(rng.standard_normal((5, 2)),
+                                       np.array([1.0, -1.0, 1.0, 1.0, -1.0]),
+                                       0.1, 2)])
+    for ens in (random_quadratic_ensemble(4, 3, seed=19),
+                random_logistic_ensemble(4, 3, 6, 0.1, seed=19), mixed):
+        q = rng.standard_normal((2, 3, ens.n_agents, 3))
+        grads = ens.gradient_stack(q)
+        hessians = ens.hessian_stack(q)
+        assert grads.shape == q.shape
+        assert hessians.shape == q.shape + (3,)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(grads[idx], ens.gradient_stack(q[idx]))
+            assert np.array_equal(hessians[idx], ens.hessian_stack(q[idx]))
+
+
 def test_random_quadratic_eigenvalue_range():
     ens = random_quadratic_ensemble(10, 3, seed=42)
     for cost in ens.costs:

@@ -15,6 +15,14 @@ def test_construction_rejects_self_loop():
         Graph(3, [(0, 0), (0, 1), (1, 2)])
 
 
+def test_neighbors_match_an_edge_scan():
+    for g in (cycle(7), star(5), complete(4), erdos_renyi(12, 0.3, seed=4)):
+        for v in range(g.n):
+            scan = ({j for i, j in g.edges if i == v}
+                    | {i for i, j in g.edges if j == v})
+            assert g.neighbors(v) == tuple(sorted(scan))
+
+
 def test_construction_rejects_disconnected():
     with pytest.raises(DisconnectedGraphError):
         Graph(4, [(0, 1), (2, 3)])

@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from phmid import integrators
 from phmid.harness import (NOT_REACHED, STATUS_DIVERGED, STATUS_MAX_STEPS,
                            ExperimentConfig, RunTrace, SweepTable, export_csv,
                            k_b, run, tau_sweep)
+from phmid.numerics import MaxIterationsError
 
 
 def _quad_config(**kw):
@@ -94,6 +97,50 @@ def test_tau_sweep_shares_seed_and_reports_rows():
     assert traces[0].errors[0] == traces[1].errors[0]
     with pytest.raises(ValueError):
         tau_sweep(cfg, [0.0], ["mid"])
+
+
+@pytest.mark.parametrize("scheme", ["mid", "euler", "gt", "dg"])
+def test_sweep_rows_equal_standalone_runs(scheme):
+    # the sweep rule: each batched cell reproduces its own run exactly,
+    # cells that diverge and leave the batch early included
+    cfg = ExperimentConfig("cycle:10", "quadratic:3:42", "mid:tau=1",
+                           steps=120, seed=7)
+    table = tau_sweep(cfg, [0.05, 0.3, 2.0], [scheme])
+    assert [row.tau for row in table] == [0.05, 0.3, 2.0]
+    for row in table:
+        trace = run(cfg.replaced(scheme_spec=f"{scheme}:tau={row.tau!r}"))
+        assert row.k_b == k_b(trace, cfg.accuracy_b)
+        assert row.final_error == trace.final_error
+        assert row.status == trace.status
+    if scheme == "euler":
+        assert [row.status for row in table] == [STATUS_MAX_STEPS,
+                                                 STATUS_MAX_STEPS,
+                                                 STATUS_DIVERGED]
+
+
+def test_sweep_raises_the_error_of_its_first_failing_cell():
+    # mid at tau = 1e4 stalls in step 2 at seed 7; the sweep still raises,
+    # with the error that cell's own run raises
+    cfg = ExperimentConfig("cycle:10", "quadratic:3:42", "mid:tau=1",
+                           steps=6, seed=7)
+    with pytest.raises(MaxIterationsError) as alone:
+        run(cfg.replaced(scheme_spec="mid:tau=10000.0"))
+    for taus in ([1.0, 1e4], [1.0, 1e4, 1e5], [1e4, 1.0]):
+        with pytest.raises(MaxIterationsError) as swept:
+            tau_sweep(cfg, taus, ["mid", "euler"])
+        assert str(swept.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+def test_tau_sweep_validates_the_grid_before_any_cell(monkeypatch, bad):
+    calls = []
+    monkeypatch.setattr(integrators, "mid_step",
+                        lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ValueError):
+        tau_sweep(_quad_config(steps=5), [1.0, 2.0, bad], ["mid"])
+    with pytest.raises(ValueError):
+        tau_sweep(_quad_config(steps=5), [1.0], ["mid", "warp"])
+    assert calls == []
 
 
 def test_export_csv_empty_table(tmp_path):

@@ -1,14 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
-from phmid.costs import CostEnsemble, QuadraticCost, random_quadratic_ensemble
+from phmid.costs import (CostEnsemble, QuadraticCost, random_logistic_ensemble,
+                         random_quadratic_ensemble)
 from phmid.dynamics import NetworkState, continuous_rhs, equilibrium_state
 from phmid.graphs import Graph, cycle, erdos_renyi
 from phmid.integrators import (GtState, MaxIterationsError, SchemeConfig,
                                dg_central_step, euler_step,
                                gradient_tracking_init, gradient_tracking_step,
                                metropolis_weights, mid_step, parse_scheme_spec)
-from phmid.numerics import SolverSettings, kron
+from phmid.numerics import DimensionMismatchError, SolverSettings, kron
 
 
 def _scalar_problem():
@@ -33,6 +36,20 @@ def test_scheme_spec_parsing():
             parse_scheme_spec(bad)
     with pytest.raises(ValueError):
         SchemeConfig("mid", 0.0)
+
+
+def test_non_finite_tau_is_rejected():
+    g, ens, st = _network_problem()
+    for bad in ("mid:tau=inf", "mid:tau=nan", "euler:tau=-inf"):
+        with pytest.raises(ValueError):
+            parse_scheme_spec(bad)
+    for tau in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            SchemeConfig("mid", tau)
+        with pytest.raises(ValueError):
+            mid_step(st, ens, g, tau)
+        with pytest.raises(ValueError):
+            euler_step(st, ens, g, tau)
 
 
 def test_euler_scalar_multiplier():
@@ -236,6 +253,56 @@ def test_parameter_free_contraction_multipliers():
         assert abs(rep.state.q[0, 0]) < 1.0
         assert rep.state.q[0, 0] == pytest.approx(
             (1.0 - tau / 2.0) / (1.0 + tau / 2.0), abs=1e-14)
+
+
+def test_batched_steps_equal_single_cell_steps():
+    # a (T, N, m) stack with one tau per cell steps every cell bitwise as
+    # its own (N, m) call does
+    g = cycle(7)
+    rng = np.random.default_rng(21)
+    q = rng.standard_normal((4, 7, 3))
+    p = rng.standard_normal((4, 7, 3))
+    taus = np.array([0.01, 0.5, 3.0, 400.0])
+    for ens in (random_quadratic_ensemble(7, 3, seed=22),
+                random_logistic_ensemble(7, 3, 10, 0.1, seed=22)):
+        stack = NetworkState(q, p)
+        mid = mid_step(stack, ens, g, taus)
+        euler = euler_step(stack, ens, g, taus)
+        gt = gradient_tracking_step(GtState(q, p), ens, g, taus)
+        assert mid.newton_iterations.shape == (4, 7)
+        for t, tau in enumerate(taus):
+            cell = NetworkState(q[t], p[t])
+            one = mid_step(cell, ens, g, tau)
+            assert np.array_equal(mid.state.q[t], one.state.q)
+            assert np.array_equal(mid.state.p[t], one.state.p)
+            assert np.array_equal(mid.newton_iterations[t], one.newton_iterations)
+            one = euler_step(cell, ens, g, tau)
+            assert np.array_equal(euler.q[t], one.q)
+            assert np.array_equal(euler.p[t], one.p)
+            one = gradient_tracking_step(GtState(q[t], p[t]), ens, g, tau)
+            assert np.array_equal(gt.q[t], one.q)
+            assert np.array_equal(gt.tracker[t], one.tracker)
+    with pytest.raises(DimensionMismatchError):
+        mid_step(NetworkState(q, p), ens, g, taus[:3])
+
+
+def test_batched_mid_failure_names_the_first_failing_cell():
+    # tau = 1e4 stalls in the second step of this run: the stack reports
+    # that cell and the very error its own step raises
+    g = cycle(10)
+    ens = random_quadratic_ensemble(10, 3, seed=42)
+    q0 = np.random.default_rng(7).standard_normal((10, 3))
+    start = NetworkState(q0, np.zeros_like(q0))
+    stalls = mid_step(start, ens, g, 1e4).state
+    with pytest.raises(MaxIterationsError) as alone:
+        mid_step(stalls, ens, g, 1e4)
+    stack = NetworkState(np.stack([start.q, stalls.q, stalls.q]),
+                         np.stack([start.p, stalls.p, stalls.p]))
+    with pytest.raises(MaxIterationsError) as batched:
+        mid_step(stack, ens, g, np.array([1.0, 1e4, 1e4]))
+    assert batched.value.cell == 1
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.residual_norm == alone.value.residual_norm
 
 
 def test_metropolis_weights_doubly_stochastic():
