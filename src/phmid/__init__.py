@@ -20,11 +20,10 @@ from .integrators import (SchemeConfig, StepReport, dg_central_step,
 from .numerics import (SolverSettings, discrete_gradient, is_psd, kron,
                        min_eigenvalue_symmetric, newton_solve, solve_linear)
 from .stability import (CertificateVerdict, LmiCertificate, audit_lyapunov,
-                        change_of_basis, check_certificate,
-                        check_certificate_quadratic, closed_form_certificate,
-                        gradient_bound_block, midpoint_map_qp, midpoint_map_qr,
-                        quadratic_gradient_block, search_certificate,
-                        step_gram)
+                        check_certificate, check_certificate_quadratic,
+                        closed_form_certificate, gradient_bound_block,
+                        midpoint_map_qr, quadratic_gradient_block,
+                        search_certificate, step_gram)
 
 __version__ = "0.1.0"
 
@@ -42,8 +41,7 @@ __all__ = [
     "SolverSettings", "discrete_gradient", "is_psd", "kron",
     "min_eigenvalue_symmetric", "newton_solve", "solve_linear",
     "CertificateVerdict", "LmiCertificate", "audit_lyapunov",
-    "change_of_basis", "check_certificate", "check_certificate_quadratic",
-    "closed_form_certificate", "gradient_bound_block", "midpoint_map_qp",
-    "midpoint_map_qr", "quadratic_gradient_block", "search_certificate",
-    "step_gram",
+    "check_certificate", "check_certificate_quadratic",
+    "closed_form_certificate", "gradient_bound_block", "midpoint_map_qr",
+    "quadratic_gradient_block", "search_certificate", "step_gram",
 ]

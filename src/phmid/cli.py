@@ -110,7 +110,18 @@ def _cmd_sweep(args):
     return 0
 
 
+def _require_positive(flag, value):
+    if not (np.isfinite(value) and value > 0):
+        raise SystemExit(f"{flag} must be a finite number > 0, got {value!r}")
+
+
 def _cmd_certify(args):
+    _require_positive("--tau", args.tau)
+    if args.m < 1:
+        raise SystemExit(f"--m must be >= 1, got {args.m}")
+    for flag, value in (("--mu", args.mu), ("--lipschitz", args.lipschitz)):
+        if value is not None:
+            _require_positive(flag, value)
     graph = graphs_mod.from_spec(args.graph)
     if args.quadratic:
         if not args.cost:

@@ -9,9 +9,8 @@ Eliminating the half-step, the update obeys
 in the coordinates r = p - tau Q q, where Q = (D + A)/2 (x) I_m,
 G = I/tau^2 + Q/tau + Q^2 is positive definite, q_bar is the step
 midpoint, dq the step difference, and S the midpoint map returned by
-`midpoint_map_qr` (the same relation in (q, p) coordinates uses
-`midpoint_map_qp`; the two are exactly similar through the lower
-triangular change of basis returned by `change_of_basis`).
+`midpoint_map_qr`. In the raw (q, p) coordinates the map is exactly
+similar to S, through the lower triangular change of basis r = p - tau Q q.
 
 A certificate (P12, P22, U, u, epsilon) proves global asymptotic
 stability of the consensus optimum when three matrix inequalities hold:
@@ -54,6 +53,11 @@ def _lifted(block_n, m):
     return kron(block_n, np.eye(m))
 
 
+def _require_positive(name, value):
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _graph_level(graph, tau):
     """N-level pieces (L, Q, G) shared by the matrix builders."""
     lap = graph.laplacian()
@@ -62,14 +66,21 @@ def _graph_level(graph, tau):
     return lap, qmat, (gram + gram.T) / 2.0
 
 
+def _midpoint_block(lap, qmat, gram, tau):
+    """N-level midpoint map; `midpoint_map_qr` lifts it by (x) I_m."""
+    n = lap.shape[0]
+    a11 = -np.linalg.solve(gram, lap / tau + qmat @ lap + lap @ qmat)
+    a12 = -np.linalg.solve(gram, lap) / tau
+    return np.block([[a11, a12], [tau * lap, np.zeros((n, n))]])
+
+
 def step_gram(graph, m, tau):
     """G(tau) = I/tau^2 + Q/tau + Q^2, lifted by (x) I_m.
 
     Positive definite for every tau > 0 (its smallest eigenvalue is at
     least 1/tau^2), and a polynomial in Q, with which it commutes.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    _require_positive("tau", tau)
     _, _, gram = _graph_level(graph, tau)
     return _lifted(gram, m)
 
@@ -83,42 +94,18 @@ def midpoint_map_qr(graph, m, tau):
     The gradient feedback enters only the q row, which is what makes the
     (q, r) coordinates the right ones for the decrease inequality.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    lap, qmat, gram = _graph_level(graph, tau)
-    n = graph.n
-    a11 = -np.linalg.solve(gram, lap / tau + qmat @ lap + lap @ qmat)
-    a12 = -np.linalg.solve(gram, lap) / tau
-    block = np.block([[a11, a12], [tau * lap, np.zeros((n, n))]])
-    return _lifted(block, m)
-
-
-def midpoint_map_qp(graph, m, tau):
-    """Linear midpoint map of the step in the raw (q, p) coordinates."""
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    lap, qmat, gram = _graph_level(graph, tau)
-    a11 = -np.linalg.solve(gram, (np.eye(graph.n) / tau + qmat) @ lap)
-    a12 = -np.linalg.solve(gram, lap) / tau
-    a21 = np.linalg.solve(gram, lap) / tau
-    a22 = -np.linalg.solve(gram, qmat @ lap)
-    return _lifted(np.block([[a11, a12], [a21, a22]]), m)
-
-
-def change_of_basis(graph, m, tau):
-    """Lower triangular T with [q; r] = T [q; p], i.e. r = p - tau Q q.
-
-    Satisfies midpoint_map_qr = T midpoint_map_qp T^-1 exactly.
-    """
-    n = graph.n
-    qmat = graph.q_matrix()
-    block = np.block([[np.eye(n), np.zeros((n, n))], [-tau * qmat, np.eye(n)]])
-    return _lifted(block, m)
+    _require_positive("tau", tau)
+    return _lifted(_midpoint_block(*_graph_level(graph, tau), tau), m)
 
 
 def gradient_feedback_gain(graph, m, tau, lipschitz):
-    """gamma(tau) = (lipschitz / tau) * ||G(tau)||, the cross-term gain."""
-    gram = step_gram(graph, m, tau)
+    """gamma(tau) = (lipschitz / tau) * ||G(tau)||, the cross-term gain.
+
+    The lifted G(tau) has the eigenvalues of the N x N one, each repeated
+    m times, so the norm is taken at N level.
+    """
+    _require_positive("tau", tau)
+    _, _, gram = _graph_level(graph, tau)
     return (lipschitz / tau) * float(np.linalg.eigvalsh(gram)[-1])
 
 
@@ -134,8 +121,7 @@ def gradient_bound_block(graph, m, tau, epsilon, mu, lipschitz, u_cap):
     be absent, so U (and P12) are required to vanish and the lower block
     is zero.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
+    _require_positive("tau", tau)
     if epsilon < 0:
         raise ValueError("epsilon must be >= 0")
     nm = graph.n * m
@@ -156,6 +142,28 @@ def gradient_bound_block(graph, m, tau, epsilon, mu, lipschitz, u_cap):
     return out
 
 
+def _hessian_block_diag(hessians, n, m):
+    """Block diagonal of a per-agent (n, m, m) Hessian stack."""
+    hessians = np.asarray(hessians, dtype=float)
+    if hessians.shape != (n, m, m):
+        raise NonQuadraticCostError(
+            f"expected per-agent Hessian stack of shape {(n, m, m)}, "
+            f"got {hessians.shape}")
+    hbd = np.zeros((n * m, n * m))
+    for i in range(n):
+        hbd[i * m:(i + 1) * m, i * m:(i + 1) * m] = hessians[i]
+    return hbd
+
+
+def _quadratic_block(hbd, p12, gram, tau):
+    nm = hbd.shape[0]
+    p12 = np.asarray(p12, dtype=float)
+    out = np.zeros((2 * nm, 2 * nm))
+    out[:nm, :nm] = -hbd / tau
+    out[nm:, :nm] = -(p12.T @ gram @ hbd) / tau
+    return out
+
+
 def quadratic_gradient_block(graph, m, tau, hessians, p12):
     """Exact gradient feedback term for quadratic costs.
 
@@ -165,24 +173,9 @@ def quadratic_gradient_block(graph, m, tau, hessians, p12):
     with H the block diagonal of the per-agent Hessians. Only the
     symmetric part enters the decrease inequality.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    hessians = np.asarray(hessians, dtype=float)
-    n, mm = graph.n, m
-    nm = n * mm
-    if hessians.shape != (n, mm, mm):
-        raise NonQuadraticCostError(
-            f"expected per-agent Hessian stack of shape {(n, mm, mm)}, "
-            f"got {hessians.shape}")
-    hbd = np.zeros((nm, nm))
-    for i in range(n):
-        hbd[i * mm:(i + 1) * mm, i * mm:(i + 1) * mm] = hessians[i]
-    p12 = np.asarray(p12, dtype=float)
-    gram = step_gram(graph, mm, tau)
-    out = np.zeros((2 * nm, 2 * nm))
-    out[:nm, :nm] = -hbd / tau
-    out[nm:, :nm] = -(p12.T @ gram @ hbd) / tau
-    return out
+    _require_positive("tau", tau)
+    hbd = _hessian_block_diag(hessians, graph.n, m)
+    return _quadratic_block(hbd, p12, step_gram(graph, m, tau), tau)
 
 
 def hessian_blocks_from(ensemble):
@@ -245,20 +238,27 @@ class CertificateVerdict:
         return f"CertificateVerdict(feasible={self.feasible}, margins={self.margins})"
 
 
-def assemble_metric(cert, graph, m, tau):
-    """Lyapunov metric P = [[G(tau), P12], [P12', P22]]."""
-    gram = step_gram(graph, m, tau)
+def _metric(cert, gram):
     p = np.block([[gram, cert.p12], [cert.p12.T, cert.p22]])
     return (p + p.T) / 2.0
+
+
+def assemble_metric(cert, graph, m, tau):
+    """Lyapunov metric P = [[G(tau), P12], [P12', P22]]."""
+    return _metric(cert, step_gram(graph, m, tau))
 
 
 def _min_eig(mat):
     return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
 
 
-def _decrease_margin(p, smap, bound, u):
-    nm = p.shape[0] // 2
-    x = p @ smap + smap.T @ p + bound
+def _decrease_lhs(p, smap, bound):
+    """X = P S + S' P + B; the decrease inequality is X <= -u E11."""
+    return p @ smap + smap.T @ p + bound
+
+
+def _decrease_margin(x, u):
+    nm = x.shape[0] // 2
     target = np.zeros_like(x)
     target[:nm, :nm] = u * np.eye(nm)
     return _min_eig(-(x + target))
@@ -273,14 +273,14 @@ def check_certificate(cert, graph, m, tau, mu, lipschitz, tol=_EIG_TOL):
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
     nm = graph.n * m
-    p = assemble_metric(cert, graph, m, tau)
+    p = _metric(cert, step_gram(graph, m, tau))
     metric_margin = _min_eig(p)
     schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
     schur_margin = _min_eig(schur)
     bound = gradient_bound_block(graph, m, tau, cert.epsilon, mu, lipschitz,
                                  cert.u_cap)
     smap = midpoint_map_qr(graph, m, tau)
-    decrease_margin = _decrease_margin(p, smap, bound, cert.u)
+    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
     feasible = (metric_margin >= tol and schur_margin >= -tol
                 and decrease_margin >= -tol)
     return CertificateVerdict(feasible, (metric_margin, schur_margin,
@@ -298,14 +298,16 @@ def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
     nm = graph.n * m
-    p = assemble_metric(cert, graph, m, tau)
+    gram = step_gram(graph, m, tau)
+    p = _metric(cert, gram)
     metric_margin = _min_eig(p)
     schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
     schur_margin = _min_eig(schur)
-    bound = quadratic_gradient_block(graph, m, tau, hessians, cert.p12)
+    hbd = _hessian_block_diag(hessians, graph.n, m)
+    bound = _quadratic_block(hbd, cert.p12, gram, tau)
     bound = (bound + bound.T) / 2.0
     smap = midpoint_map_qr(graph, m, tau)
-    decrease_margin = _decrease_margin(p, smap, bound, cert.u)
+    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
     feasible = metric_margin >= tol and decrease_margin >= -tol
     return CertificateVerdict(feasible, (metric_margin, schur_margin,
                                          decrease_margin))
@@ -323,10 +325,8 @@ def closed_form_certificate(graph, m, tau, mu):
     mu / tau, the rate actually guaranteed per step, so certified runs
     pass the trajectory audit.
     """
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    if not mu > 0:
-        raise ValueError("mu must be > 0")
+    _require_positive("tau", tau)
+    _require_positive("mu", mu)
     nm = graph.n * m
     zero = np.zeros((nm, nm))
     return LmiCertificate(p12=zero, p22=np.eye(nm) / tau ** 2, u_cap=zero,
@@ -344,25 +344,78 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
     `hessians` is given, else against the (mu, lipschitz) check - or
     None when the whole family fails. None is NOT evidence of
     instability; the family is only sufficient.
+
+    The scan runs on matrices built once per call. Within the family the
+    metric and Schur margins do not depend on beta, and the decrease
+    margin only falls as beta grows, so an alpha that fails at the
+    smallest beta has no verifying beta and is skipped. These screens
+    reject only margins that fail by more than their rounding error, and
+    a candidate that passes them is returned only once the public check
+    (`check_certificate` or `check_certificate_quadratic`) accepts it, so
+    the result is the first candidate of the scan order that the public
+    check accepts.
     """
+    _require_positive("tau", tau)
     if hessians is not None:
         hessians = np.asarray(hessians, dtype=float)
         if mu is None:
             mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
-    if mu is None or not mu > 0:
-        raise ValueError("a positive mu is required (given or from Hessians)")
-    nm = graph.n * m
-    zero = np.zeros((nm, nm))
+    elif lipschitz is None:
+        raise ValueError("lipschitz is required without Hessians")
+    else:
+        _require_positive("lipschitz", lipschitz)
+    if mu is None:
+        raise ValueError("mu is required without Hessians")
+    _require_positive("mu", mu)
     alphas = [1.0 / tau ** 2] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
+    smallest = min((b for b in betas if b > 0), default=None)
+    lap, qmat, gram_n = _graph_level(graph, tau)
+    n = graph.n
+    if hessians is None:
+        # With P12 = U = 0, epsilon = 0, P22 = alpha I and the -(mu/tau) I
+        # bound, every matrix of the check is X (x) I_m, whose eigenvalues
+        # are those of X, each repeated m times. So the screen runs with
+        # m = 1, on 2N x 2N instead of 2Nm x 2Nm matrices.
+        screen_m = 1
+        feedback = -(mu / tau) * np.eye(n)
+    else:
+        # per-agent Hessians break the Kronecker structure
+        screen_m = m
+        feedback = -_hessian_block_diag(hessians, n, m) / tau
+        feedback = (feedback + feedback.T) / 2.0
+    size = n * screen_m
+    gram = _lifted(gram_n, screen_m)
+    smap = _lifted(_midpoint_block(lap, qmat, gram_n, tau), screen_m)
+    gram_min = float(np.linalg.eigvalsh(gram_n)[0])
+    bound = np.zeros((2 * size, 2 * size))
+    bound[:size, :size] = feedback
+    nm = n * m
+    zero = np.zeros((nm, nm))
     seen = set()
     for alpha in alphas:
+        candidates = []
         for beta in betas:
             key = (round(float(alpha), 15), round(float(beta), 18))
             if key in seen or beta <= 0:
                 continue
             seen.add(key)
+            candidates.append(beta)
+        # metric margin: lambda_min(blockdiag(G, alpha I)); the Schur
+        # block blockdiag(0, I) has margin 0 and always passes
+        if not candidates or min(gram_min, alpha) < tol:
+            continue
+        p = np.zeros((2 * size, 2 * size))
+        p[:size, :size] = gram
+        p[size:, size:] = alpha * np.eye(size)
+        x = _decrease_lhs(p, smap, bound)
+        slack = _rounding_slack(p, smap, bound, m // screen_m)
+        if _decrease_margin(x, smallest) < -tol - slack(smallest):
+            continue
+        for beta in candidates:
+            if _decrease_margin(x, beta) < -tol - slack(beta):
+                continue
             cert = LmiCertificate(p12=zero, p22=alpha * np.eye(nm),
                                   u_cap=zero, u=beta, epsilon=0.0)
             if hessians is not None:
@@ -374,6 +427,24 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
             if verdict.feasible:
                 return cert
     return None
+
+
+def _rounding_slack(p, smap, bound, lift):
+    """How far a screen margin may fail before the public check could pass.
+
+    Rounding in X = P S + S' P + B and in the eigen-solve moves a computed
+    eigenvalue of X + u E11 by at most about delta = dim * eps * (2 |P| |S|
+    + |B| + u), in Frobenius norms of the matrices lifted by (x) I_lift that
+    the public check uses. The exact margin only falls as u grows, so if
+    the screen reads below -tol - 2 delta at some u, the public check reads
+    below -tol at that u and at every larger one. The slack is 2 delta with
+    a factor of 4 to spare.
+    """
+    dim = p.shape[0] * lift
+    scale = (lift * 2.0 * np.linalg.norm(p) * np.linalg.norm(smap)
+             + np.sqrt(lift) * np.linalg.norm(bound))
+    eps = np.finfo(float).eps
+    return lambda u: 8.0 * dim * eps * (scale + u)
 
 
 def audit_lyapunov(trace, cert, equilibrium, graph, tau):

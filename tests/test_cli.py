@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import phmid
 from phmid.cli import main
 
 
@@ -81,3 +86,35 @@ def test_certify_not_found_exits_nonzero(capsys):
                  "--mu", "0.01", "--search"])
     assert code == 1
     assert "NotFound" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["check", "search"])
+@pytest.mark.parametrize("flag,value", [
+    ("--tau", "inf"), ("--tau", "nan"), ("--tau", "0"), ("--tau", "-1"),
+    ("--m", "0"), ("--m", "-2"),
+    ("--mu", "inf"), ("--mu", "nan"), ("--mu", "0"),
+    ("--lipschitz", "-3"), ("--lipschitz", "inf"),
+])
+def test_certify_rejects_bad_inputs(flag, value, search, capsys):
+    options = {"--graph": "cycle:6", "--tau": "10", "--mu": "1",
+               "--lipschitz": "3", "--m": "1", flag: value}
+    argv = ["certify"] + [x for item in options.items() for x in item]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--search"] if search else []))
+    assert str(exc.value.code).startswith(flag)
+    assert capsys.readouterr().out == ""
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["certify", "--graph", "cycle:6", "--tau", "1000", "--mu", "1",
+            "--lipschitz", "3"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(phmid.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run([sys.executable, "-m", "phmid"] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -4,18 +4,20 @@ import pytest
 from phmid.costs import random_quadratic_ensemble
 from phmid.dynamics import NetworkState, equilibrium_state
 from phmid.graphs import Graph, complete, cycle, erdos_renyi, star
+from phmid.graphs import from_spec as graph_from_spec
 from phmid.integrators import euler_step, mid_step
 from phmid.numerics import kron
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
                              NonQuadraticCostError, assemble_metric,
-                             audit_lyapunov, change_of_basis,
-                             check_certificate, check_certificate_quadratic,
+                             audit_lyapunov, check_certificate,
+                             check_certificate_quadratic,
                              closed_form_certificate, gradient_bound_block,
                              gradient_feedback_gain, hessian_blocks_from,
-                             midpoint_map_qp, midpoint_map_qr,
-                             quadratic_gradient_block, search_certificate,
-                             step_gram)
+                             midpoint_map_qr, quadratic_gradient_block,
+                             search_certificate, step_gram)
+
+from oracles import change_of_basis, midpoint_map_qp, reference_search
 
 
 def _random_graph(rng):
@@ -285,6 +287,50 @@ def test_search_not_found_for_star_large_tau():
     g = star(4)
     hs = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
     assert search_certificate(g, 1, 50.0, hessians=hs) is None
+
+
+@pytest.mark.parametrize("spec", ["cycle:6", "star:5", "complete:4",
+                                  "er:6:0.5:1", "er:7:0.5:3"])
+def test_search_matches_the_in_order_scan(spec):
+    # the log grid holds tau = 1 and 10, where 1/tau^2 repeats a grid
+    # alpha, and tau <= 1e-6, where rounding decides the margins
+    g = graph_from_spec(spec)
+    for m in (1, 3):
+        hs = hessian_blocks_from(random_quadratic_ensemble(g.n, m, seed=5))
+        for tau in np.logspace(-7, 2, 10):
+            for kwargs in ({"mu": 0.5, "lipschitz": 2.0}, {"hessians": hs}):
+                want = reference_search(g, m, tau, **kwargs)
+                got = search_certificate(g, m, tau, **kwargs)
+                assert (got is None) == (want is None), (m, tau, kwargs.keys())
+                if got is None:
+                    continue
+                assert (got.p22[0, 0], got.u) == (want.p22[0, 0], want.u)
+                if "hessians" in kwargs:
+                    verdict = check_certificate_quadratic(got, g, m, tau, hs)
+                else:
+                    verdict = check_certificate(got, g, m, tau, 0.5, 2.0)
+                assert verdict.feasible
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: step_gram(g, 1, np.inf),
+    lambda g: midpoint_map_qr(g, 1, np.nan),
+    lambda g: gradient_feedback_gain(g, 1, 0.0, 1.0),
+    lambda g: gradient_bound_block(g, 1, -1.0, 0.0, 1.0, 1.0, np.zeros((4, 4))),
+    lambda g: quadratic_gradient_block(g, 1, np.inf, np.ones((4, 1, 1)),
+                                       np.zeros((4, 4))),
+    lambda g: closed_form_certificate(g, 1, np.inf, mu=1.0),
+    lambda g: closed_form_certificate(g, 1, 1.0, mu=np.inf),
+    lambda g: search_certificate(g, 1, np.inf, mu=1.0, lipschitz=1.0),
+    lambda g: search_certificate(g, 1, 1.0, mu=1.0),
+    lambda g: search_certificate(g, 1, 1.0, mu=1.0, lipschitz=-3.0),
+    lambda g: search_certificate(g, 1, 1.0, mu=np.nan, lipschitz=1.0),
+], ids=["gram-inf", "map-nan", "gain-0", "bound-neg", "quad-inf",
+        "closed-tau-inf", "closed-mu-inf", "search-tau-inf",
+        "search-no-lipschitz", "search-neg-lipschitz", "search-mu-nan"])
+def test_entry_points_reject_bad_inputs(call):
+    with pytest.raises(ValueError):
+        call(cycle(4))
 
 
 def _mid_run(graph, ens, tau, steps, rng):
