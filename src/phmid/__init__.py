@@ -5,11 +5,9 @@ certificates.
 """
 
 from .costs import (CostEnsemble, LogisticCost, QuadraticCost,
-                    ensemble_constants, random_logistic_ensemble,
-                    random_quadratic_ensemble)
-from .dynamics import (NetworkState, bregman_lyapunov, compact_rhs,
-                       continuous_rhs, equilibrium_state, optimality_residual,
-                       passivity_check)
+                    random_logistic_ensemble, random_quadratic_ensemble)
+from .dynamics import (NetworkState, bregman_lyapunov, continuous_rhs,
+                       equilibrium_state)
 from .graphs import Graph, complete, cycle, erdos_renyi, star
 from .harness import (ExperimentConfig, RunTrace, SweepTable, export_csv, k_b,
                       run, tau_sweep)
@@ -17,8 +15,8 @@ from .integrators import (SchemeConfig, StepReport, dg_central_step,
                           euler_step, gradient_tracking_init,
                           gradient_tracking_step, metropolis_weights, mid_step,
                           parse_scheme_spec)
-from .numerics import (SolverSettings, discrete_gradient, is_psd, kron,
-                       min_eigenvalue_symmetric, newton_solve, solve_linear)
+from .numerics import (SolverSettings, is_psd, kron, min_eigenvalue_symmetric,
+                       newton_solve)
 from .stability import (CertificateVerdict, LmiCertificate, audit_lyapunov,
                         check_certificate, check_certificate_quadratic,
                         closed_form_certificate, gradient_bound_block,
@@ -28,18 +26,17 @@ from .stability import (CertificateVerdict, LmiCertificate, audit_lyapunov,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostEnsemble", "LogisticCost", "QuadraticCost", "ensemble_constants",
+    "CostEnsemble", "LogisticCost", "QuadraticCost",
     "random_logistic_ensemble", "random_quadratic_ensemble",
-    "NetworkState", "bregman_lyapunov", "compact_rhs", "continuous_rhs",
-    "equilibrium_state", "optimality_residual", "passivity_check",
+    "NetworkState", "bregman_lyapunov", "continuous_rhs", "equilibrium_state",
     "Graph", "complete", "cycle", "erdos_renyi", "star",
     "ExperimentConfig", "RunTrace", "SweepTable", "export_csv", "k_b", "run",
     "tau_sweep",
     "SchemeConfig", "StepReport", "dg_central_step", "euler_step",
     "gradient_tracking_init", "gradient_tracking_step", "metropolis_weights",
     "mid_step", "parse_scheme_spec",
-    "SolverSettings", "discrete_gradient", "is_psd", "kron",
-    "min_eigenvalue_symmetric", "newton_solve", "solve_linear",
+    "SolverSettings", "is_psd", "kron", "min_eigenvalue_symmetric",
+    "newton_solve",
     "CertificateVerdict", "LmiCertificate", "audit_lyapunov",
     "check_certificate", "check_certificate_quadratic",
     "closed_form_certificate", "gradient_bound_block", "midpoint_map_qr",

@@ -123,6 +123,17 @@ def _cmd_certify(args):
         if value is not None:
             _require_positive(flag, value)
     graph = graphs_mod.from_spec(args.graph)
+    try:
+        return _certify(args, graph)
+    except np.linalg.LinAlgError as exc:
+        # G(tau) = I/tau^2 + Q/tau + Q^2 loses rank in floating point at
+        # large tau when Q is singular, as on every bipartite graph
+        raise SystemExit(f"--tau {args.tau:g}: G(tau) is numerically singular "
+                         f"on graph {args.graph} ({exc}); no verdict") from None
+
+
+def _certify(args, graph):
+    """Print the verdict on `graph` and return the exit code."""
     if args.quadratic:
         if not args.cost:
             raise SystemExit("--quadratic needs --cost quadratic:m:seed")

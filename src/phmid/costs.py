@@ -229,10 +229,6 @@ class CostEnsemble:
                         for row in rows])
         return out.reshape(q.shape[:-2] + out.shape[1:])
 
-    def value_sum(self, theta):
-        """Sum of all local costs at a common point."""
-        return float(sum(c.value(theta) for c in self.costs))
-
     def _everywhere(self, theta):
         """`theta` as the (N, m) stack that puts it at every agent."""
         theta = as_vector(theta, "theta")
@@ -265,13 +261,7 @@ class CostEnsemble:
             return self.hessian_stack(self._everywhere(theta)).sum(axis=0)
 
         return newton_solve(self.gradient_sum, hessian_sum, np.zeros(self.dim),
-                            settings)
-
-
-def ensemble_constants(costs):
-    """(mu, lipschitz) certified for every cost in the iterable."""
-    ens = CostEnsemble(costs)
-    return ens.mu, ens.lipschitz
+                            settings)[0]
 
 
 def random_quadratic_ensemble(n_agents, m, seed, eig_range=(0.5, 3.0)):

@@ -16,7 +16,7 @@ equal to the centralized minimizer.
 
 import numpy as np
 
-from .numerics import DimensionMismatchError, kron, min_eigenvalue_symmetric
+from .numerics import DimensionMismatchError
 
 
 class NetworkState:
@@ -46,15 +46,6 @@ class NetworkState:
     def dim(self):
         return self.q.shape[-1]
 
-    def agent_stack(self):
-        """Agent-major flat vector [q_1, p_1, q_2, p_2, ...]."""
-        return np.hstack([self.q, self.p]).ravel()
-
-    @classmethod
-    def from_agent_stack(cls, vec, n_agents, dim):
-        arr = np.asarray(vec, dtype=float).reshape(n_agents, 2 * dim)
-        return cls(arr[:, :dim], arr[:, dim:])
-
     def copy(self):
         return NetworkState(self.q.copy(), self.p.copy())
 
@@ -63,31 +54,6 @@ class NetworkState:
 
     def __repr__(self):
         return f"NetworkState(n_agents={self.n_agents}, dim={self.dim})"
-
-
-def coupling_matrix(m):
-    """Edge coupling [[-1, -1], [1, 0]] (x) I_m; symmetric part is NSD."""
-    return kron(np.array([[-1.0, -1.0], [1.0, 0.0]]), np.eye(m))
-
-
-class PhsDesign:
-    """Fixed design data of the flow for agents of dimension m.
-
-    Verifies once that the symmetric part of the coupling matrix is
-    negative semidefinite, which is what makes the network passive.
-    """
-
-    def __init__(self, m):
-        self.m = int(m)
-        self.coupling = coupling_matrix(m)
-        sym = (self.coupling + self.coupling.T) / 2.0
-        if min_eigenvalue_symmetric(-sym) < -1e-12:
-            raise ValueError("coupling matrix symmetric part is not NSD")
-
-    def feedback(self, state, ensemble):
-        """phi(x): rows [-grad f_i(q_i), 0] per agent, agent-major flat."""
-        grads = ensemble.gradient_stack(state.q)
-        return np.hstack([-grads, np.zeros_like(grads)]).ravel()
 
 
 def continuous_rhs(state, ensemble, graph, degrees=None, adjacency=None):
@@ -109,33 +75,6 @@ def continuous_rhs(state, ensemble, graph, degrees=None, adjacency=None):
     return dq, dp
 
 
-def compact_rhs(state, ensemble, graph):
-    """Same vector field via the stacked form (L (x) M) x + phi(x).
-
-    Built literally with Kronecker products; used as the independent
-    cross-check of `continuous_rhs`.
-    """
-    _check_shapes(state, ensemble, graph)
-    n, m = state.q.shape
-    design = PhsDesign(m)
-    coupling = kron(graph.laplacian(), design.coupling)
-    flat = coupling @ state.agent_stack() + design.feedback(state, ensemble)
-    arr = flat.reshape(n, 2 * m)
-    return arr[:, :m], arr[:, m:]
-
-
-def optimality_residual(state, ensemble, graph):
-    """(gradient residual, consensus residual) of the current q block.
-
-    Both vanish exactly at the network optimum: the summed gradient is
-    zero and all q_i agree.
-    """
-    _check_shapes(state, ensemble, graph)
-    grad_res = float(np.linalg.norm(ensemble.gradient_stack(state.q).sum(axis=0)))
-    cons_res = float(np.linalg.norm(graph.laplacian() @ state.q))
-    return grad_res, cons_res
-
-
 def bregman_lyapunov(state, equilibrium):
     """Storage-based Lyapunov value |x - x*|^2 / 2.
 
@@ -147,21 +86,6 @@ def bregman_lyapunov(state, equilibrium):
     dq = state.q - equilibrium.q
     dp = state.p - equilibrium.p
     return 0.5 * float(np.sum(dq ** 2) + np.sum(dp ** 2))
-
-
-def passivity_check(state, ensemble, graph):
-    """Dissipation rate x' (L (x) M) x of the coupling; always <= 0.
-
-    Returns the quadratic form value, which equals dH/dt minus the
-    feedback power along the flow.
-    """
-    _check_shapes(state, ensemble, graph)
-    lap = graph.laplacian()
-    q, p = state.q, state.p
-    lq = lap @ q
-    lp = lap @ p
-    value = float(np.sum(q * (-lq - lp)) + np.sum(p * lq))
-    return value
 
 
 def equilibrium_state(ensemble, graph, initial=None, mid_tau=None, tol=1e-12):

@@ -20,7 +20,7 @@ from . import costs as costs_mod
 from . import graphs as graphs_mod
 from . import integrators
 from .dynamics import NetworkState, bregman_lyapunov, equilibrium_state
-from .numerics import MaxIterationsError, SingularMatrixError
+from .integrators import SOLVER_ERRORS
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -116,10 +116,6 @@ class RunTrace:
                 f"final_error={self.final_error:.3e})")
 
 
-# Solver failures a cell can raise; `_simulate` takes the failing cell out.
-SOLVER_ERRORS = (MaxIterationsError, SingularMatrixError)
-
-
 def _consensus_errors(q, theta_star):
     """||q_t - 1 (x) theta*|| for each cell t of a (T, N, m) stack.
 
@@ -148,31 +144,19 @@ def _stepper(kind, graph, ensemble, solver):
     if kind in ("mid", "euler"):
         degrees, adjacency = graph.degrees, graph.adjacency()
 
-    if kind == "mid":
+    if kind in ("mid", "dg"):
+        kernel, arrays = ((integrators.mid_step, (degrees, adjacency))
+                          if kind == "mid" else
+                          (integrators.dg_central_step, (graph.laplacian(),)))
+
         def step(state, taus):
-            report = integrators.mid_step(state, ensemble, graph, taus, solver,
-                                          degrees, adjacency)
+            report = kernel(state, ensemble, graph, taus, solver, *arrays)
             return report.state, report.newton_iterations.max(axis=-1)
     elif kind == "euler":
         def step(state, taus):
             return (integrators.euler_step(state, ensemble, graph, taus,
                                            degrees, adjacency),
                     np.zeros(len(taus), dtype=int))
-    elif kind == "dg":
-        def step(state, taus):
-            qs, ps, iters = [], [], []
-            for cell, tau in enumerate(taus):
-                try:
-                    report = integrators.dg_central_step(
-                        NetworkState(state.q[cell], state.p[cell]), ensemble,
-                        graph, tau, solver)
-                except SOLVER_ERRORS as exc:
-                    exc.cell = cell
-                    raise
-                qs.append(report.state.q)
-                ps.append(report.state.p)
-                iters.append(report.newton_iterations.max())
-            return NetworkState(np.stack(qs), np.stack(ps)), np.array(iters)
     else:  # gt
         weights = integrators.metropolis_weights(graph)
 

@@ -14,11 +14,12 @@ Three discretizations of the same flow plus one conventional baseline:
 - ``gt``: a standard gradient-tracking baseline with Metropolis weights,
   included for speed comparisons only.
 
-``euler_step``, ``mid_step`` and ``gradient_tracking_step`` also advance
-a stack of T independent cells at once: states of shape (T, N, m) with
-one step size per cell, tau of shape (T,). Every cell's result is bitwise
-the one its own (N, m) call gives. A run builds the degrees, adjacency
-and Metropolis weights once and passes them in, so no step rebuilds them.
+Every step also advances a stack of T independent cells at once: states
+of shape (T, N, m) with one step size per cell, tau of shape (T,). Every
+cell's result is bitwise the one its own (N, m) call gives. A run builds
+the degrees, adjacency, Laplacian and Metropolis weights once and passes
+them in, so no step rebuilds them. Both implicit steps solve with the
+one batched Newton of `numerics.newton_solve`.
 """
 
 import math
@@ -27,9 +28,13 @@ import numpy as np
 
 from .dynamics import NetworkState, continuous_rhs
 from .numerics import (DimensionMismatchError, MaxIterationsError,
-                       SolverSettings, kron, newton_solve)
+                       SingularMatrixError, SolverSettings, kron, newton_solve)
 
 SCHEME_KINDS = ("euler", "dg", "mid", "gt")
+
+# The errors `newton_solve` raises; an implicit step re-raises them for
+# its first failing cell.
+SOLVER_ERRORS = (MaxIterationsError, SingularMatrixError)
 
 
 class SchemeConfig:
@@ -102,7 +107,7 @@ def euler_step(state, ensemble, graph, tau, degrees=None, adjacency=None):
     return NetworkState(state.q + tau * dq, state.p + tau * dp)
 
 
-def dg_central_step(state, ensemble, graph, tau, solver=None):
+def dg_central_step(state, ensemble, graph, tau, solver=None, laplacian=None):
     """Discrete-gradient step solved as one coupled implicit system.
 
     For the quadratic storage the discrete gradient between x and x+ is
@@ -113,22 +118,30 @@ def dg_central_step(state, ensemble, graph, tau, solver=None):
     over the whole network at once. The stacked residual in the unknown
     [q+; p+] is driven to the solver tolerance by damped Newton. This
     scheme exists as the centrally-solved reference that the per-agent
-    mixed implicit scheme is validated against at small tau. It takes a
-    single (N, m) state only.
-    """
-    if not 0 < tau < math.inf:
-        raise ValueError("tau must be a finite number > 0")
-    solver = solver or SolverSettings()
-    n, m = state.q.shape
-    nm = n * m
-    lap = graph.laplacian()
-    lap_m = kron(lap, np.eye(m))
-    eye = np.eye(nm)
-    q0, p0 = state.q, state.p
-    jac_calls = [0]
+    mixed implicit scheme is validated against at small tau.
 
-    def split(z):
-        return z[:nm].reshape(n, m), z[nm:].reshape(n, m)
+    A (T, N, m) stack solves its T systems together, one Newton row per
+    cell, and each cell's result is bitwise its own step's. Every agent
+    reports its cell's Newton iterations. A failing cell raises the solver
+    error with its residual; the error's `cell` is the first failing cell.
+    `laplacian` defaults to the graph's own.
+    """
+    solver = solver or SolverSettings()
+    q0, p0 = state.q, state.p
+    tau = _step_sizes(tau, q0)[..., None]
+    lap = graph.laplacian() if laplacian is None else laplacian
+    lead, (n, m) = q0.shape[:-2], q0.shape[-2:]
+    nm = n * m
+    half_lap = kron(lap, np.eye(m)) / 2.0
+    eye = np.eye(nm)
+    jac0 = np.empty(lead + (2 * nm, 2 * nm))
+    jac0[..., :nm, :nm] = eye / tau + half_lap
+    jac0[..., :nm, nm:] = half_lap
+    jac0[..., nm:, :nm] = -half_lap
+    jac0[..., nm:, nm:] = eye / tau
+
+    def split(z):  # [q; p] -> q, p
+        return np.moveaxis(z.reshape(lead + (2, n, m)), -3, 0)
 
     def residual(z):
         qp, pp = split(z)
@@ -136,26 +149,23 @@ def dg_central_step(state, ensemble, graph, tau, solver=None):
         pb = (p0 + pp) / 2.0
         rq = (qp - q0) / tau + lap @ qb + lap @ pb + ensemble.gradient_stack(qb)
         rp = (pp - p0) / tau - lap @ qb
-        return np.concatenate([rq.ravel(), rp.ravel()])
+        return np.concatenate([rq, rp], axis=-2).reshape(lead + (2 * nm,))
 
     def jacobian(z):
-        jac_calls[0] += 1
-        qp, _ = split(z)
-        qb = (q0 + qp) / 2.0
-        hess = ensemble.hessian_stack(qb)
-        hbd = np.zeros((nm, nm))
-        for i in range(n):
-            hbd[i * m:(i + 1) * m, i * m:(i + 1) * m] = hess[i]
-        top = np.hstack([eye / tau + lap_m / 2.0 + hbd / 2.0, lap_m / 2.0])
-        bot = np.hstack([-lap_m / 2.0, eye / tau])
-        return np.vstack([top, bot])
+        hess = ensemble.hessian_stack((q0 + split(z)[0]) / 2.0)
+        # the per-agent Hessians as one block diagonal (..., Nm, Nm)
+        blocks = np.einsum("ij,...iab->...iajb", np.eye(n), hess)
+        jac = jac0.copy()
+        jac[..., :nm, :nm] += blocks.reshape(lead + (nm, nm)) / 2.0
+        return jac
 
-    z0 = np.concatenate([q0.ravel(), p0.ravel()])
-    sol = newton_solve(residual, jacobian, z0, solver)
-    qp, pp = split(sol)
-    res_norm = float(np.linalg.norm(residual(sol)))
-    iters = np.full(n, jac_calls[0], dtype=int)
-    return StepReport(NetworkState(qp, pp), iters, res_norm)
+    z0 = np.concatenate([q0, p0], axis=-2).reshape(lead + (2 * nm,))
+    try:
+        z, iters, rnorm = newton_solve(residual, jacobian, z0, solver)
+    except SOLVER_ERRORS as exc:
+        raise _cell_failure(exc, 1) from None
+    return StepReport(NetworkState(*split(z)), np.repeat(iters[..., None], n, -1),
+                      float(rnorm.max()))
 
 
 def mid_step(state, ensemble, graph, tau, solver=None, degrees=None,
@@ -173,17 +183,16 @@ def mid_step(state, ensemble, graph, tau, solver=None, degrees=None,
               + deg_i p_i - sum_j p_j            (sums over neighbors j)
 
     obtained by substituting the p-update into the q-row of the step.
-    All agents are solved simultaneously (batched damped Newton, warm
-    started at q_i), then p_i+ = p_i + tau (deg_i q+_i - sum_j q_j). No
-    neighbor future values are used anywhere, so agent i's result depends
-    only on its own and its neighbors' current states.
+    All agents are solved simultaneously (batched damped Newton, one row
+    per agent, warm started at q_i), then p_i+ = p_i + tau (deg_i q+_i -
+    sum_j q_j). No neighbor future values are used anywhere, so agent i's
+    result depends only on its own and its neighbors' current states.
 
     A (T, N, m) stack of cells solves all T*N agents together. An agent's
     Newton iterates never depend on other agents, so each cell's result is
-    bitwise its own step's. A failing agent raises MaxIterationsError
-    naming it; the error's `cell` is the first cell with a failing agent
-    (0 for a single state). `degrees` and `adjacency` default to the
-    graph's own.
+    bitwise its own step's. A failing agent raises the solver error naming
+    it; the error's `cell` is the first cell with a failing agent (0 for a
+    single state). `degrees` and `adjacency` default to the graph's own.
     """
     solver = solver or SolverSettings()
     q0, p0 = state.q, state.p
@@ -195,63 +204,36 @@ def mid_step(state, ensemble, graph, tau, solver=None, degrees=None,
     gdiag = 1.0 / tau + deg + tau * deg ** 2
     const = (-q0 / tau[..., None] - (1.0 + tau * deg)[..., None] * nbr_q
              + deg[:, None] * p0 - nbr_p)
+    eye = np.eye(q0.shape[-1])
 
     def residual(qp):
         return gdiag[..., None] * qp + ensemble.gradient_stack((qp + q0) / 2.0) + const
 
-    qp = q0.copy()
-    res = residual(qp)
-    rnorm = np.linalg.norm(res, axis=-1)
-    iters = np.zeros(rnorm.shape, dtype=int)
-    eye = np.eye(q0.shape[-1])
-    tol = solver.residual_tolerance
-    for _ in range(solver.max_iterations):
-        active = rnorm > tol
-        if not active.any():
-            break
-        jac = gdiag[..., None, None] * eye + 0.5 * ensemble.hessian_stack((qp + q0) / 2.0)
-        delta = np.linalg.solve(jac, -res[..., None])[..., 0]
-        # per-agent backtracking: halve until the row residual decreases
-        alpha = np.ones(rnorm.shape)
-        pending = active.copy()
-        for _ in range(60):
-            if not pending.any():
-                break
-            cand = qp + alpha[..., None] * delta
-            cres = residual(cand)
-            cnorm = np.linalg.norm(cres, axis=-1)
-            ok = pending & np.isfinite(cnorm) & (cnorm < rnorm)
-            qp[ok] = cand[ok]
-            res[ok] = cres[ok]
-            rnorm[ok] = cnorm[ok]
-            pending &= ~ok
-            alpha[pending] *= solver.damping_shrink
-        if pending.any():
-            raise _agent_failure(pending, rnorm, qp, "backtracking stalled")
-        iters[active] += 1
-    else:
-        active = rnorm > tol
-        if active.any():
-            raise _agent_failure(
-                active, rnorm, qp,
-                f"no convergence in {solver.max_iterations} iterations")
+    def jacobian(qp):
+        return (gdiag[..., None, None] * eye
+                + 0.5 * ensemble.hessian_stack((qp + q0) / 2.0))
+
+    try:
+        qp, iters, rnorm = newton_solve(residual, jacobian, q0, solver)
+    except SOLVER_ERRORS as exc:
+        raise _cell_failure(exc, q0.shape[-2], "agent") from None
     pp = p0 + tau[..., None] * (deg[:, None] * qp - nbr_q)
     return StepReport(NetworkState(qp, pp), iters, float(rnorm.max()))
 
 
-def _agent_failure(flagged, rnorm, qp, what):
-    """MaxIterationsError for the worst flagged agent of the first cell
-    that has one; `cell` is that cell's index."""
-    n = flagged.shape[-1]
-    flagged = flagged.reshape(-1, n)
-    cell = int(np.argmax(flagged.any(axis=1)))
-    norms = rnorm.reshape(-1, n)[cell]
-    worst = int(np.argmax(np.where(flagged[cell], norms, -np.inf)))
+def _cell_failure(exc, rows_per_cell, row_name=None):
+    """`exc` for the worst failing Newton row of the first cell that has
+    one (rows come `rows_per_cell` to a cell); `cell` is that cell."""
+    failed = np.reshape(exc.failed, (-1, rows_per_cell))
+    cell = int(np.argmax(failed.any(axis=1)))
+    norms = np.reshape(exc.residual_norm, (-1, rows_per_cell))[cell]
+    worst = int(np.argmax(np.where(failed[cell], norms, -np.inf)))
     residual = float(norms[worst])
-    error = MaxIterationsError(
-        f"agent {worst}: {what} (residual {residual:.3e})",
-        iterate=qp.reshape(-1, n, qp.shape[-1])[cell, worst],
-        residual_norm=residual)
+    prefix = f"{row_name} {worst}: " if row_name else ""
+    error = type(exc)(f"{prefix}{exc.reason} (residual {residual:.3e})")
+    error.iterate = exc.iterate.reshape(
+        -1, rows_per_cell, exc.iterate.shape[-1])[cell, worst]
+    error.residual_norm = residual
     error.cell = cell
     return error
 

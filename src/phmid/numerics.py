@@ -1,6 +1,6 @@
 """
-Dense real linear algebra, symmetric eigenvalue tests, a damped Newton
-root-finder and quadrature-based discrete gradients.
+Input coercion, symmetric eigenvalue tests, the batched damped Newton
+root-finder behind every implicit solve, and Kronecker products.
 
 Everything here is a pure function of its inputs; values are never mutated
 after construction, so results can be shared freely between threads.
@@ -18,7 +18,7 @@ class DimensionMismatchError(NumericsError):
 
 
 class SingularMatrixError(NumericsError):
-    """Pivoting detected rank deficiency (relative tolerance 1e-12)."""
+    """A linear solve met a singular matrix."""
 
 
 class NonSymmetricError(NumericsError):
@@ -26,7 +26,7 @@ class NonSymmetricError(NumericsError):
 
 
 class MaxIterationsError(NumericsError):
-    """An iterative solver ran out of iterations.
+    """An iterative solver ran out of iterations or stalled.
 
     Carries the last iterate and its residual norm as attributes.
     """
@@ -35,23 +35,6 @@ class MaxIterationsError(NumericsError):
         super().__init__(message)
         self.iterate = iterate
         self.residual_norm = residual_norm
-
-
-# Gauss-Legendre nodes/weights on [0, 1], 5 points (exact for degree <= 9).
-_GL5_NODES = np.array([
-    0.5 - 0.9061798459386639898 / 2,
-    0.5 - 0.5384693101056830910 / 2,
-    0.5,
-    0.5 + 0.5384693101056830910 / 2,
-    0.5 + 0.9061798459386639898 / 2,
-])
-_GL5_WEIGHTS = np.array([
-    0.2369268850561890875 / 2,
-    0.4786286704993664680 / 2,
-    0.5688888888888888889 / 2,
-    0.4786286704993664680 / 2,
-    0.2369268850561890875 / 2,
-])
 
 
 def as_vector(v, name="vector"):
@@ -110,37 +93,6 @@ class SolverSettings:
                 f"damping_shrink={self.damping_shrink})")
 
 
-def solve_linear(a, b):
-    """Solve ``a @ x = b`` by LU elimination with partial pivoting.
-
-    Raises SingularMatrixError when a pivot falls below 1e-12 relative to
-    the largest entry of `a`.
-    """
-    a = as_matrix(a, "a")
-    b = as_vector(b, "b")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise DimensionMismatchError(f"matrix must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise DimensionMismatchError(
-            f"rhs length {b.shape[0]} does not match matrix size {n}")
-    m = np.hstack([a.copy(), b[:, None].copy()])
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 1.0)
-    threshold = 1e-12 * scale
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[piv, k]) <= threshold:
-            raise SingularMatrixError(f"rank deficiency at column {k}")
-        if piv != k:
-            m[[k, piv]] = m[[piv, k]]
-        factors = m[k + 1:, k] / m[k, k]
-        m[k + 1:, k:] -= factors[:, None] * m[k, k:]
-    x = np.zeros(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (m[k, n] - m[k, k + 1:n] @ x[k + 1:]) / m[k, k]
-    return x
-
-
 def min_eigenvalue_symmetric(s, sym_tol=1e-12):
     """Smallest eigenvalue of a symmetric matrix."""
     arr = require_symmetric(s, sym_tol)
@@ -166,86 +118,72 @@ def spectral_norm_symmetric(s):
 
 
 def newton_solve(residual, jacobian, x0, settings=None):
-    """Find a root of `residual` by Newton's method with backtracking.
+    """Find a root of every row of an (..., k) iterate by damped Newton.
 
-    The step is halved (factor `damping_shrink`) until the residual norm
+    `residual` maps the (..., k) iterate to its residuals and `jacobian`
+    to the (..., k, k) Jacobians, row by row; a 1-D `x0` is one row. A row
+    is done once its residual norm is at or below the tolerance. Each row
+    halves its own step (factor `damping_shrink`) until its residual norm
     decreases, which makes the iteration globally convergent on the
     gradient maps of strongly convex functions used throughout this
-    package.
+    package. No row's iterates depend on another row.
 
-    Parameters
-    ----------
-    residual : callable
-        Maps an (n,) vector to the (n,) residual.
-    jacobian : callable
-        Maps an (n,) vector to the (n, n) Jacobian of `residual`.
-    x0 : array_like
-        Starting point.
-    settings : SolverSettings, optional
-
-    Returns
-    -------
-    x : ndarray
-        Point with ``norm(residual(x)) <= settings.residual_tolerance``.
+    Returns the iterate, the Newton steps per row and the residual norm
+    per row. Raises MaxIterationsError when a row's backtracking stalls
+    (60 halvings) or rows miss the tolerance after `max_iterations`, and
+    SingularMatrixError when LAPACK reports a singular Jacobian. Both
+    carry `reason`, the mask `failed` of the failing rows, the whole
+    `iterate` and the per-row `residual_norm`.
     """
     settings = settings or SolverSettings()
-    x = as_vector(x0, "x0")
-    r = as_vector(residual(x), "residual(x0)")
-    if r.shape != x.shape:
-        raise DimensionMismatchError(
-            f"residual shape {r.shape} does not match iterate shape {x.shape}")
-    rnorm = float(np.linalg.norm(r))
-    for _ in range(settings.max_iterations):
-        if rnorm <= settings.residual_tolerance:
-            return x
-        j = as_matrix(jacobian(x), "jacobian(x)")
-        step = solve_linear(j, -r)
-        alpha = 1.0
+    x = np.array(x0, dtype=float)
+    r = residual(x)
+    if not np.all(np.isfinite(r)):
+        raise ValueError("the residual at the start point is not finite")
+    rnorm = np.linalg.norm(r, axis=-1)
+    iters = np.zeros(rnorm.shape, dtype=int)
+    for iteration in range(settings.max_iterations + 1):
+        active = rnorm > settings.residual_tolerance
+        if not active.any():
+            return x, iters, rnorm
+        if iteration == settings.max_iterations:
+            raise _failure(MaxIterationsError, f"no convergence in {iteration} "
+                           "iterations", active, x, rnorm)
+        jac = jacobian(x)
+        try:
+            delta = np.linalg.solve(jac, -r[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # the rows whose LU factors have an exact zero pivot
+            raise _failure(SingularMatrixError, "singular Jacobian",
+                           np.linalg.slogdet(jac)[0] == 0, x, rnorm) from None
+        alpha = np.ones(rnorm.shape)
+        pending = active
         for _ in range(60):
-            trial = x + alpha * step
-            r_trial = np.asarray(residual(trial), dtype=float)
-            t_norm = float(np.linalg.norm(r_trial))
-            if np.isfinite(t_norm) and t_norm < rnorm:
-                x, r, rnorm = trial, r_trial, t_norm
+            if not pending.any():
                 break
-            alpha *= settings.damping_shrink
-        else:
-            raise MaxIterationsError(
-                "backtracking stalled: residual norm does not decrease",
-                iterate=x, residual_norm=rnorm)
-    if rnorm <= settings.residual_tolerance:
-        return x
-    raise MaxIterationsError(
-        f"no convergence in {settings.max_iterations} iterations "
-        f"(residual norm {rnorm:.3e})",
-        iterate=x, residual_norm=rnorm)
+            cand = x + alpha[..., None] * delta
+            cres = residual(cand)
+            cnorm = np.linalg.norm(cres, axis=-1)
+            ok = pending & np.isfinite(cnorm) & (cnorm < rnorm)
+            x = np.where(ok[..., None], cand, x)
+            r = np.where(ok[..., None], cres, r)
+            rnorm = np.where(ok, cnorm, rnorm)
+            pending = pending & ~ok
+            alpha = np.where(pending, alpha * settings.damping_shrink, alpha)
+        if pending.any():
+            raise _failure(MaxIterationsError, "backtracking stalled", pending,
+                           x, rnorm)
+        iters += active
 
 
-def discrete_gradient(value, gradient, u, v):
-    """Two-point gradient substitute built from the mean-value integral.
-
-    Returns the integral of ``gradient((1 - s) u + s v)`` over s in [0, 1],
-    approximated with fixed 5-node Gauss-Legendre quadrature (exact for
-    polynomial integrands up to degree 9, hence exact for quadratics).
-    Satisfies the secant identity ``dg(u, v) . (v - u) = value(v) - value(u)``
-    up to quadrature error, and reduces to ``gradient(u)`` when u == v.
-
-    `value` is accepted alongside `gradient` so call sites document the
-    scalar function the secant identity refers to; only `gradient` is
-    evaluated.
-    """
-    del value
-    u = as_vector(u, "u")
-    v = as_vector(v, "v")
-    if u.shape != v.shape:
-        raise DimensionMismatchError(
-            f"u has shape {u.shape} but v has shape {v.shape}")
-    if float(np.linalg.norm(v - u)) <= 1e-14:
-        return np.asarray(gradient(u), dtype=float)
-    acc = np.zeros_like(u)
-    for s, w in zip(_GL5_NODES, _GL5_WEIGHTS):
-        acc = acc + w * np.asarray(gradient(u + s * (v - u)), dtype=float)
-    return acc
+def _failure(kind, reason, failed, x, rnorm):
+    """A `kind` error for the rows flagged in `failed`, naming the worst
+    flagged residual norm."""
+    worst = np.max(np.where(failed, rnorm, -np.inf))
+    error = kind(f"{reason} (residual norm {worst:.3e})")
+    error.reason, error.failed, error.iterate, error.residual_norm = (
+        reason, failed, x, rnorm)
+    return error
 
 
 def kron(a, b):

@@ -88,15 +88,26 @@ def test_certify_not_found_exits_nonzero(capsys):
     assert "NotFound" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("search", [False, True], ids=["check", "search"])
-@pytest.mark.parametrize("flag,value", [
+_BAD_INPUTS = [
     ("--tau", "inf"), ("--tau", "nan"), ("--tau", "0"), ("--tau", "-1"),
     ("--m", "0"), ("--m", "-2"),
     ("--mu", "inf"), ("--mu", "nan"), ("--mu", "0"),
     ("--lipschitz", "-3"), ("--lipschitz", "inf"),
+]
+# G(1e9) is numerically singular on these bipartite graphs
+_SINGULAR_G = ["cycle:6", "er:6:0.5:1"]
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["check", "search"])
+@pytest.mark.parametrize("flag,value,graph", [
+    pytest.param(flag, value, "cycle:6", id=f"{flag}-{value}")
+    for flag, value in _BAD_INPUTS
+] + [
+    pytest.param("--tau", "1e9", graph, id=f"--tau-1e9-{graph}")
+    for graph in _SINGULAR_G
 ])
-def test_certify_rejects_bad_inputs(flag, value, search, capsys):
-    options = {"--graph": "cycle:6", "--tau": "10", "--mu": "1",
+def test_certify_rejects_bad_inputs(flag, value, graph, search, capsys):
+    options = {"--graph": graph, "--tau": "10", "--mu": "1",
                "--lipschitz": "3", "--m": "1", flag: value}
     argv = ["certify"] + [x for item in options.items() for x in item]
     with pytest.raises(SystemExit) as exc:

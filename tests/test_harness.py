@@ -131,6 +131,15 @@ def test_sweep_raises_the_error_of_its_first_failing_cell():
         assert str(swept.value) == str(alone.value)
 
 
+def test_dg_completes_at_a_huge_tau():
+    # at tau = 1e300 the I/tau blocks of the dg Jacobian are far below the
+    # Laplacian's, but LAPACK still factors it
+    trace = run(ExperimentConfig("cycle:10", "quadratic:3:42", "dg:tau=1e300",
+                                 steps=20, seed=7))
+    assert trace.status == STATUS_MAX_STEPS
+    assert np.all(np.isfinite(trace.errors))
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
 def test_tau_sweep_validates_the_grid_before_any_cell(monkeypatch, bad):
     calls = []

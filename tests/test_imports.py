@@ -1,0 +1,26 @@
+import ast
+import sys
+from pathlib import Path
+
+import phmid
+
+# numpy is the one declared runtime dependency; anything else installed
+# alongside it (scipy, say) would import fine here and fail for users
+ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+
+
+def test_package_imports_only_numpy_and_the_stdlib():
+    sources = sorted(Path(phmid.__file__).resolve().parent.glob("*.py"))
+    assert len(sources) > 1
+    foreign = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}: {name}" for name in names
+                        if name.split(".")[0] not in ALLOWED]
+    assert not foreign, foreign

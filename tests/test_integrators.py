@@ -267,15 +267,21 @@ def test_batched_steps_equal_single_cell_steps():
                 random_logistic_ensemble(7, 3, 10, 0.1, seed=22)):
         stack = NetworkState(q, p)
         mid = mid_step(stack, ens, g, taus)
+        dg = dg_central_step(stack, ens, g, taus)
         euler = euler_step(stack, ens, g, taus)
         gt = gradient_tracking_step(GtState(q, p), ens, g, taus)
         assert mid.newton_iterations.shape == (4, 7)
+        assert dg.newton_iterations.shape == (4, 7)
         for t, tau in enumerate(taus):
             cell = NetworkState(q[t], p[t])
             one = mid_step(cell, ens, g, tau)
             assert np.array_equal(mid.state.q[t], one.state.q)
             assert np.array_equal(mid.state.p[t], one.state.p)
             assert np.array_equal(mid.newton_iterations[t], one.newton_iterations)
+            one = dg_central_step(cell, ens, g, tau)
+            assert np.array_equal(dg.state.q[t], one.state.q)
+            assert np.array_equal(dg.state.p[t], one.state.p)
+            assert np.array_equal(dg.newton_iterations[t], one.newton_iterations)
             one = euler_step(cell, ens, g, tau)
             assert np.array_equal(euler.q[t], one.q)
             assert np.array_equal(euler.p[t], one.p)
@@ -284,25 +290,29 @@ def test_batched_steps_equal_single_cell_steps():
             assert np.array_equal(gt.tracker[t], one.tracker)
     with pytest.raises(DimensionMismatchError):
         mid_step(NetworkState(q, p), ens, g, taus[:3])
+    with pytest.raises(DimensionMismatchError):
+        dg_central_step(NetworkState(q, p), ens, g, taus[:3])
 
 
 def test_batched_mid_failure_names_the_first_failing_cell():
-    # tau = 1e4 stalls in the second step of this run: the stack reports
-    # that cell and the very error its own step raises
+    # mid at tau = 1e4 stalls in the second step of this run, dg at
+    # tau = 1e-4 in the first: the stack reports that cell and the very
+    # error its own step raises
     g = cycle(10)
     ens = random_quadratic_ensemble(10, 3, seed=42)
     q0 = np.random.default_rng(7).standard_normal((10, 3))
     start = NetworkState(q0, np.zeros_like(q0))
-    stalls = mid_step(start, ens, g, 1e4).state
-    with pytest.raises(MaxIterationsError) as alone:
-        mid_step(stalls, ens, g, 1e4)
-    stack = NetworkState(np.stack([start.q, stalls.q, stalls.q]),
-                         np.stack([start.p, stalls.p, stalls.p]))
-    with pytest.raises(MaxIterationsError) as batched:
-        mid_step(stack, ens, g, np.array([1.0, 1e4, 1e4]))
-    assert batched.value.cell == 1
-    assert str(batched.value) == str(alone.value)
-    assert batched.value.residual_norm == alone.value.residual_norm
+    for step, stalls, tau in ((mid_step, mid_step(start, ens, g, 1e4).state, 1e4),
+                              (dg_central_step, start, 1e-4)):
+        with pytest.raises(MaxIterationsError) as alone:
+            step(stalls, ens, g, tau)
+        stack = NetworkState(np.stack([start.q, stalls.q, stalls.q]),
+                             np.stack([start.p, stalls.p, stalls.p]))
+        with pytest.raises(MaxIterationsError) as batched:
+            step(stack, ens, g, np.array([1.0, tau, tau]))
+        assert batched.value.cell == 1
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.residual_norm == alone.value.residual_norm
 
 
 def test_metropolis_weights_doubly_stochastic():

@@ -5,9 +5,10 @@ import pytest
 
 from phmid.numerics import (DimensionMismatchError, MaxIterationsError,
                             NonSymmetricError, SingularMatrixError,
-                            SolverSettings, discrete_gradient, is_psd, kron,
-                            min_eigenvalue_symmetric, newton_solve,
-                            solve_linear)
+                            SolverSettings, is_psd, kron,
+                            min_eigenvalue_symmetric, newton_solve)
+
+from oracles import discrete_gradient, solve_linear
 
 
 def test_solve_identity():
@@ -106,14 +107,14 @@ def test_is_psd_against_char_poly_oracle_3x3():
 
 
 def test_newton_linear_residual():
-    x = newton_solve(lambda x: x, lambda x: np.eye(1), np.array([5.0]))
+    x, _, _ = newton_solve(lambda x: x, lambda x: np.eye(1), np.array([5.0]))
     assert abs(x[0]) <= 1e-12
 
 
 def test_newton_cube_root():
-    x = newton_solve(lambda x: x ** 3 - 8.0,
-                     lambda x: np.array([[3.0 * x[0] ** 2]]),
-                     np.array([3.0]))
+    x, _, _ = newton_solve(lambda x: x ** 3 - 8.0,
+                           lambda x: np.array([[3.0 * x[0] ** 2]]),
+                           np.array([3.0]))
     assert abs(x[0] - 2.0) <= 1e-12
 
 
@@ -127,9 +128,9 @@ def test_newton_per_agent_reduction_matches_linear_solve():
     g = 4.7 * np.eye(m)
     q0 = rng.standard_normal(m)
     c = rng.standard_normal(m)
-    sol = newton_solve(lambda q: g @ q + h @ ((q + q0) / 2) + c,
-                       lambda q: g + h / 2,
-                       q0)
+    sol, _, _ = newton_solve(lambda q: g @ q + h @ ((q + q0) / 2) + c,
+                             lambda q: g + h / 2,
+                             q0)
     direct = solve_linear(g + h / 2, -(h @ q0 / 2 + c))
     assert np.linalg.norm(sol - direct) <= 1e-10
 
@@ -150,7 +151,7 @@ def test_newton_strongly_convex_from_far_start():
             return h + np.diag(0.2 / np.cosh(x) ** 2)
 
         x0 = 100.0 * rng.standard_normal(m)
-        x = newton_solve(grad, hess, x0, SolverSettings(max_iterations=100))
+        x, _, _ = newton_solve(grad, hess, x0, SolverSettings(max_iterations=100))
         assert np.linalg.norm(grad(x)) <= 1e-12
 
 
@@ -162,6 +163,17 @@ def test_newton_max_iterations_carries_state():
                      np.array([50.0]), settings)
     assert info.value.iterate is not None
     assert info.value.residual_norm > 0
+
+
+def test_newton_singular_jacobian_raises():
+    # rows are solved together; the error flags the row whose Jacobian
+    # LAPACK reports singular
+    x0 = np.array([[1.0, 1.0], [1.0, 2.0]])
+    jac = np.array([np.eye(2), [[1.0, 2.0], [2.0, 4.0]]])
+    with pytest.raises(SingularMatrixError) as info:
+        newton_solve(lambda x: x, lambda x: jac, x0)
+    assert info.value.failed.tolist() == [False, True]
+    assert np.array_equal(info.value.iterate, x0)
 
 
 def test_solver_settings_validation():
