@@ -13,8 +13,7 @@ from .harness import (ExperimentConfig, RunTrace, SweepTable, export_csv, k_b,
                       run, tau_sweep)
 from .integrators import (SchemeConfig, StepReport, dg_central_step,
                           euler_step, gradient_tracking_init,
-                          gradient_tracking_step, metropolis_weights, mid_step,
-                          parse_scheme_spec)
+                          gradient_tracking_step, mid_step, parse_scheme_spec)
 from .numerics import (SolverSettings, is_psd, kron, min_eigenvalue_symmetric,
                        newton_solve)
 from .stability import (CertificateVerdict, LmiCertificate, audit_lyapunov,
@@ -33,8 +32,8 @@ __all__ = [
     "ExperimentConfig", "RunTrace", "SweepTable", "export_csv", "k_b", "run",
     "tau_sweep",
     "SchemeConfig", "StepReport", "dg_central_step", "euler_step",
-    "gradient_tracking_init", "gradient_tracking_step", "metropolis_weights",
-    "mid_step", "parse_scheme_spec",
+    "gradient_tracking_init", "gradient_tracking_step", "mid_step",
+    "parse_scheme_spec",
     "SolverSettings", "is_psd", "kron", "min_eigenvalue_symmetric",
     "newton_solve",
     "CertificateVerdict", "LmiCertificate", "audit_lyapunov",

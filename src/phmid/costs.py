@@ -24,18 +24,52 @@ def _sigmoid(t):
     return out
 
 
+def _quadratic_stack(h, b):
+    """Validated (N, m, m) Hessians and (N, m) offsets of N quadratic costs,
+    with each Hessian's (smallest, largest) eigenvalue as an (N, 2) array.
+
+    Every check runs on the whole stack at once: finite entries, matching
+    shapes, symmetry and positive definiteness.
+    """
+    h = require_symmetric(h, name="h")
+    b = np.asarray(b, dtype=float)
+    if h.ndim != 3 or b.shape != h.shape[:2]:
+        raise DimensionMismatchError("h and b dimensions differ")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b contains non-finite entries")
+    eigs = np.linalg.eigvalsh(h)[:, [0, -1]]
+    if not (eigs[:, 0] > 0).all():
+        first = eigs[np.argmin(eigs[:, 0] > 0), 0]
+        raise ValueError(f"h must be positive definite (min eig {first:.3e})")
+    return h, b, eigs
+
+
 class QuadraticCost:
-    """f(theta) = theta' H theta / 2 + b' theta with H symmetric PD."""
+    """f(theta) = theta' H theta / 2 + b' theta with H symmetric PD.
+
+    One cost is validated as a stack of one (see `from_stacks`).
+    """
 
     def __init__(self, h, b):
-        self.h = require_symmetric(h, name="h")
-        self.b = as_vector(b, "b")
-        if self.h.shape[0] != self.b.shape[0]:
-            raise DimensionMismatchError("h and b dimensions differ")
-        eigs = np.linalg.eigvalsh(self.h)
-        if eigs[0] <= 0:
-            raise ValueError(f"h must be positive definite (min eig {eigs[0]:.3e})")
-        self._eig_range = (float(eigs[0]), float(eigs[-1]))
+        h, b, eigs = _quadratic_stack(as_matrix(h, "h")[None], as_vector(b, "b")[None])
+        self._set(h[0], b[0], eigs[0].tolist())
+
+    @classmethod
+    def from_stacks(cls, h, b):
+        """One cost per row of (N, m, m) Hessians and (N, m) offsets, with
+        the checks of a single cost run once on the whole stack."""
+        h, b, eigs = _quadratic_stack(h, b)
+        costs = []
+        for h_i, b_i, eig_range in zip(h, b, eigs.tolist()):
+            cost = cls.__new__(cls)
+            cost._set(h_i, b_i, eig_range)
+            costs.append(cost)
+        return costs
+
+    def _set(self, h, b, eig_range):
+        self.h = h
+        self.b = b
+        self._eig_range = tuple(eig_range)
 
     @property
     def dim(self):
@@ -272,13 +306,17 @@ def random_quadratic_ensemble(n_agents, m, seed, eig_range=(0.5, 3.0)):
     """
     rng = np.random.default_rng(seed)
     lo, hi = eig_range
-    costs = []
-    for _ in range(n_agents):
-        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
-        eigs = rng.uniform(lo, hi, size=m)
-        h = basis @ np.diag(eigs) @ basis.T
-        costs.append(QuadraticCost((h + h.T) / 2.0, rng.standard_normal(m)))
-    return CostEnsemble(costs)
+    draws = np.empty((n_agents, m, m))
+    eigs = np.empty((n_agents, m))
+    b = np.empty((n_agents, m))
+    for i in range(n_agents):  # the stream's order: agent by agent
+        draws[i] = rng.standard_normal((m, m))
+        eigs[i] = rng.uniform(lo, hi, size=m)
+        b[i] = rng.standard_normal(m)
+    basis, _ = np.linalg.qr(draws)
+    h = (basis * eigs[:, None, :]) @ np.swapaxes(basis, -1, -2)
+    return CostEnsemble(QuadraticCost.from_stacks(
+        (h + np.swapaxes(h, -1, -2)) / 2.0, b))
 
 
 def random_logistic_ensemble(n_agents, m, n_points, reg, seed, flip=0.1,

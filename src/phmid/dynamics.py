@@ -56,20 +56,19 @@ class NetworkState:
         return f"NetworkState(n_agents={self.n_agents}, dim={self.dim})"
 
 
-def continuous_rhs(state, ensemble, graph, degrees=None, adjacency=None):
+def continuous_rhs(state, ensemble, graph):
     """Time derivative of the network state, in neighbor-sum form.
 
-    Per agent: deg_i x_i minus the sum of neighbor states, evaluated with
-    adjacency products so all agents are handled at once. Returns a
-    NetworkState-shaped pair of arrays (dq, dp). `degrees` and
-    `adjacency` default to the graph's own.
+    Per agent: deg_i x_i minus the sum of neighbor states, summed over the
+    graph's edge arrays so all agents are handled at once. Returns a
+    NetworkState-shaped pair of arrays (dq, dp).
     """
     _check_shapes(state, ensemble, graph)
-    adj = graph.adjacency() if adjacency is None else adjacency
-    deg = (graph.degrees if degrees is None else degrees)[:, None]
+    deg = graph.degrees[:, None]
     grads = ensemble.gradient_stack(state.q)
-    consensus_q = deg * state.q - adj @ state.q
-    consensus_p = deg * state.p - adj @ state.p
+    nbr_q, nbr_p = graph.neighbor_sum(np.array([state.q, state.p]))
+    consensus_q = deg * state.q - nbr_q
+    consensus_p = deg * state.p - nbr_p
     dq = -consensus_q - consensus_p - grads
     dp = consensus_q
     return dq, dp

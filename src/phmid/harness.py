@@ -140,29 +140,21 @@ def run(config):
 
 def _stepper(kind, graph, ensemble, solver):
     """`step(state, taus) -> (state, newton_max_iters per cell)` for one
-    scheme, with the graph arrays it needs built once."""
-    if kind in ("mid", "euler"):
-        degrees, adjacency = graph.degrees, graph.adjacency()
-
+    scheme. `mid`, `euler` and `gt` exchange over the graph's edge arrays;
+    the dense `dg` reference gets its Laplacian, built once here."""
     if kind in ("mid", "dg"):
-        kernel, arrays = ((integrators.mid_step, (degrees, adjacency))
-                          if kind == "mid" else
+        kernel, arrays = ((integrators.mid_step, ()) if kind == "mid" else
                           (integrators.dg_central_step, (graph.laplacian(),)))
 
         def step(state, taus):
             report = kernel(state, ensemble, graph, taus, solver, *arrays)
             return report.state, report.newton_iterations.max(axis=-1)
-    elif kind == "euler":
-        def step(state, taus):
-            return (integrators.euler_step(state, ensemble, graph, taus,
-                                           degrees, adjacency),
-                    np.zeros(len(taus), dtype=int))
-    else:  # gt
-        weights = integrators.metropolis_weights(graph)
+    else:
+        kernel = (integrators.euler_step if kind == "euler"
+                  else integrators.gradient_tracking_step)
 
         def step(state, taus):
-            return (integrators.gradient_tracking_step(state, ensemble, graph,
-                                                       taus, weights),
+            return (kernel(state, ensemble, graph, taus),
                     np.zeros(len(taus), dtype=int))
     return step
 

@@ -16,10 +16,11 @@ Three discretizations of the same flow plus one conventional baseline:
 
 Every step also advances a stack of T independent cells at once: states
 of shape (T, N, m) with one step size per cell, tau of shape (T,). Every
-cell's result is bitwise the one its own (N, m) call gives. A run builds
-the degrees, adjacency, Laplacian and Metropolis weights once and passes
-them in, so no step rebuilds them. Both implicit steps solve with the
-one batched Newton of `numerics.newton_solve`.
+cell's result is bitwise the one its own (N, m) call gives. The `mid`,
+`euler` and `gt` steps exchange over the graph's edge arrays
+(`Graph.neighbor_sum`, O(|E|) per step); `dg`, the dense reference for
+small networks, takes its Laplacian once per run. Both implicit steps solve
+with the one batched Newton of `numerics.newton_solve`.
 """
 
 import math
@@ -97,13 +98,10 @@ def _step_sizes(tau, q):
     return tau[..., None]
 
 
-def euler_step(state, ensemble, graph, tau, degrees=None, adjacency=None):
-    """Forward Euler step x+ = x + tau * rhs(x).
-
-    `degrees` and `adjacency` default to the graph's own.
-    """
+def euler_step(state, ensemble, graph, tau):
+    """Forward Euler step x+ = x + tau * rhs(x)."""
     tau = _step_sizes(tau, state.q)[..., None]
-    dq, dp = continuous_rhs(state, ensemble, graph, degrees, adjacency)
+    dq, dp = continuous_rhs(state, ensemble, graph)
     return NetworkState(state.q + tau * dq, state.p + tau * dp)
 
 
@@ -168,8 +166,7 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, laplacian=None):
                       float(rnorm.max()))
 
 
-def mid_step(state, ensemble, graph, tau, solver=None, degrees=None,
-             adjacency=None):
+def mid_step(state, ensemble, graph, tau, solver=None):
     """Mixed implicit step: per-agent local solves, one exchange per step.
 
     Eliminating p_i+ through its own update leaves, for each agent, the
@@ -192,15 +189,13 @@ def mid_step(state, ensemble, graph, tau, solver=None, degrees=None,
     Newton iterates never depend on other agents, so each cell's result is
     bitwise its own step's. A failing agent raises the solver error naming
     it; the error's `cell` is the first cell with a failing agent (0 for a
-    single state). `degrees` and `adjacency` default to the graph's own.
+    single state).
     """
     solver = solver or SolverSettings()
     q0, p0 = state.q, state.p
     tau = _step_sizes(tau, q0)
-    deg = graph.degrees if degrees is None else degrees
-    adj = graph.adjacency() if adjacency is None else adjacency
-    nbr_q = adj @ q0
-    nbr_p = adj @ p0
+    deg = graph.degrees
+    nbr_q, nbr_p = graph.neighbor_sum(np.array([q0, p0]))
     gdiag = 1.0 / tau + deg + tau * deg ** 2
     const = (-q0 / tau[..., None] - (1.0 + tau * deg)[..., None] * nbr_q
              + deg[:, None] * p0 - nbr_p)
@@ -238,21 +233,6 @@ def _cell_failure(exc, rows_per_cell, row_name=None):
     return error
 
 
-def metropolis_weights(graph):
-    """Doubly stochastic Metropolis weight matrix of a graph.
-
-    w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the
-    remainder.
-    """
-    n = graph.n
-    deg = graph.degrees
-    w = np.zeros((n, n))
-    for i, j in graph.edges:
-        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
-
-
 class GtState:
     """State of the gradient-tracking baseline: estimates and trackers."""
 
@@ -269,15 +249,18 @@ def gradient_tracking_init(q0, ensemble):
     return GtState(q0, ensemble.gradient_stack(q0))
 
 
-def gradient_tracking_step(gt, ensemble, graph, tau, weights=None):
+def gradient_tracking_step(gt, ensemble, graph, tau):
     """One gradient-tracking update with Metropolis mixing.
 
-    q+ = W q - tau g;  g+ = W g + grad f(q+) - grad f(q).
+    q+ = W q - tau g;  g+ = W g + grad f(q+) - grad f(q), where W x mixes
+    over the graph's edges with its `metropolis` weights.
     """
     tau = _step_sizes(tau, gt.q)[..., None]
-    w = metropolis_weights(graph) if weights is None else weights
-    q_next = w @ gt.q - tau * gt.tracker
-    tracker_next = (w @ gt.tracker
+    own, edge = graph.metropolis
+    both = np.array([gt.q, gt.tracker])
+    mixed_q, mixed_tracker = own[:, None] * both + graph.neighbor_sum(both, edge)
+    q_next = mixed_q - tau * gt.tracker
+    tracker_next = (mixed_tracker
                     + ensemble.gradient_stack(q_next)
                     - ensemble.gradient_stack(gt.q))
     return GtState(q_next, tracker_next)

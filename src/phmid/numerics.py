@@ -58,13 +58,24 @@ def as_matrix(a, name="matrix"):
 
 
 def require_symmetric(s, tol=1e-12, name="matrix"):
-    """Return `s` as an array after checking symmetry to relative tolerance."""
-    arr = as_matrix(s, name)
-    if arr.shape[0] != arr.shape[1]:
+    """Return `s` as an array after checking symmetry to relative tolerance.
+
+    `s` is a finite matrix or an (..., k, k) stack of them; each matrix is
+    held to `tol` times its own largest entry (at least 1).
+    """
+    arr = np.asarray(s, dtype=float)
+    if arr.ndim < 2:
+        raise DimensionMismatchError(
+            f"{name} must be a matrix or a stack of them, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if arr.shape[-1] != arr.shape[-2]:
         raise DimensionMismatchError(f"{name} must be square, got {arr.shape}")
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-    if arr.size and float(np.max(np.abs(arr - arr.T))) > tol * scale:
-        raise NonSymmetricError(f"{name} is not symmetric within {tol}")
+    if arr.size:
+        scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
+        skew = np.abs(arr - np.swapaxes(arr, -1, -2)).max(axis=(-2, -1))
+        if (skew > tol * scale).any():
+            raise NonSymmetricError(f"{name} is not symmetric within {tol}")
     return arr
 
 
@@ -106,15 +117,6 @@ def is_psd(s, tol):
     if tol < 0:
         raise ValueError("tol must be >= 0")
     return min_eigenvalue_symmetric(s) >= -tol
-
-
-def spectral_norm_symmetric(s):
-    """Induced 2-norm of a symmetric matrix (largest |eigenvalue|)."""
-    arr = require_symmetric(s)
-    if arr.size == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(arr)
-    return float(max(abs(w[0]), abs(w[-1])))
 
 
 def newton_solve(residual, jacobian, x0, settings=None):

@@ -17,15 +17,26 @@ Reference code that only the tests use.
   side of the similarity identity that checks `midpoint_map_qr`.
 - `reference_search` is the certificate search as a plain in-order scan
   over the public checks, the behaviour `search_certificate` must keep.
+- `incidence`, `d2_minus_a2`, `tau_upper_bound` and
+  `spectral_norm_symmetric` are graph matrices and the classical step-size
+  bound that only the identity tests use.
+- `metropolis_weights` is the dense Metropolis matrix W, the reference for
+  the edge-array mixing of `Graph.metropolis`/`Graph.neighbor_sum`.
+- `erdos_renyi_edges` and `quadratic_ensemble_stacks` are the earlier
+  generators written as plain per-pair and per-agent loops: the graph
+  and cost draws of the vectorised generators must stay the same.
 """
+
+import math
 
 import numpy as np
 
 from phmid.costs import CostEnsemble
 from phmid.dynamics import NetworkState
+from phmid.graphs import DisconnectedGraphError, Graph
 from phmid.numerics import (DimensionMismatchError, SingularMatrixError,
                             as_matrix, as_vector, kron,
-                            min_eigenvalue_symmetric)
+                            min_eigenvalue_symmetric, require_symmetric)
 from phmid.stability import (LmiCertificate, check_certificate,
                              check_certificate_quadratic)
 
@@ -251,3 +262,91 @@ def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
             if verdict.feasible:
                 return cert
     return None
+
+
+def spectral_norm_symmetric(s):
+    """Induced 2-norm of a symmetric matrix (largest |eigenvalue|)."""
+    arr = require_symmetric(s)
+    if arr.size == 0:
+        return 0.0
+    w = np.linalg.eigvalsh(arr)
+    return float(max(abs(w[0]), abs(w[-1])))
+
+
+def incidence(graph):
+    """n x |edges| incidence matrix E with E @ E.T equal to the Laplacian.
+
+    Columns are ordered by sorted edge; orientation puts +1 at the
+    smaller vertex index mostly so tests are bit-stable (the product
+    E @ E.T does not depend on it).
+    """
+    cols = sorted(graph.edges)
+    e = np.zeros((graph.n, len(cols)))
+    for k, (i, j) in enumerate(cols):
+        e[i, k] = 1.0
+        e[j, k] = -1.0
+    return e
+
+
+def d2_minus_a2(graph):
+    """D^2 - A^2; PSD exactly when the step-size-free certificate applies."""
+    a = graph.adjacency()
+    d = np.diag(a.sum(axis=1))
+    out = d @ d - a @ a
+    return (out + out.T) / 2.0
+
+
+def tau_upper_bound(graph, mu):
+    """Step-size bound mu / ||D^2 - A^2|| valid on any connected graph.
+
+    Returns +inf when the norm vanishes (e.g. a single edge).
+    """
+    if not mu > 0:
+        raise ValueError("mu must be > 0")
+    norm = spectral_norm_symmetric(d2_minus_a2(graph))
+    if norm <= 0.0:
+        return math.inf
+    return float(mu) / norm
+
+
+def metropolis_weights(graph):
+    """Doubly stochastic Metropolis weight matrix of a graph.
+
+    w_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal absorbs the
+    remainder.
+    """
+    n = graph.n
+    deg = graph.degrees
+    w = np.zeros((n, n))
+    for i, j in graph.edges:
+        w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
+    return w
+
+
+def erdos_renyi_edges(n, p, seed, max_attempts=10000):
+    """Edge set of `erdos_renyi(n, p, seed)`, drawn pair by pair."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for _ in range(max_attempts):
+        draws = rng.random(len(pairs))
+        edges = [pair for pair, x in zip(pairs, draws) if x < p]
+        try:
+            return Graph(n, edges).edges
+        except DisconnectedGraphError:
+            continue
+    return None
+
+
+def quadratic_ensemble_stacks(n_agents, m, seed, eig_range=(0.5, 3.0)):
+    """(H, b) stacks of `random_quadratic_ensemble`, built agent by agent."""
+    rng = np.random.default_rng(seed)
+    lo, hi = eig_range
+    hs, bs = [], []
+    for _ in range(n_agents):
+        basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        eigs = rng.uniform(lo, hi, size=m)
+        h = basis @ np.diag(eigs) @ basis.T
+        hs.append((h + h.T) / 2.0)
+        bs.append(rng.standard_normal(m))
+    return np.stack(hs), np.stack(bs)

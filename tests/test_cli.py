@@ -33,6 +33,14 @@ def test_run_subcommand_from_json_config(tmp_path, capsys):
     assert "k_b=" in capsys.readouterr().out
 
 
+def test_run_scales_to_a_hundred_thousand_agents(capsys):
+    # the edge-array exchange and the stacked cost set-up: no N x N object
+    code = main(["run", "--graph", "cycle:100000", "--cost", "quadratic:3:42",
+                 "--scheme", "mid:tau=10", "--steps", "3"])
+    assert code == 0
+    assert "status=MaxSteps" in capsys.readouterr().out
+
+
 def test_run_subcommand_missing_options():
     with pytest.raises(SystemExit):
         main(["run", "--graph", "cycle:6"])

@@ -3,9 +3,9 @@ import pytest
 
 from phmid.costs import (CostEnsemble, LogisticCost, QuadraticCost, from_spec,
                          random_logistic_ensemble, random_quadratic_ensemble)
-from phmid.numerics import DimensionMismatchError
+from phmid.numerics import DimensionMismatchError, NonSymmetricError
 
-from oracles import ensemble_constants, value_sum
+from oracles import ensemble_constants, quadratic_ensemble_stacks, value_sum
 
 
 def test_quadratic_identity_cost():
@@ -216,3 +216,48 @@ def test_dimension_mismatch_raises():
         c.value(np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         CostEnsemble([c, QuadraticCost(np.eye(3), np.zeros(3))])
+
+
+@pytest.mark.parametrize("n, m, seed", [(1, 3, 5), (10, 3, 42), (50, 1, 3),
+                                        (30, 5, 1), (200, 4, 7)])
+def test_quadratic_ensemble_keeps_the_per_agent_draws(n, m, seed):
+    # the stacked build draws and rounds exactly as the agent-by-agent loop
+    h, b = quadratic_ensemble_stacks(n, m, seed)
+    ens = random_quadratic_ensemble(n, m, seed)
+    assert np.array_equal(np.stack([c.h for c in ens.costs]), h)
+    assert np.array_equal(np.stack([c.b for c in ens.costs]), b)
+    one_by_one = CostEnsemble([QuadraticCost(h_i, b_i) for h_i, b_i in zip(h, b)])
+    assert (ens.mu, ens.lipschitz) == (one_by_one.mu, one_by_one.lipschitz)
+    assert [c.curvature_bounds() for c in ens.costs] == \
+        [c.curvature_bounds() for c in one_by_one.costs]
+    assert np.array_equal(ens.centralized_optimum(), one_by_one.centralized_optimum())
+
+
+def test_quadratic_stacks_are_validated_like_single_costs():
+    h = np.stack([np.eye(2), np.diag([1.0, 2.0]), np.eye(2)])
+    b = np.zeros((3, 2))
+    assert len(QuadraticCost.from_stacks(h, b)) == 3
+    bad = h.copy()
+    bad[1] = np.diag([1.0, -0.5])
+    with pytest.raises(ValueError, match="positive definite"):
+        QuadraticCost.from_stacks(bad, b)
+    bad = h.copy()
+    bad[2, 0, 1] = 1e-3
+    with pytest.raises(NonSymmetricError):
+        QuadraticCost.from_stacks(bad, b)
+    # each Hessian is held to its own scale, not to the stack's largest
+    bad = h.copy()
+    bad[0] *= 1e6
+    bad[2, 0, 1] = 1e-8
+    with pytest.raises(NonSymmetricError):
+        QuadraticCost(bad[2], b[2])
+    with pytest.raises(NonSymmetricError):
+        QuadraticCost.from_stacks(bad, b)
+    bad = h.copy()
+    bad[0, 1, 1] = np.nan
+    with pytest.raises(ValueError):
+        QuadraticCost.from_stacks(bad, b)
+    with pytest.raises(DimensionMismatchError):
+        QuadraticCost.from_stacks(h, np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatchError):
+        QuadraticCost(np.eye(2), np.zeros(3))

@@ -5,6 +5,9 @@ from phmid.graphs import (DisconnectedGraphError, GenerationFailedError, Graph,
                           complete, cycle, erdos_renyi, from_spec, star)
 from phmid.numerics import is_psd, min_eigenvalue_symmetric
 
+from oracles import (d2_minus_a2, erdos_renyi_edges, incidence,
+                     metropolis_weights, tau_upper_bound)
+
 
 def _edge(n=2):
     return Graph(n, [(0, 1)])
@@ -43,16 +46,16 @@ def test_laplacian_examples():
     assert np.array_equal(np.diag(lap4), [2.0, 2.0, 2.0, 2.0])
     assert np.array_equal(lap4.sum(axis=1), np.zeros(4))
     g = erdos_renyi(8, 0.4, seed=0)
-    e = g.incidence()
+    e = incidence(g)
     assert np.abs(e @ e.T - g.laplacian()).max() <= 1e-12
 
 
 def test_incidence_examples():
-    assert np.array_equal(_edge().incidence(), [[1.0], [-1.0]])
+    assert np.array_equal(incidence(_edge()), [[1.0], [-1.0]])
     g3 = cycle(3)
-    assert np.array_equal(g3.incidence() @ g3.incidence().T, g3.laplacian())
+    assert np.array_equal(incidence(g3) @ incidence(g3).T, g3.laplacian())
     g = erdos_renyi(10, 0.4, seed=3)
-    assert np.array_equal(g.incidence() @ g.incidence().T, g.laplacian())
+    assert np.array_equal(incidence(g) @ incidence(g).T, g.laplacian())
 
 
 def test_q_matrix_examples():
@@ -109,23 +112,23 @@ def test_standard_topologies():
 
 
 def test_d2_minus_a2_examples():
-    assert is_psd(cycle(6).d2_minus_a2(), 1e-10)
-    assert is_psd(complete(5).d2_minus_a2(), 1e-10)
-    eigs = np.sort(np.linalg.eigvalsh(star(4).d2_minus_a2()))
+    assert is_psd(d2_minus_a2(cycle(6)), 1e-10)
+    assert is_psd(d2_minus_a2(complete(5)), 1e-10)
+    eigs = np.sort(np.linalg.eigvalsh(d2_minus_a2(star(4))))
     assert np.allclose(eigs, [-2.0, 1.0, 1.0, 6.0], atol=1e-10)
-    assert not is_psd(star(4).d2_minus_a2(), 1e-10)
+    assert not is_psd(d2_minus_a2(star(4)), 1e-10)
 
 
 def test_tau_upper_bound_examples():
     # spectral norm of star(4)'s D^2 - A^2 is 6 (eigenvalues {6, -2, 1, 1})
-    assert star(4).tau_upper_bound(1.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
+    assert tau_upper_bound(star(4), 1.0) == pytest.approx(1.0 / 6.0, abs=1e-12)
     # single edge: D = I and A^2 = I, so D^2 - A^2 = 0
-    assert _edge().tau_upper_bound(2.0) == np.inf
+    assert tau_upper_bound(_edge(), 2.0) == np.inf
     g = erdos_renyi(8, 0.5, seed=2)
-    assert g.tau_upper_bound(2.0) == pytest.approx(2 * g.tau_upper_bound(1.0),
+    assert tau_upper_bound(g, 2.0) == pytest.approx(2 * tau_upper_bound(g, 1.0),
                                                    rel=1e-14)
     with pytest.raises(ValueError):
-        g.tau_upper_bound(0.0)
+        tau_upper_bound(g, 0.0)
 
 
 def test_laplacian_spectral_invariants():
@@ -135,7 +138,7 @@ def test_laplacian_spectral_invariants():
         g = erdos_renyi(n, 0.5, seed=int(rng.integers(10000)))
         lap = g.laplacian()
         assert np.array_equal(lap.sum(axis=1), np.zeros(n))
-        assert np.array_equal(g.incidence() @ g.incidence().T, lap)
+        assert np.array_equal(incidence(g) @ incidence(g).T, lap)
         eigs = np.sort(np.linalg.eigvalsh(lap))
         assert abs(eigs[0]) <= 1e-10
         assert eigs[1] > 1e-10  # zero eigenvalue simple: connected
@@ -148,7 +151,7 @@ def test_q_laplacian_anticommutator_identity():
         n = int(rng.integers(3, 12))
         g = erdos_renyi(n, 0.5, seed=int(rng.integers(10000)))
         qmat, lap = g.q_matrix(), g.laplacian()
-        assert np.abs(qmat @ lap + lap @ qmat - g.d2_minus_a2()).max() <= 1e-12
+        assert np.abs(qmat @ lap + lap @ qmat - d2_minus_a2(g)).max() <= 1e-12
 
 
 def test_graph_from_spec():
@@ -160,3 +163,48 @@ def test_graph_from_spec():
         from_spec("ring:4")
     with pytest.raises(ValueError):
         from_spec("cycle:x")
+
+
+def test_construction_accepts_any_pair_iterable():
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert Graph(4, ((i, i + 1) for i in range(3))) == path
+    assert Graph(4, np.array([[1, 0], [2, 1], [3, 2], [0, 1]])) == path
+    assert Graph(3, [(1, 0), (0, 1), (2, 1)]).edges == frozenset({(0, 1), (1, 2)})
+    with pytest.raises(ValueError):
+        Graph(3, [0, 1, 2])
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1), (1, 3)])
+
+
+_EXCHANGE_GRAPHS = [cycle(3), cycle(7), cycle(10), star(6), complete(5),
+                    erdos_renyi(12, 0.4, seed=3), erdos_renyi(30, 0.15, seed=1),
+                    Graph(1, [])]
+
+
+@pytest.mark.parametrize("g", _EXCHANGE_GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
+def test_edge_exchange_equals_the_dense_products(g):
+    # neighbour sums and Metropolis mixing over the edge arrays against
+    # A @ x and W @ x: bitwise neighbour sums on cycles, and otherwise
+    # within 1e-14 of the summed magnitudes, on (N, m) and (T, N, m) stacks.
+    # Graph(1, []) has no edges: its sum is exactly zero, its self weight 1.
+    rng = np.random.default_rng(g.n)
+    adj, w = g.adjacency(), metropolis_weights(g)
+    own, edge = g.metropolis
+    is_cycle = g.n >= 3 and all(d == 2 for d in g.degrees) and len(g.edges) == g.n
+    for shape in ((g.n, 3), (4, g.n, 2)):
+        x = rng.standard_normal(shape)
+        got = g.neighbor_sum(x)
+        assert got.shape == x.shape
+        if is_cycle:
+            assert np.array_equal(got, adj @ x)
+        assert np.all(np.abs(got - adj @ x) <= 1e-14 * (adj @ np.abs(x)))
+        mixed = own[:, None] * x + g.neighbor_sum(x, edge)
+        assert np.all(np.abs(mixed - w @ x) <= 1e-14 * (w @ np.abs(x)))
+    assert np.abs(own + g.neighbor_sum(np.ones((g.n, 1)), edge)[:, 0] - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (10, 0.4, 42), (10, 0.2, 5),
+                                        (12, 0.3, 4), (30, 0.1, 7), (40, 0.2, 1),
+                                        (60, 0.05, 3)])
+def test_erdos_renyi_draws_the_edges_of_the_pair_loop(n, p, seed):
+    assert erdos_renyi(n, p, seed).edges == erdos_renyi_edges(n, p, seed)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from phmid import integrators
+from phmid.graphs import Graph
 from phmid.harness import (NOT_REACHED, STATUS_DIVERGED, STATUS_MAX_STEPS,
                            ExperimentConfig, RunTrace, SweepTable, export_csv,
                            k_b, run, tau_sweep)
@@ -216,3 +217,20 @@ def test_run_trace_repr_and_final_error():
     trace = run(_quad_config(steps=10))
     assert "RunTrace" in repr(trace)
     assert trace.final_error == trace.errors[-1]
+
+
+@pytest.mark.parametrize("scheme", ["mid:tau=10", "euler:tau=0.05", "gt:tau=0.05"])
+@pytest.mark.parametrize("graph", ["cycle:10", "er:12:0.4:1"])
+def test_runs_build_no_dense_graph_matrix(monkeypatch, scheme, graph):
+    # mid, euler and gt exchange over the edge arrays: no N x N matrix
+    # of the graph is built anywhere on their run path
+    want = run(_quad_config(graph_spec=graph, scheme_spec=scheme, steps=30))
+
+    def dense(self):
+        raise AssertionError("a dense graph matrix was built")
+
+    monkeypatch.setattr(Graph, "adjacency", dense)
+    monkeypatch.setattr(Graph, "laplacian", dense)
+    trace = run(_quad_config(graph_spec=graph, scheme_spec=scheme, steps=30))
+    assert trace.status == STATUS_MAX_STEPS
+    assert np.array_equal(trace.errors, want.errors)

@@ -10,8 +10,10 @@ from phmid.graphs import Graph, cycle, erdos_renyi
 from phmid.integrators import (GtState, MaxIterationsError, SchemeConfig,
                                dg_central_step, euler_step,
                                gradient_tracking_init, gradient_tracking_step,
-                               metropolis_weights, mid_step, parse_scheme_spec)
+                               mid_step, parse_scheme_spec)
 from phmid.numerics import DimensionMismatchError, SolverSettings, kron
+
+from oracles import metropolis_weights
 
 
 def _scalar_problem():
