@@ -11,11 +11,11 @@ from .dynamics import (NetworkState, bregman_lyapunov, continuous_rhs,
 from .graphs import Graph, complete, cycle, erdos_renyi, star
 from .harness import (ExperimentConfig, RunTrace, SweepTable, export_csv, k_b,
                       run, tau_sweep)
-from .integrators import (SchemeConfig, StepReport, dg_central_step,
+from .integrators import (SchemeConfig, StepPlan, StepReport, dg_central_step,
                           euler_step, gradient_tracking_init,
-                          gradient_tracking_step, mid_step, parse_scheme_spec)
-from .numerics import (SolverSettings, is_psd, kron, min_eigenvalue_symmetric,
-                       newton_solve)
+                          gradient_tracking_step, mid_step, parse_scheme_spec,
+                          step_plan)
+from .numerics import SolverSettings, newton_solve
 from .stability import (CertificateVerdict, LmiCertificate, audit_lyapunov,
                         check_certificate, check_certificate_quadratic,
                         closed_form_certificate, gradient_bound_block,
@@ -31,11 +31,10 @@ __all__ = [
     "Graph", "complete", "cycle", "erdos_renyi", "star",
     "ExperimentConfig", "RunTrace", "SweepTable", "export_csv", "k_b", "run",
     "tau_sweep",
-    "SchemeConfig", "StepReport", "dg_central_step", "euler_step",
+    "SchemeConfig", "StepPlan", "StepReport", "dg_central_step", "euler_step",
     "gradient_tracking_init", "gradient_tracking_step", "mid_step",
-    "parse_scheme_spec",
-    "SolverSettings", "is_psd", "kron", "min_eigenvalue_symmetric",
-    "newton_solve",
+    "parse_scheme_spec", "step_plan",
+    "SolverSettings", "newton_solve",
     "CertificateVerdict", "LmiCertificate", "audit_lyapunov",
     "check_certificate", "check_certificate_quadratic",
     "closed_form_certificate", "gradient_bound_block", "midpoint_map_qr",

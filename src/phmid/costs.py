@@ -58,7 +58,11 @@ class QuadraticCost:
     def from_stacks(cls, h, b):
         """One cost per row of (N, m, m) Hessians and (N, m) offsets, with
         the checks of a single cost run once on the whole stack."""
-        h, b, eigs = _quadratic_stack(h, b)
+        return cls._from_checked(*_quadratic_stack(h, b))
+
+    @classmethod
+    def _from_checked(cls, h, b, eigs):
+        """One cost per row of stacks that `_quadratic_stack` returned."""
         costs = []
         for h_i, b_i, eig_range in zip(h, b, eigs.tolist()):
             cost = cls.__new__(cls)
@@ -193,7 +197,8 @@ class CostEnsemble:
         dims = {c.dim for c in costs}
         if len(dims) != 1:
             raise DimensionMismatchError(f"costs disagree on dimension: {dims}")
-        self.costs = costs
+        self._costs = costs
+        self._n, self._dim = len(costs), dims.pop()
         bounds = [c.curvature_bounds() for c in costs]
         self.mu = min(b[0] for b in bounds)
         self.lipschitz = max(b[1] for b in bounds)
@@ -201,13 +206,37 @@ class CostEnsemble:
             raise ValueError("ensemble is not strongly convex")
         self._batch = self._build_batch()
 
+    @classmethod
+    def _quadratic(cls, h, b, eigs):
+        """The ensemble of the quadratic stacks that `_quadratic_stack`
+        returned, with their eigenvalue ranges as the curvature bounds.
+        The per-agent costs are built when `costs` is first read."""
+        if not b.shape[0]:
+            raise ValueError("need at least one cost")
+        ensemble = cls.__new__(cls)
+        ensemble._costs = None
+        ensemble._n, ensemble._dim = b.shape
+        ensemble._eigs = eigs
+        ensemble.mu = float(eigs[:, 0].min())
+        ensemble.lipschitz = float(eigs[:, 1].max())
+        ensemble._batch = ("quadratic", h, b)
+        return ensemble
+
+    @property
+    def costs(self):
+        """The per-agent cost objects."""
+        if self._costs is None:
+            _, h, b = self._batch
+            self._costs = QuadraticCost._from_checked(h, b, self._eigs)
+        return self._costs
+
     @property
     def n_agents(self):
-        return len(self.costs)
+        return self._n
 
     @property
     def dim(self):
-        return self.costs[0].dim
+        return self._dim
 
     # -- batched per-agent evaluation (rows of `q` are the agents' points;
     # leading axes, e.g. the cells of a sweep, broadcast)
@@ -277,9 +306,9 @@ class CostEnsemble:
 
     def hessian_blocks(self):
         """Constant per-agent Hessians (quadratic ensembles only)."""
-        if not all(isinstance(c, QuadraticCost) for c in self.costs):
+        if not (self._batch and self._batch[0] == "quadratic"):
             raise TypeError("hessian_blocks requires a quadratic ensemble")
-        return np.stack([c.h for c in self.costs])
+        return self._batch[1].copy()
 
     def centralized_optimum(self, tol=1e-12, max_iterations=100):
         """Minimizer of the summed cost via damped Newton.
@@ -315,7 +344,7 @@ def random_quadratic_ensemble(n_agents, m, seed, eig_range=(0.5, 3.0)):
         b[i] = rng.standard_normal(m)
     basis, _ = np.linalg.qr(draws)
     h = (basis * eigs[:, None, :]) @ np.swapaxes(basis, -1, -2)
-    return CostEnsemble(QuadraticCost.from_stacks(
+    return CostEnsemble._quadratic(*_quadratic_stack(
         (h + np.swapaxes(h, -1, -2)) / 2.0, b))
 
 

@@ -33,7 +33,7 @@ class NetworkState:
             raise DimensionMismatchError(
                 f"q and p must be matching (N, m) or (T, N, m) arrays, "
                 f"got {q.shape} and {p.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        if not (np.isfinite(q).all() and np.isfinite(p).all()):
             raise ValueError("state contains non-finite entries")
         self.q = q
         self.p = p

@@ -129,7 +129,7 @@ def _consensus_errors(q, theta_star):
 
 def _squared_norms(a):
     """Per-cell sum of squares of a (T, N, m) stack."""
-    return np.sum((a ** 2).reshape(a.shape[0], -1), axis=1)
+    return np.add.reduce((a * a).reshape(a.shape[0], -1), axis=1)
 
 
 def run(config):
@@ -138,33 +138,36 @@ def run(config):
     return _simulate(config, [scheme])[0]
 
 
-def _stepper(kind, graph, ensemble, solver):
-    """`step(state, taus) -> (state, newton_max_iters per cell)` for one
-    scheme. `mid`, `euler` and `gt` exchange over the graph's edge arrays;
-    the dense `dg` reference gets its Laplacian, built once here."""
+def _stepper(kind, graph, ensemble, solver, taus, shape):
+    """`(step, plan)` for one scheme on a (T, N, m) stack: the per-run
+    `integrators.StepPlan` of the stack, built once, and
+    `step(state, plan) -> (state, newton_max_iters per cell)`."""
+    plan = integrators.step_plan(kind, graph, taus, shape)
     if kind in ("mid", "dg"):
-        kernel, arrays = ((integrators.mid_step, ()) if kind == "mid" else
-                          (integrators.dg_central_step, (graph.laplacian(),)))
+        kernel = (integrators.mid_step if kind == "mid"
+                  else integrators.dg_central_step)
 
-        def step(state, taus):
-            report = kernel(state, ensemble, graph, taus, solver, *arrays)
+        def step(state, plan):
+            report = kernel(state, ensemble, graph, None, solver, plan)
             return report.state, report.newton_iterations.max(axis=-1)
     else:
         kernel = (integrators.euler_step if kind == "euler"
                   else integrators.gradient_tracking_step)
 
-        def step(state, taus):
-            return (kernel(state, ensemble, graph, taus),
-                    np.zeros(len(taus), dtype=int))
-    return step
+        def step(state, plan):
+            return (kernel(state, ensemble, graph, None, plan),
+                    np.zeros(plan.shape[0], dtype=int))
+    return step, plan
 
 
-def _keep(state, cells):
+def _keep(state, plan, cells):
     """The cells `cells` (an index or mask over the leading axis) of a
-    batched state."""
+    batched state and of its plan."""
     if isinstance(state, integrators.GtState):
-        return integrators.GtState(state.q[cells], state.tracker[cells])
-    return NetworkState(state.q[cells], state.p[cells])
+        state = integrators.GtState(state.q[cells], state.tracker[cells])
+    else:
+        state = NetworkState(state.q[cells], state.p[cells])
+    return state, plan.keep(cells)
 
 
 def _simulate(config, schemes):
@@ -191,7 +194,7 @@ def _simulate(config, schemes):
     q0 = rng.standard_normal((graph.n, ensemble.dim))
     p0 = np.zeros_like(q0)
     q_stack = np.repeat(q0[None], cells, axis=0)
-    step = _stepper(kind, graph, ensemble, solver)
+    step, plan = _stepper(kind, graph, ensemble, solver, taus, q_stack.shape)
     if kind == "gt":
         state = integrators.gradient_tracking_init(q_stack, ensemble)
     else:
@@ -208,20 +211,22 @@ def _simulate(config, schemes):
         p_hist = [[p0.copy()] for _ in range(cells)]
 
     steps = config.steps
-    errors = np.empty((cells, steps + 1))
-    errors[:, 0] = _consensus_errors(state.q, theta_star)
-    newton_iters = np.zeros((cells, steps + 1), dtype=int)
+    # row k holds every cell's value after k steps
+    errors = np.empty((steps + 1, cells))
+    errors[0] = _consensus_errors(state.q, theta_star)
+    newton_iters = np.zeros((steps + 1, cells), dtype=int)
     wall_ns = np.zeros(steps + 1, dtype=np.int64)
     lengths = np.full(cells, steps + 1)
     status = [STATUS_MAX_STEPS] * cells
     live = np.arange(cells)  # the batch's cells, by index into `schemes`
+    columns = slice(None)  # `live` to write through: a slice until a cell leaves
     failure = None
 
     for k in range(1, steps + 1):
         while True:
             tic = time.perf_counter_ns()
             try:
-                new, iters = step(state, taus[live])
+                new, iters = step(state, plan)
             except SOLVER_ERRORS as exc:
                 cut = getattr(exc, "cell", 0)
                 if cut == 0:
@@ -231,7 +236,8 @@ def _simulate(config, schemes):
                     failure = None
                     raise
                 failure = exc
-                live, state = live[:cut], _keep(state, slice(cut))
+                live = columns = live[:cut]
+                state, plan = _keep(state, plan, slice(cut))
                 continue
             toc = time.perf_counter_ns()
             break
@@ -239,18 +245,20 @@ def _simulate(config, schemes):
         norm_sq = _squared_norms(new.q)
         if kind != "gt":
             norm_sq += _squared_norms(new.p)
-        ok = np.isfinite(norm_sq) & (norm_sq <= DIVERGENCE_LIMIT ** 2)
+        ok = norm_sq <= DIVERGENCE_LIMIT ** 2  # False for a NaN or inf norm
         if not ok.all():
             for cell in live[~ok]:
                 status[cell] = STATUS_DIVERGED
                 lengths[cell] = k
-            live, new, iters = live[ok], _keep(new, ok), iters[ok]
+            live = columns = live[ok]
             if not live.size:
                 break
+            new, plan = _keep(new, plan, ok)
+            iters = iters[ok]
 
         state = new
-        errors[live, k] = _consensus_errors(state.q, theta_star)
-        newton_iters[live, k] = iters
+        errors[k, columns] = _consensus_errors(state.q, theta_star)
+        newton_iters[k, columns] = iters
         wall_ns[k] = toc - tic
         if record:
             for i, cell in enumerate(live):
@@ -264,9 +272,9 @@ def _simulate(config, schemes):
             raise failure
         finally:
             failure = None  # the same cycle as above
-    return [RunTrace(errors=errors[cell, :n].copy(),
+    return [RunTrace(errors=errors[:n, cell].copy(),
                      lyapunov=lyap[cell] if record else None,
-                     newton_max_iters=newton_iters[cell, :n].copy(),
+                     newton_max_iters=newton_iters[:n, cell].copy(),
                      wall_ns=wall_ns[:n].copy(), status=status[cell],
                      theta_star=theta_star,
                      q_history=np.stack(q_hist[cell]) if record else None,

@@ -18,18 +18,24 @@ Every step also advances a stack of T independent cells at once: states
 of shape (T, N, m) with one step size per cell, tau of shape (T,). Every
 cell's result is bitwise the one its own (N, m) call gives. The `mid`,
 `euler` and `gt` steps exchange over the graph's edge arrays
-(`Graph.neighbor_sum`, O(|E|) per step); `dg`, the dense reference for
-small networks, takes its Laplacian once per run. Both implicit steps solve
-with the one batched Newton of `numerics.newton_solve`.
+(`Graph.neighbor_sum`, O(|E|) per step); `dg` is the dense reference for
+small networks. Both implicit steps solve with the one batched Newton of
+`numerics.newton_solve`.
+
+The work a step would otherwise redo every time (validating its step
+sizes, and the arrays built from them and from the graph) is done once per
+run, in a `StepPlan` (`step_plan`). A run passes its plan to every step; a
+step called without one builds its own, so both go through the same code.
 """
 
+import copy
 import math
 
 import numpy as np
 
 from .dynamics import NetworkState, continuous_rhs
 from .numerics import (DimensionMismatchError, MaxIterationsError,
-                       SingularMatrixError, SolverSettings, kron, newton_solve)
+                       SingularMatrixError, SolverSettings, newton_solve)
 
 SCHEME_KINDS = ("euler", "dg", "mid", "gt")
 
@@ -82,30 +88,122 @@ class StepReport:
         self.max_residual = float(max_residual)
 
 
-def _step_sizes(tau, q):
-    """Validated step sizes, shaped to scale per-agent rows of `q`.
+class StepPlan:
+    """The step-invariant work of one scheme on one graph, done once.
 
-    A single (N, m) state takes a scalar tau; a (T, N, m) stack of cells
-    takes a scalar or one tau per cell. Returns shape (1,) or (T, 1), so
-    `tau * degrees` runs per agent and `tau[..., None] * q` per entry.
+    A plan is built for one state shape, (N, m) or a (T, N, m) stack of
+    cells, and one tau: a scalar, or one per cell of a stack. `tau` holds
+    the validated step sizes shaped (1,) or (T, 1), to scale per-agent
+    rows, and `tau_entry` the same shaped (1, 1) or (T, 1, 1), to scale
+    per-entry arrays. Every array is computed with the expression the step
+    would use, so a step given the plan is bitwise a step without it. This
+    base plan is the one `euler` and `gt` use.
+
+    Arrays named in `_per_cell` lead with the cell axis of a stack;
+    `keep(cells)` is the plan of the cells a batch keeps.
     """
-    tau = np.asarray(tau, dtype=float)
-    if tau.shape not in ((), q.shape[:-2]):
+
+    _per_cell = ("tau", "tau_entry")
+
+    def __init__(self, graph, tau, shape):
+        shape = tuple(shape)
+        if len(shape) not in (2, 3) or shape[-2] != graph.n:
+            raise DimensionMismatchError(
+                f"states of shape {shape} do not fit a graph of {graph.n} agents")
+        tau = np.asarray(tau, dtype=float)
+        if tau.shape not in ((), shape[:-2]):
+            raise DimensionMismatchError(
+                f"tau has shape {tau.shape}, states have shape {shape}")
+        if not ((0 < tau) & (tau < math.inf)).all():
+            raise ValueError("tau must be a finite number > 0")
+        self.graph = graph
+        self.shape = shape
+        self.tau = np.broadcast_to(tau, shape[:-2])[..., None].copy()
+        self.tau_entry = self.tau[..., None]
+
+    def keep(self, cells):
+        """The plan of the cells `cells` (an index or mask over the leading
+        axis) of a stack."""
+        if len(self.shape) != 3:
+            raise DimensionMismatchError("only the plan of a stack keeps cells")
+        plan = copy.copy(self)
+        for name in self._per_cell:
+            setattr(plan, name, getattr(self, name)[cells])
+        plan.shape = plan.tau.shape[:1] + self.shape[1:]
+        return plan
+
+
+class MidPlan(StepPlan):
+    """`mid`: g_i = 1/tau + deg_i + tau deg_i^2 per agent, the neighbour
+    scale (1 + tau deg_i) and the constant g_i I part of the Jacobian."""
+
+    _per_cell = StepPlan._per_cell + ("gdiag", "nbr_scale", "jac0")
+
+    def __init__(self, graph, tau, shape):
+        super().__init__(graph, tau, shape)
+        tau, deg = self.tau, graph.degrees
+        self.deg = deg[:, None]
+        self.gdiag = (1.0 / tau + deg + tau * deg ** 2)[..., None]
+        self.nbr_scale = (1.0 + tau * deg)[..., None]
+        self.jac0 = self.gdiag[..., None] * np.eye(self.shape[-1])
+
+
+class DgPlan(StepPlan):
+    """`dg`: the dense Laplacian and the constant part of the Jacobian of
+    the stacked [q+; p+] system."""
+
+    _per_cell = StepPlan._per_cell + ("jac0",)
+
+    def __init__(self, graph, tau, shape):
+        super().__init__(graph, tau, shape)
+        n, m = self.shape[-2:]
+        nm = n * m
+        self.lap = graph.laplacian()
+        self.eye_n = np.eye(n)
+        half_lap = np.kron(self.lap, np.eye(m)) / 2.0
+        eye = np.eye(nm)
+        tau = self.tau_entry
+        self.jac0 = np.empty(self.shape[:-2] + (2 * nm, 2 * nm))
+        self.jac0[..., :nm, :nm] = eye / tau + half_lap
+        self.jac0[..., :nm, nm:] = half_lap
+        self.jac0[..., nm:, :nm] = -half_lap
+        self.jac0[..., nm:, nm:] = eye / tau
+
+
+_PLANS = {"euler": StepPlan, "gt": StepPlan, "mid": MidPlan, "dg": DgPlan}
+
+
+def step_plan(kind, graph, tau, shape):
+    """The plan of scheme `kind` for states of `shape` on `graph`."""
+    return _PLANS[kind](graph, tau, shape)
+
+
+def _plan_for(kind, graph, tau, q, plan):
+    """`plan`, checked against the step it is given to, or a new plan from
+    `tau`; exactly one of the two is given."""
+    if plan is None:
+        return step_plan(kind, graph, tau, q.shape)
+    if tau is not None:
+        raise ValueError("give a step either tau or a plan, not both")
+    if type(plan) is not _PLANS[kind] or plan.graph is not graph:
+        raise ValueError(f"the plan is not a {kind} plan of this graph")
+    if q.shape != plan.shape:
         raise DimensionMismatchError(
-            f"tau has shape {tau.shape}, states have shape {q.shape}")
-    if not ((0 < tau) & (tau < math.inf)).all():
-        raise ValueError("tau must be a finite number > 0")
-    return tau[..., None]
+            f"the plan is for states of shape {plan.shape}, got {q.shape}")
+    return plan
 
 
-def euler_step(state, ensemble, graph, tau):
-    """Forward Euler step x+ = x + tau * rhs(x)."""
-    tau = _step_sizes(tau, state.q)[..., None]
+def euler_step(state, ensemble, graph, tau, plan=None):
+    """Forward Euler step x+ = x + tau * rhs(x).
+
+    `plan` (a `StepPlan`, in place of `tau`) holds the step sizes.
+    """
+    tau = _plan_for("euler", graph, tau, state.q, plan).tau_entry
     dq, dp = continuous_rhs(state, ensemble, graph)
     return NetworkState(state.q + tau * dq, state.p + tau * dp)
 
 
-def dg_central_step(state, ensemble, graph, tau, solver=None, laplacian=None):
+def dg_central_step(state, ensemble, graph, tau, solver=None, plan=None):
     """Discrete-gradient step solved as one coupled implicit system.
 
     For the quadratic storage the discrete gradient between x and x+ is
@@ -122,21 +220,15 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, laplacian=None):
     cell, and each cell's result is bitwise its own step's. Every agent
     reports its cell's Newton iterations. A failing cell raises the solver
     error with its residual; the error's `cell` is the first failing cell.
-    `laplacian` defaults to the graph's own.
+    `plan` (a `DgPlan`, in place of `tau`) holds the Laplacian and the
+    constant part of the Jacobian.
     """
     solver = solver or SolverSettings()
     q0, p0 = state.q, state.p
-    tau = _step_sizes(tau, q0)[..., None]
-    lap = graph.laplacian() if laplacian is None else laplacian
+    plan = _plan_for("dg", graph, tau, q0, plan)
+    tau, lap = plan.tau_entry, plan.lap
     lead, (n, m) = q0.shape[:-2], q0.shape[-2:]
     nm = n * m
-    half_lap = kron(lap, np.eye(m)) / 2.0
-    eye = np.eye(nm)
-    jac0 = np.empty(lead + (2 * nm, 2 * nm))
-    jac0[..., :nm, :nm] = eye / tau + half_lap
-    jac0[..., :nm, nm:] = half_lap
-    jac0[..., nm:, :nm] = -half_lap
-    jac0[..., nm:, nm:] = eye / tau
 
     def split(z):  # [q; p] -> q, p
         return np.moveaxis(z.reshape(lead + (2, n, m)), -3, 0)
@@ -152,8 +244,8 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, laplacian=None):
     def jacobian(z):
         hess = ensemble.hessian_stack((q0 + split(z)[0]) / 2.0)
         # the per-agent Hessians as one block diagonal (..., Nm, Nm)
-        blocks = np.einsum("ij,...iab->...iajb", np.eye(n), hess)
-        jac = jac0.copy()
+        blocks = np.einsum("ij,...iab->...iajb", plan.eye_n, hess)
+        jac = plan.jac0.copy()
         jac[..., :nm, :nm] += blocks.reshape(lead + (nm, nm)) / 2.0
         return jac
 
@@ -166,7 +258,7 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, laplacian=None):
                       float(rnorm.max()))
 
 
-def mid_step(state, ensemble, graph, tau, solver=None):
+def mid_step(state, ensemble, graph, tau, solver=None, plan=None):
     """Mixed implicit step: per-agent local solves, one exchange per step.
 
     Eliminating p_i+ through its own update leaves, for each agent, the
@@ -189,30 +281,27 @@ def mid_step(state, ensemble, graph, tau, solver=None):
     Newton iterates never depend on other agents, so each cell's result is
     bitwise its own step's. A failing agent raises the solver error naming
     it; the error's `cell` is the first cell with a failing agent (0 for a
-    single state).
+    single state). `plan` (a `MidPlan`, in place of `tau`) holds g_i, the
+    neighbour scales and the g_i I part of the Jacobian.
     """
     solver = solver or SolverSettings()
     q0, p0 = state.q, state.p
-    tau = _step_sizes(tau, q0)
-    deg = graph.degrees
+    plan = _plan_for("mid", graph, tau, q0, plan)
+    gdiag, jac0 = plan.gdiag, plan.jac0
     nbr_q, nbr_p = graph.neighbor_sum(np.array([q0, p0]))
-    gdiag = 1.0 / tau + deg + tau * deg ** 2
-    const = (-q0 / tau[..., None] - (1.0 + tau * deg)[..., None] * nbr_q
-             + deg[:, None] * p0 - nbr_p)
-    eye = np.eye(q0.shape[-1])
+    const = -q0 / plan.tau_entry - plan.nbr_scale * nbr_q + plan.deg * p0 - nbr_p
 
     def residual(qp):
-        return gdiag[..., None] * qp + ensemble.gradient_stack((qp + q0) / 2.0) + const
+        return gdiag * qp + ensemble.gradient_stack((qp + q0) / 2.0) + const
 
     def jacobian(qp):
-        return (gdiag[..., None, None] * eye
-                + 0.5 * ensemble.hessian_stack((qp + q0) / 2.0))
+        return jac0 + 0.5 * ensemble.hessian_stack((qp + q0) / 2.0)
 
     try:
         qp, iters, rnorm = newton_solve(residual, jacobian, q0, solver)
     except SOLVER_ERRORS as exc:
         raise _cell_failure(exc, q0.shape[-2], "agent") from None
-    pp = p0 + tau[..., None] * (deg[:, None] * qp - nbr_q)
+    pp = p0 + plan.tau_entry * (plan.deg * qp - nbr_q)
     return StepReport(NetworkState(qp, pp), iters, float(rnorm.max()))
 
 
@@ -249,13 +338,14 @@ def gradient_tracking_init(q0, ensemble):
     return GtState(q0, ensemble.gradient_stack(q0))
 
 
-def gradient_tracking_step(gt, ensemble, graph, tau):
+def gradient_tracking_step(gt, ensemble, graph, tau, plan=None):
     """One gradient-tracking update with Metropolis mixing.
 
     q+ = W q - tau g;  g+ = W g + grad f(q+) - grad f(q), where W x mixes
-    over the graph's edges with its `metropolis` weights.
+    over the graph's edges with its `metropolis` weights. `plan` (a
+    `StepPlan`, in place of `tau`) holds the step sizes.
     """
-    tau = _step_sizes(tau, gt.q)[..., None]
+    tau = _plan_for("gt", graph, tau, gt.q, plan).tau_entry
     own, edge = graph.metropolis
     both = np.array([gt.q, gt.tracker])
     mixed_q, mixed_tracker = own[:, None] * both + graph.neighbor_sum(both, edge)

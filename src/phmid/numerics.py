@@ -1,6 +1,6 @@
 """
-Input coercion, symmetric eigenvalue tests, the batched damped Newton
-root-finder behind every implicit solve, and Kronecker products.
+Input coercion, the symmetry check, and the batched damped Newton
+root-finder behind every implicit solve.
 
 Everything here is a pure function of its inputs; values are never mutated
 after construction, so results can be shared freely between threads.
@@ -104,21 +104,6 @@ class SolverSettings:
                 f"damping_shrink={self.damping_shrink})")
 
 
-def min_eigenvalue_symmetric(s, sym_tol=1e-12):
-    """Smallest eigenvalue of a symmetric matrix."""
-    arr = require_symmetric(s, sym_tol)
-    if arr.size == 0:
-        raise DimensionMismatchError("empty matrix has no eigenvalues")
-    return float(np.linalg.eigvalsh(arr)[0])
-
-
-def is_psd(s, tol):
-    """True iff the smallest eigenvalue of symmetric `s` is >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return min_eigenvalue_symmetric(s) >= -tol
-
-
 def newton_solve(residual, jacobian, x0, settings=None):
     """Find a root of every row of an (..., k) iterate by damped Newton.
 
@@ -140,7 +125,7 @@ def newton_solve(residual, jacobian, x0, settings=None):
     settings = settings or SolverSettings()
     x = np.array(x0, dtype=float)
     r = residual(x)
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("the residual at the start point is not finite")
     rnorm = np.linalg.norm(r, axis=-1)
     iters = np.zeros(rnorm.shape, dtype=int)
@@ -160,19 +145,24 @@ def newton_solve(residual, jacobian, x0, settings=None):
                            np.linalg.slogdet(jac)[0] == 0, x, rnorm) from None
         alpha = np.ones(rnorm.shape)
         pending = active
+        step = delta  # alpha = 1 on every row
         for _ in range(60):
-            if not pending.any():
-                break
-            cand = x + alpha[..., None] * delta
+            cand = x + step
             cres = residual(cand)
             cnorm = np.linalg.norm(cres, axis=-1)
-            ok = pending & np.isfinite(cnorm) & (cnorm < rnorm)
+            ok = pending & (cnorm < rnorm)  # a NaN or inf candidate never passes
+            if ok.all():  # every row takes its step: nothing to mask
+                x, r, rnorm = cand, cres, cnorm
+                break
             x = np.where(ok[..., None], cand, x)
             r = np.where(ok[..., None], cres, r)
             rnorm = np.where(ok, cnorm, rnorm)
             pending = pending & ~ok
+            if not pending.any():
+                break
             alpha = np.where(pending, alpha * settings.damping_shrink, alpha)
-        if pending.any():
+            step = alpha[..., None] * delta
+        else:
             raise _failure(MaxIterationsError, "backtracking stalled", pending,
                            x, rnorm)
         iters += active
@@ -186,8 +176,3 @@ def _failure(kind, reason, failed, x, rnorm):
     error.reason, error.failed, error.iterate, error.residual_norm = (
         reason, failed, x, rnorm)
     return error
-
-
-def kron(a, b):
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))

@@ -32,7 +32,7 @@ connected graph.
 
 import numpy as np
 
-from .numerics import kron, require_symmetric
+from .numerics import require_symmetric
 
 _EIG_TOL = 1e-9
 
@@ -50,7 +50,7 @@ class NonQuadraticCostError(TypeError):
 
 
 def _lifted(block_n, m):
-    return kron(block_n, np.eye(m))
+    return np.kron(block_n, np.eye(m))
 
 
 def _require_positive(name, value):

@@ -4,6 +4,8 @@ Reference code that only the tests use.
 - `solve_linear` is a dense LU solve written out in Python, the
   independent reference for the linear algebra the package leaves to
   LAPACK.
+- `min_eigenvalue_symmetric`, `is_psd` and `kron` are the small matrix
+  helpers the identity tests use; the package calls `np.kron` itself.
 - `discrete_gradient` is the mean-value discrete gradient by 5-node
   Gauss-Legendre quadrature. No scheme uses it: `dg` takes the midpoint,
   which is exact for the quadratic storage.
@@ -35,8 +37,7 @@ from phmid.costs import CostEnsemble
 from phmid.dynamics import NetworkState
 from phmid.graphs import DisconnectedGraphError, Graph
 from phmid.numerics import (DimensionMismatchError, SingularMatrixError,
-                            as_matrix, as_vector, kron,
-                            min_eigenvalue_symmetric, require_symmetric)
+                            as_matrix, as_vector, require_symmetric)
 from phmid.stability import (LmiCertificate, check_certificate,
                              check_certificate_quadratic)
 
@@ -70,6 +71,26 @@ def solve_linear(a, b):
     for k in range(n - 1, -1, -1):
         x[k] = (m[k, n] - m[k, k + 1:n] @ x[k + 1:]) / m[k, k]
     return x
+
+
+def min_eigenvalue_symmetric(s, sym_tol=1e-12):
+    """Smallest eigenvalue of a symmetric matrix."""
+    arr = require_symmetric(s, sym_tol)
+    if arr.size == 0:
+        raise DimensionMismatchError("empty matrix has no eigenvalues")
+    return float(np.linalg.eigvalsh(arr)[0])
+
+
+def is_psd(s, tol):
+    """True iff the smallest eigenvalue of symmetric `s` is >= -tol."""
+    if tol < 0:
+        raise ValueError("tol must be >= 0")
+    return min_eigenvalue_symmetric(s) >= -tol
+
+
+def kron(a, b):
+    """Kronecker product of two matrices."""
+    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 # Gauss-Legendre nodes/weights on [0, 1], 5 points (exact for degree <= 9).

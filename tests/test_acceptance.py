@@ -17,14 +17,14 @@ from phmid.graphs import complete, cycle, erdos_renyi, star, from_spec as graph_
 from phmid.harness import (STATUS_DIVERGED, STATUS_MAX_STEPS, ExperimentConfig,
                            export_csv, k_b, run, tau_sweep)
 from phmid.integrators import euler_step, mid_step
-from phmid.numerics import SolverSettings, kron
+from phmid.numerics import SolverSettings
 from phmid.stability import (audit_lyapunov, check_certificate,
                              check_certificate_quadratic,
                              closed_form_certificate, hessian_blocks_from,
                              midpoint_map_qr, step_gram, assemble_metric)
 
 from oracles import (change_of_basis, d2_minus_a2, discrete_gradient, incidence,
-                     midpoint_map_qp)
+                     kron, midpoint_map_qp)
 
 DESK_GRAPH = "cycle:10"
 DESK_COST = "quadratic:3:42"

@@ -233,6 +233,29 @@ def test_quadratic_ensemble_keeps_the_per_agent_draws(n, m, seed):
     assert np.array_equal(ens.centralized_optimum(), one_by_one.centralized_optimum())
 
 
+def test_quadratic_ensemble_builds_no_per_agent_cost_until_asked(monkeypatch):
+    # the random ensemble is built from its stacks: no per-agent object or
+    # curvature bound is made unless `costs` is read
+    want = random_quadratic_ensemble(40, 3, seed=8)
+    theta = want.centralized_optimum()
+
+    def per_agent(*args):
+        raise AssertionError("a per-agent cost was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(QuadraticCost, "_set", per_agent)
+        patched.setattr(QuadraticCost, "curvature_bounds", per_agent)
+        ens = random_quadratic_ensemble(40, 3, seed=8)
+        assert (ens.n_agents, ens.dim) == (40, 3)
+        assert (ens.mu, ens.lipschitz) == (want.mu, want.lipschitz)
+        assert np.array_equal(ens.centralized_optimum(), theta)
+        blocks = ens.hessian_blocks()
+        blocks[0] = 0.0  # a copy, not the ensemble's own stack
+        assert np.array_equal(ens.hessian_blocks(), want.hessian_blocks())
+    assert np.array_equal(np.stack([c.h for c in ens.costs]), want.hessian_blocks())
+    assert ens.costs is ens.costs
+
+
 def test_quadratic_stacks_are_validated_like_single_costs():
     h = np.stack([np.eye(2), np.diag([1.0, 2.0]), np.eye(2)])
     b = np.zeros((3, 2))

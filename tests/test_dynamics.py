@@ -150,7 +150,7 @@ def test_passivity_examples():
 
 def test_coupling_symmetric_part_on_graphs():
     # symmetric part of (L (x) M) has no positive eigenvalues
-    from phmid.numerics import kron
+    from oracles import kron
     design = PhsDesign(2)
     for g in (cycle(5), complete(4), erdos_renyi(7, 0.5, seed=9)):
         coupling = kron(g.laplacian(), design.coupling)

@@ -3,10 +3,10 @@ import pytest
 
 from phmid.graphs import (DisconnectedGraphError, GenerationFailedError, Graph,
                           complete, cycle, erdos_renyi, from_spec, star)
-from phmid.numerics import is_psd, min_eigenvalue_symmetric
 
-from oracles import (d2_minus_a2, erdos_renyi_edges, incidence,
-                     metropolis_weights, tau_upper_bound)
+from oracles import (d2_minus_a2, erdos_renyi_edges, incidence, is_psd,
+                     metropolis_weights, min_eigenvalue_symmetric,
+                     tau_upper_bound)
 
 
 def _edge(n=2):

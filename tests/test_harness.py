@@ -6,6 +6,7 @@ import pytest
 
 from phmid import integrators
 from phmid.graphs import Graph
+from phmid import harness
 from phmid.harness import (NOT_REACHED, STATUS_DIVERGED, STATUS_MAX_STEPS,
                            ExperimentConfig, RunTrace, SweepTable, export_csv,
                            k_b, run, tau_sweep)
@@ -234,3 +235,97 @@ def test_runs_build_no_dense_graph_matrix(monkeypatch, scheme, graph):
     trace = run(_quad_config(graph_spec=graph, scheme_spec=scheme, steps=30))
     assert trace.status == STATUS_MAX_STEPS
     assert np.array_equal(trace.errors, want.errors)
+
+
+STEP_FUNCTIONS = {"mid": "mid_step", "dg": "dg_central_step",
+                  "euler": "euler_step", "gt": "gradient_tracking_step"}
+
+
+def _record_steps(monkeypatch, kind):
+    """Wrap `kind`'s step function in `integrators` with one that records
+    the state each call returns; returns that list."""
+    name = STEP_FUNCTIONS[kind]
+    real = getattr(integrators, name)
+    states = []
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        states.append(getattr(out, "state", out))
+        return out
+
+    monkeypatch.setattr(integrators, name, recording)
+    return states
+
+
+@pytest.mark.parametrize("kind", ["mid", "dg", "euler", "gt"])
+def test_runs_call_the_step_function_in_integrators_once_per_step(monkeypatch, kind):
+    # a wrapper put over a scheme's step function in `integrators` (the
+    # benchmark's tracing hooks, say) sees every step of a run
+    states = _record_steps(monkeypatch, kind)
+    for steps in (1, 7):
+        states.clear()
+        run(_quad_config(scheme_spec=f"{kind}:tau=0.05", steps=steps))
+        assert len(states) == steps
+
+
+def test_a_dg_run_builds_its_dense_matrices_once(monkeypatch):
+    # the dg plan takes the Laplacian and kron(L, I_m) once per run
+    counts = {"laplacian": 0, "kron": 0}
+    laplacian, kron = Graph.laplacian, np.kron
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Graph, "laplacian", counted("laplacian", laplacian))
+    monkeypatch.setattr(np, "kron", counted("kron", kron))
+    for steps in (2, 9):
+        counts.update(laplacian=0, kron=0)
+        trace = run(_quad_config(scheme_spec="dg:tau=3.0", steps=steps))
+        assert trace.status == STATUS_MAX_STEPS
+        assert counts == {"laplacian": 1, "kron": 1}
+
+
+def test_a_cut_mid_sweep_steps_its_survivors_as_their_own_runs(monkeypatch):
+    # mid at tau = 1e4 stalls in step 2 at seed 7: the batch goes on with
+    # the cells before it, each stepping bitwise as its own run does
+    states = _record_steps(monkeypatch, "mid")
+    cfg = ExperimentConfig("cycle:10", "quadratic:3:42", "mid:tau=1",
+                           steps=8, seed=7)
+    with pytest.raises(MaxIterationsError):
+        tau_sweep(cfg, [0.3, 1.0, 1e4, 2.0], ["mid"])
+    batch = states[:]
+    assert [len(state.q) for state in batch] == [4] + [2] * 7
+    for t, tau in enumerate([0.3, 1.0]):
+        states.clear()
+        run(cfg.replaced(scheme_spec=f"mid:tau={tau!r}"))
+        for cell, alone in zip(batch, states):
+            assert np.array_equal(cell.q[t], alone.q[0])
+            assert np.array_equal(cell.p[t], alone.p[0])
+
+
+def test_a_diverging_euler_cell_leaves_the_others_bitwise_alone(monkeypatch):
+    # the middle cell diverges and leaves the batch; the cells on either
+    # side keep their own runs' states, errors and rows
+    states = _record_steps(monkeypatch, "euler")
+    cfg = ExperimentConfig("cycle:10", "quadratic:3:42", "euler:tau=1",
+                           steps=120, seed=7)
+    taus = [0.05, 2.0, 0.3]
+    table = tau_sweep(cfg, taus, ["euler"])
+    assert [row.status for row in table] == [STATUS_MAX_STEPS, STATUS_DIVERGED,
+                                             STATUS_MAX_STEPS]
+    batch = states[:]
+    assert [len(state.q) for state in batch].count(3) < len(batch) == 120
+    for t in (0, 2):
+        row = table.rows[t]
+        states.clear()
+        trace = run(cfg.replaced(scheme_spec=f"euler:tau={row.tau!r}"))
+        assert (row.k_b, row.final_error, row.status) == (
+            k_b(trace, cfg.accuracy_b), trace.final_error, trace.status)
+        assert len(states) == len(batch)
+        for cell, alone in zip(batch, states):
+            kept = t if len(cell.q) == 3 else t // 2  # its row in the batch
+            assert np.array_equal(cell.q[kept], alone.q[0])
+            assert np.array_equal(cell.p[kept], alone.p[0])

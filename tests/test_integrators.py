@@ -7,13 +7,14 @@ from phmid.costs import (CostEnsemble, QuadraticCost, random_logistic_ensemble,
                          random_quadratic_ensemble)
 from phmid.dynamics import NetworkState, continuous_rhs, equilibrium_state
 from phmid.graphs import Graph, cycle, erdos_renyi
+from phmid import harness
 from phmid.integrators import (GtState, MaxIterationsError, SchemeConfig,
                                dg_central_step, euler_step,
                                gradient_tracking_init, gradient_tracking_step,
-                               mid_step, parse_scheme_spec)
-from phmid.numerics import DimensionMismatchError, SolverSettings, kron
+                               mid_step, parse_scheme_spec, step_plan)
+from phmid.numerics import DimensionMismatchError, SolverSettings
 
-from oracles import metropolis_weights
+from oracles import kron, metropolis_weights
 
 
 def _scalar_problem():
@@ -315,6 +316,90 @@ def test_batched_mid_failure_names_the_first_failing_cell():
         assert batched.value.cell == 1
         assert str(batched.value) == str(alone.value)
         assert batched.value.residual_norm == alone.value.residual_norm
+
+
+def _step_kind(kind, state, ens, g, tau, plan=None):
+    """(state, Newton iterations or None) after one `kind` step."""
+    if kind in ("mid", "dg"):
+        step = mid_step if kind == "mid" else dg_central_step
+        rep = step(state, ens, g, tau, plan=plan)
+        return rep.state, rep.newton_iterations
+    step = euler_step if kind == "euler" else gradient_tracking_step
+    return step(state, ens, g, tau, plan=plan), None
+
+
+def _blocks(state):
+    return (state.q, state.tracker) if isinstance(state, GtState) else (state.q, state.p)
+
+
+@pytest.mark.parametrize("kind", ["mid", "dg", "euler", "gt"])
+def test_a_plan_built_once_steps_as_one_off_calls(kind):
+    # k steps that share one plan are bitwise k calls that build their own,
+    # on a stack of cells and on a single state, for both cost families
+    g = cycle(7)
+    rng = np.random.default_rng(31)
+    q = rng.standard_normal((3, 7, 3))
+    p = rng.standard_normal((3, 7, 3))
+    taus = (np.array([0.02, 0.07, 0.1]) if kind in ("euler", "gt")
+            else np.array([0.05, 2.0, 300.0]))
+    for ens in (random_quadratic_ensemble(7, 3, seed=32),
+                random_logistic_ensemble(7, 3, 10, 0.1, seed=32)):
+        for state, tau in (((q, p), taus), ((q[1], p[1]), float(taus[1]))):
+            state = GtState(*state) if kind == "gt" else NetworkState(*state)
+            plan = step_plan(kind, g, tau, state.q.shape)
+            planned = one_off = state
+            for _ in range(6):
+                planned, planned_iters = _step_kind(kind, planned, ens, g, None, plan)
+                one_off, one_off_iters = _step_kind(kind, one_off, ens, g, tau)
+                for a, b in zip(_blocks(planned), _blocks(one_off)):
+                    assert np.array_equal(a, b)
+                assert np.array_equal(planned_iters, one_off_iters)
+
+
+def test_plans_are_checked_against_their_step():
+    g, ens, st = _network_problem()
+    plan = step_plan("mid", g, 2.0, st.q.shape)
+    with pytest.raises(ValueError):
+        mid_step(st, ens, g, 2.0, plan=plan)  # tau and a plan
+    with pytest.raises(ValueError):
+        dg_central_step(st, ens, g, None, plan=plan)  # another scheme's plan
+    with pytest.raises(ValueError):
+        mid_step(st, ens, cycle(6), None, plan=plan)  # another graph
+    stack = NetworkState(st.q[None], st.p[None])
+    with pytest.raises(DimensionMismatchError):
+        mid_step(stack, ens, g, None, plan=plan)  # another state shape
+    with pytest.raises(DimensionMismatchError):
+        plan.keep([0])  # a single state's plan has no cells
+    with pytest.raises(DimensionMismatchError):
+        step_plan("euler", g, 2.0, (7, 2))
+    with pytest.raises(ValueError):
+        step_plan("gt", g, np.array([1.0, -1.0]), (2, 6, 2))
+
+
+def test_a_cut_mid_batch_keeps_its_survivors_bitwise():
+    # mid at tau = 1e4 stalls in the second step of this start; the batch
+    # drops that cell and every later one, plan and state alike, and the
+    # cells it keeps step on exactly as they do alone
+    g = cycle(10)
+    ens = random_quadratic_ensemble(10, 3, seed=42)
+    q0 = np.random.default_rng(7).standard_normal((10, 3))
+    taus = np.array([0.3, 1.0, 1e4, 2.0])
+    state = NetworkState(np.repeat(q0[None], 4, 0), np.zeros((4, 10, 3)))
+    plan = step_plan("mid", g, taus, state.q.shape)
+    alone = [NetworkState(q0, np.zeros_like(q0)) for _ in taus[:2]]
+    cuts = []
+    for _ in range(8):
+        try:
+            state = mid_step(state, ens, g, None, plan=plan).state
+        except MaxIterationsError as exc:
+            cuts.append(exc.cell)
+            state, plan = harness._keep(state, plan, slice(exc.cell))
+            state = mid_step(state, ens, g, None, plan=plan).state
+        alone = [mid_step(one, ens, g, tau).state for one, tau in zip(alone, taus)]
+        for t, one in enumerate(alone):
+            assert np.array_equal(state.q[t], one.q)
+            assert np.array_equal(state.p[t], one.p)
+    assert cuts == [2] and plan.shape == (2, 10, 3)
 
 
 def test_metropolis_weights_doubly_stochastic():

@@ -5,10 +5,10 @@ import pytest
 
 from phmid.numerics import (DimensionMismatchError, MaxIterationsError,
                             NonSymmetricError, SingularMatrixError,
-                            SolverSettings, is_psd, kron,
-                            min_eigenvalue_symmetric, newton_solve)
+                            SolverSettings, newton_solve)
 
-from oracles import discrete_gradient, solve_linear
+from oracles import (discrete_gradient, is_psd, kron, min_eigenvalue_symmetric,
+                     solve_linear)
 
 
 def test_solve_identity():
@@ -153,6 +153,45 @@ def test_newton_strongly_convex_from_far_start():
         x0 = 100.0 * rng.standard_normal(m)
         x, _, _ = newton_solve(grad, hess, x0, SolverSettings(max_iterations=100))
         assert np.linalg.norm(grad(x)) <= 1e-12
+
+
+def _arctan_problem(c, calls):
+    """Row-wise residual arctan(x - c), whose full Newton step overshoots
+    far from the root, and its Jacobian; `calls` counts residuals."""
+    def residual(x):
+        calls.append(1)
+        return np.arctan(x - c)
+
+    def jacobian(x):
+        return np.eye(c.shape[-1]) / (1.0 + (x - c) ** 2)[..., None, :]
+
+    return residual, jacobian
+
+
+def test_newton_rows_that_halve_and_rows_that_do_not_match_their_own_solves():
+    # every row's iterate, Newton count and residual is bitwise that row
+    # solved alone, whether the batch takes full steps (all rows accept)
+    # or masks them (some rows halve, or are already done)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((6, 2))
+    near = c + 0.3 * rng.standard_normal((6, 2))
+    far = near.copy()
+    far[[1, 4]] += 6.0  # the full step overshoots: these rows halve
+    done = far.copy()
+    done[2] = c[2]  # a zero residual: done before the first step
+    halved = []
+    for x0 in (near, far, done):
+        x, iters, rnorm = newton_solve(*_arctan_problem(c, []), x0)
+        assert np.all(rnorm <= 1e-12)
+        for i in range(len(c)):
+            calls = []
+            xi, it, ri = newton_solve(*_arctan_problem(c[i], calls), x0[i])
+            assert np.array_equal(x[i], xi)
+            assert iters[i] == it and rnorm[i] == ri
+            if len(calls) > 1 + it:
+                halved.append(i)
+    assert sorted(set(halved)) == [1, 4]
+    assert iters[2] == 0
 
 
 def test_newton_max_iterations_carries_state():

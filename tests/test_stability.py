@@ -6,7 +6,6 @@ from phmid.dynamics import NetworkState, equilibrium_state
 from phmid.graphs import Graph, complete, cycle, erdos_renyi, star
 from phmid.graphs import from_spec as graph_from_spec
 from phmid.integrators import euler_step, mid_step
-from phmid.numerics import kron
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
                              NonQuadraticCostError, assemble_metric,
@@ -17,7 +16,7 @@ from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              midpoint_map_qr, quadratic_gradient_block,
                              search_certificate, step_gram)
 
-from oracles import change_of_basis, midpoint_map_qp, reference_search
+from oracles import change_of_basis, kron, midpoint_map_qp, reference_search
 
 
 def _random_graph(rng):
