@@ -19,8 +19,7 @@ from .numerics import SolverSettings, newton_solve
 from .stability import (CertificateVerdict, LmiCertificate, audit_lyapunov,
                         check_certificate, check_certificate_quadratic,
                         closed_form_certificate, gradient_bound_block,
-                        midpoint_map_qr, quadratic_gradient_block,
-                        search_certificate, step_gram)
+                        midpoint_map_qr, search_certificate, step_gram)
 
 __version__ = "0.1.0"
 
@@ -38,5 +37,5 @@ __all__ = [
     "CertificateVerdict", "LmiCertificate", "audit_lyapunov",
     "check_certificate", "check_certificate_quadratic",
     "closed_form_certificate", "gradient_bound_block", "midpoint_map_qr",
-    "quadratic_gradient_block", "search_certificate", "step_gram",
+    "search_certificate", "step_gram",
 ]

@@ -100,11 +100,6 @@ class Graph:
     def __hash__(self):
         return hash((self.n, self.edges))
 
-    def neighbors(self, i):
-        """Sorted tuple of neighbors of vertex i."""
-        start = self._starts[i]
-        return tuple(self._neighbors[start:start + int(self._degrees[i])].tolist())
-
     @property
     def degrees(self):
         """Vertex degrees as a read-only (n,) array."""

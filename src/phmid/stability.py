@@ -22,9 +22,12 @@ inequality
 
 holds, where B bounds the gradient feedback term: `gradient_bound_block`
 for general strongly convex costs (Young's inequality with the certified
-mu and Lipschitz constants), or `quadratic_gradient_block` with the exact
-Hessians for quadratic costs. All inequalities are verified by symmetric
-eigenvalue computations; no semidefinite programming is involved. A
+mu and Lipschitz constants), or the exact per-agent Hessians for
+quadratic costs. All inequalities are verified by symmetric eigenvalue
+computations; no semidefinite programming is involved. G(tau), S and the
+(mu, L) bound are all X (x) I_m for an N x N X, so when P12, P22 and U
+are too, `check_certificate` decides on the 2N x 2N factors; the
+quadratic check, whose Hessians break that structure, runs at 2Nm. A
 closed-form certificate covers every graph with D^2 - A^2 PSD (cycles,
 complete graphs) at every step size, and small enough step sizes on any
 connected graph.
@@ -149,10 +152,10 @@ def _hessian_block_diag(hessians, n, m):
         raise NonQuadraticCostError(
             f"expected per-agent Hessian stack of shape {(n, m, m)}, "
             f"got {hessians.shape}")
-    hbd = np.zeros((n * m, n * m))
-    for i in range(n):
-        hbd[i * m:(i + 1) * m, i * m:(i + 1) * m] = hessians[i]
-    return hbd
+    hbd = np.zeros((n, m, n, m))
+    agents = np.arange(n)
+    hbd[agents, :, agents, :] = hessians
+    return hbd.reshape(n * m, n * m)
 
 
 def _quadratic_block(hbd, p12, gram, tau):
@@ -162,20 +165,6 @@ def _quadratic_block(hbd, p12, gram, tau):
     out[:nm, :nm] = -hbd / tau
     out[nm:, :nm] = -(p12.T @ gram @ hbd) / tau
     return out
-
-
-def quadratic_gradient_block(graph, m, tau, hessians, p12):
-    """Exact gradient feedback term for quadratic costs.
-
-    [[ -H / tau,              0 ],
-     [ -P12' G(tau) H / tau,  0 ]]
-
-    with H the block diagonal of the per-agent Hessians. Only the
-    symmetric part enters the decrease inequality.
-    """
-    _require_positive("tau", tau)
-    hbd = _hessian_block_diag(hessians, graph.n, m)
-    return _quadratic_block(hbd, p12, step_gram(graph, m, tau), tau)
 
 
 def hessian_blocks_from(ensemble):
@@ -264,27 +253,64 @@ def _decrease_margin(x, u):
     return _min_eig(-(x + target))
 
 
+def _kronecker_factor(cert, m):
+    """(k, blocks) with P12, P22 and U of `blocks` each Nk x Nk.
+
+    k = 1 with the N x N factors when the three blocks are each exactly
+    X (x) I_m (every certificate that `closed_form_certificate` and
+    `search_certificate` return), else k = m with the certificate itself.
+    """
+    if m == 1:
+        return 1, cert
+    blocks = (cert.p12, cert.p22, cert.u_cap)
+    factors = [block[::m, ::m] for block in blocks]
+    if all(np.array_equal(block, _lifted(x, m))
+           for block, x in zip(blocks, factors)):
+        return 1, LmiCertificate(*factors, cert.u, cert.epsilon)
+    return m, cert
+
+
+def _check(cert, graph, k, tau, bound, tol, schur_required):
+    """Verdict on a certificate whose blocks are Nk x Nk.
+
+    G(tau) and the midpoint map are the N-level ones lifted by (x) I_k;
+    `bound(gram)` gives the gradient feedback block at the same level.
+    """
+    if cert.u <= 0:
+        raise InvalidCertificateError("certificate requires u > 0")
+    gram = step_gram(graph, k, tau)
+    p = _metric(cert, gram)
+    metric_margin = _min_eig(p)
+    schur = np.block([[cert.u_cap, cert.p12],
+                      [cert.p12.T, np.eye(graph.n * k)]])
+    schur_margin = _min_eig(schur)
+    feedback = bound(gram)
+    smap = midpoint_map_qr(graph, k, tau)
+    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, feedback),
+                                       cert.u)
+    feasible = (metric_margin >= tol and decrease_margin >= -tol
+                and (schur_margin >= -tol or not schur_required))
+    return CertificateVerdict(feasible, (metric_margin, schur_margin,
+                                         decrease_margin))
+
+
 def check_certificate(cert, graph, m, tau, mu, lipschitz, tol=_EIG_TOL):
     """Verify a certificate for strongly convex costs with constants (mu, L).
 
     Returns a CertificateVerdict; raises InvalidCertificateError when the
-    claimed decrease coefficient u is not positive.
+    claimed decrease coefficient u is not positive. Every matrix of this
+    check is X (x) I_m when P12, P22 and U are, and the check then runs
+    on the 2N x 2N factors instead of the 2Nm x 2Nm matrices: their
+    eigenvalues are the same, each repeated m times, so the margins are
+    the lifted ones up to rounding.
     """
-    if cert.u <= 0:
-        raise InvalidCertificateError("certificate requires u > 0")
-    nm = graph.n * m
-    p = _metric(cert, step_gram(graph, m, tau))
-    metric_margin = _min_eig(p)
-    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
-    schur_margin = _min_eig(schur)
-    bound = gradient_bound_block(graph, m, tau, cert.epsilon, mu, lipschitz,
-                                 cert.u_cap)
-    smap = midpoint_map_qr(graph, m, tau)
-    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
-    feasible = (metric_margin >= tol and schur_margin >= -tol
-                and decrease_margin >= -tol)
-    return CertificateVerdict(feasible, (metric_margin, schur_margin,
-                                         decrease_margin))
+    level, blocks = _kronecker_factor(cert, m)
+
+    def bound(gram):
+        return gradient_bound_block(graph, level, tau, blocks.epsilon, mu,
+                                    lipschitz, blocks.u_cap)
+
+    return _check(blocks, graph, level, tau, bound, tol, schur_required=True)
 
 
 def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
@@ -293,24 +319,15 @@ def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
     Tests metric positivity, u > 0 and the decrease inequality with the
     per-agent Hessians in place of the (mu, L) bound; the Schur condition
     is not required in the quadratic variant (its margin is still
-    reported for diagnostics).
+    reported for diagnostics). Per-agent Hessians break the Kronecker
+    structure, so this check always runs on 2Nm x 2Nm matrices.
     """
-    if cert.u <= 0:
-        raise InvalidCertificateError("certificate requires u > 0")
-    nm = graph.n * m
-    gram = step_gram(graph, m, tau)
-    p = _metric(cert, gram)
-    metric_margin = _min_eig(p)
-    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
-    schur_margin = _min_eig(schur)
-    hbd = _hessian_block_diag(hessians, graph.n, m)
-    bound = _quadratic_block(hbd, cert.p12, gram, tau)
-    bound = (bound + bound.T) / 2.0
-    smap = midpoint_map_qr(graph, m, tau)
-    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
-    feasible = metric_margin >= tol and decrease_margin >= -tol
-    return CertificateVerdict(feasible, (metric_margin, schur_margin,
-                                         decrease_margin))
+    def bound(gram):
+        hbd = _hessian_block_diag(hessians, graph.n, m)
+        block = _quadratic_block(hbd, cert.p12, gram, tau)
+        return (block + block.T) / 2.0
+
+    return _check(cert, graph, m, tau, bound, tol, schur_required=False)
 
 
 def closed_form_certificate(graph, m, tau, mu):
@@ -345,8 +362,10 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
     None when the whole family fails. None is NOT evidence of
     instability; the family is only sufficient.
 
-    The scan runs on matrices built once per call. Within the family the
-    metric and Schur margins do not depend on beta, and the decrease
+    The scan runs on matrices built once per call, at the level the
+    public check uses: 2N x 2N for the (mu, lipschitz) family, whose
+    blocks are X (x) I_m, and 2Nm x 2Nm with Hessians. Within the family
+    the metric and Schur margins do not depend on beta, and the decrease
     margin only falls as beta grows, so an alpha that fails at the
     smallest beta has no verifying beta and is skipped. These screens
     reject only margins that fail by more than their rounding error, and
@@ -374,10 +393,8 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
     lap, qmat, gram_n = _graph_level(graph, tau)
     n = graph.n
     if hessians is None:
-        # With P12 = U = 0, epsilon = 0, P22 = alpha I and the -(mu/tau) I
-        # bound, every matrix of the check is X (x) I_m, whose eigenvalues
-        # are those of X, each repeated m times. So the screen runs with
-        # m = 1, on 2N x 2N instead of 2Nm x 2Nm matrices.
+        # the family's blocks are X (x) I_m, so the screen runs at N level,
+        # as `check_certificate` does
         screen_m = 1
         feedback = -(mu / tau) * np.eye(n)
     else:
@@ -410,7 +427,7 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
         p[:size, :size] = gram
         p[size:, size:] = alpha * np.eye(size)
         x = _decrease_lhs(p, smap, bound)
-        slack = _rounding_slack(p, smap, bound, m // screen_m)
+        slack = _rounding_slack(p, smap, bound)
         if _decrease_margin(x, smallest) < -tol - slack(smallest):
             continue
         for beta in candidates:
@@ -429,20 +446,19 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
     return None
 
 
-def _rounding_slack(p, smap, bound, lift):
+def _rounding_slack(p, smap, bound):
     """How far a screen margin may fail before the public check could pass.
 
     Rounding in X = P S + S' P + B and in the eigen-solve moves a computed
     eigenvalue of X + u E11 by at most about delta = dim * eps * (2 |P| |S|
-    + |B| + u), in Frobenius norms of the matrices lifted by (x) I_lift that
-    the public check uses. The exact margin only falls as u grows, so if
-    the screen reads below -tol - 2 delta at some u, the public check reads
-    below -tol at that u and at every larger one. The slack is 2 delta with
-    a factor of 4 to spare.
+    + |B| + u), in Frobenius norms; the screen builds its matrices at the
+    level the public check uses, so delta bounds both. The exact margin
+    only falls as u grows, so if the screen reads below -tol - 2 delta at
+    some u, the public check reads below -tol at that u and at every
+    larger one. The slack is 2 delta with a factor of 4 to spare.
     """
-    dim = p.shape[0] * lift
-    scale = (lift * 2.0 * np.linalg.norm(p) * np.linalg.norm(smap)
-             + np.sqrt(lift) * np.linalg.norm(bound))
+    dim = p.shape[0]
+    scale = 2.0 * np.linalg.norm(p) * np.linalg.norm(smap) + np.linalg.norm(bound)
     eps = np.finfo(float).eps
     return lambda u: 8.0 * dim * eps * (scale + u)
 

@@ -19,6 +19,15 @@ Reference code that only the tests use.
   side of the similarity identity that checks `midpoint_map_qr`.
 - `reference_search` is the certificate search as a plain in-order scan
   over the public checks, the behaviour `search_certificate` must keep.
+- `lifted_check_certificate` and `lifted_check_certificate_quadratic` are
+  the certificate checks written out on the 2Nm x 2Nm matrices, with no
+  Kronecker reduction: the reference for `check_certificate`, which
+  decides a certificate whose blocks are X (x) I_m on its 2N x 2N
+  factors. `hessian_block_diag` is the per-agent loop the vectorised
+  `_hessian_block_diag` must match bitwise, and `quadratic_gradient_block`
+  the exact quadratic feedback term as one matrix.
+- `neighbors` reads one vertex's sorted neighbours off the graph's edge
+  arrays, which an edge scan checks.
 - `incidence`, `d2_minus_a2`, `tau_upper_bound` and
   `spectral_norm_symmetric` are graph matrices and the classical step-size
   bound that only the identity tests use.
@@ -38,8 +47,12 @@ from phmid.dynamics import NetworkState
 from phmid.graphs import DisconnectedGraphError, Graph
 from phmid.numerics import (DimensionMismatchError, SingularMatrixError,
                             as_matrix, as_vector, require_symmetric)
-from phmid.stability import (LmiCertificate, check_certificate,
-                             check_certificate_quadratic)
+from phmid.stability import (CertificateVerdict, InvalidCertificateError,
+                             LmiCertificate, _decrease_lhs, _decrease_margin,
+                             _hessian_block_diag, _metric, _min_eig,
+                             _quadratic_block, _require_positive,
+                             check_certificate, check_certificate_quadratic,
+                             gradient_bound_block, midpoint_map_qr, step_gram)
 
 
 def solve_linear(a, b):
@@ -251,6 +264,68 @@ def change_of_basis(graph, m, tau):
     return np.kron(block, np.eye(m))
 
 
+def hessian_block_diag(hessians, n, m):
+    """Block diagonal of a per-agent (n, m, m) Hessian stack, agent by agent."""
+    hbd = np.zeros((n * m, n * m))
+    for i in range(n):
+        hbd[i * m:(i + 1) * m, i * m:(i + 1) * m] = hessians[i]
+    return hbd
+
+
+def quadratic_gradient_block(graph, m, tau, hessians, p12):
+    """Exact gradient feedback term for quadratic costs.
+
+    [[ -H / tau,              0 ],
+     [ -P12' G(tau) H / tau,  0 ]]
+
+    with H the block diagonal of the per-agent Hessians. Only the
+    symmetric part enters the decrease inequality.
+    """
+    _require_positive("tau", tau)
+    hbd = _hessian_block_diag(hessians, graph.n, m)
+    return _quadratic_block(hbd, p12, step_gram(graph, m, tau), tau)
+
+
+def lifted_check_certificate(cert, graph, m, tau, mu, lipschitz, tol=1e-9):
+    """`check_certificate` on the 2Nm x 2Nm matrices, whatever the blocks."""
+    if cert.u <= 0:
+        raise InvalidCertificateError("certificate requires u > 0")
+    nm = graph.n * m
+    p = _metric(cert, step_gram(graph, m, tau))
+    metric_margin = _min_eig(p)
+    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
+    schur_margin = _min_eig(schur)
+    bound = gradient_bound_block(graph, m, tau, cert.epsilon, mu, lipschitz,
+                                 cert.u_cap)
+    smap = midpoint_map_qr(graph, m, tau)
+    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
+    feasible = (metric_margin >= tol and schur_margin >= -tol
+                and decrease_margin >= -tol)
+    return CertificateVerdict(feasible, (metric_margin, schur_margin,
+                                         decrease_margin))
+
+
+def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
+                                       tol=1e-9):
+    """`check_certificate_quadratic` written out on its own."""
+    if cert.u <= 0:
+        raise InvalidCertificateError("certificate requires u > 0")
+    nm = graph.n * m
+    gram = step_gram(graph, m, tau)
+    p = _metric(cert, gram)
+    metric_margin = _min_eig(p)
+    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
+    schur_margin = _min_eig(schur)
+    hbd = hessian_block_diag(hessians, graph.n, m)
+    bound = _quadratic_block(hbd, cert.p12, gram, tau)
+    bound = (bound + bound.T) / 2.0
+    smap = midpoint_map_qr(graph, m, tau)
+    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
+    feasible = metric_margin >= tol and decrease_margin >= -tol
+    return CertificateVerdict(feasible, (metric_margin, schur_margin,
+                                         decrease_margin))
+
+
 def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
                      tol=1e-9):
     """Every (alpha, beta) of the family through the public check, in order."""
@@ -283,6 +358,12 @@ def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
             if verdict.feasible:
                 return cert
     return None
+
+
+def neighbors(graph, i):
+    """Sorted tuple of neighbors of vertex i."""
+    start = graph._starts[i]
+    return tuple(graph._neighbors[start:start + int(graph._degrees[i])].tolist())
 
 
 def spectral_norm_symmetric(s):

@@ -8,15 +8,18 @@ from phmid.graphs import from_spec as graph_from_spec
 from phmid.integrators import euler_step, mid_step
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
-                             NonQuadraticCostError, assemble_metric,
+                             NonQuadraticCostError, _hessian_block_diag,
+                             _rounding_slack, assemble_metric,
                              audit_lyapunov, check_certificate,
                              check_certificate_quadratic,
                              closed_form_certificate, gradient_bound_block,
                              gradient_feedback_gain, hessian_blocks_from,
-                             midpoint_map_qr, quadratic_gradient_block,
-                             search_certificate, step_gram)
+                             midpoint_map_qr, search_certificate, step_gram)
 
-from oracles import change_of_basis, kron, midpoint_map_qp, reference_search
+from oracles import (change_of_basis, hessian_block_diag, kron,
+                     lifted_check_certificate,
+                     lifted_check_certificate_quadratic, midpoint_map_qp,
+                     quadratic_gradient_block, reference_search)
 
 
 def _random_graph(rng):
@@ -309,6 +312,130 @@ def test_search_matches_the_in_order_scan(spec):
                 else:
                     verdict = check_certificate(got, g, m, tau, 0.5, 2.0)
                 assert verdict.feasible
+
+
+def _kronecker_certificate(n, m, rng):
+    # nonzero P12 and U with the Schur block PSD, epsilon > 0
+    x12 = 0.3 * rng.standard_normal((n, n))
+    x22 = rng.standard_normal((n, n))
+    eye = np.eye(m)
+    return LmiCertificate(kron(x12, eye), kron(x22 @ x22.T + np.eye(n), eye),
+                          kron(x12 @ x12.T + 0.1 * np.eye(n), eye), u=0.05,
+                          epsilon=0.7)
+
+
+def _eig_slack(mat):
+    # an eigenvalue of M rounds as the decrease margin of P = S = 0, B = M
+    zero = np.zeros_like(mat)
+    return _rounding_slack(zero, zero, mat)(0.0)
+
+
+def _margin_slacks(cert, g, m, tau, mu, lipschitz):
+    """Rounding bounds of the three margins, from the 2Nm x 2Nm matrices."""
+    nm = g.n * m
+    p = assemble_metric(cert, g, m, tau)
+    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
+    bound = gradient_bound_block(g, m, tau, cert.epsilon, mu, lipschitz,
+                                 cert.u_cap)
+    smap = midpoint_map_qr(g, m, tau)
+    return (_eig_slack(p), _eig_slack(schur),
+            _rounding_slack(p, smap, bound)(cert.u))
+
+
+def test_reduced_check_matches_the_lifted_check():
+    mu, lipschitz, tol = 0.5, 2.0, 1e-9
+    rng = np.random.default_rng(13)
+    checks = band = flips = 0
+    for spec in ("cycle:7", "cycle:10", "star:6", "complete:5", "er:12:0.4:1",
+                 "er:8:0.5:3"):
+        g = graph_from_spec(spec)
+        for m in (1, 2, 3):
+            for tau in np.logspace(-7, 9, 17):
+                nm = g.n * m
+                zero = np.zeros((nm, nm))
+                kron_cert = _kronecker_certificate(g.n, m, rng)
+                p22 = kron_cert.p22.copy()
+                p22[0, 0] += 1.0  # breaks X (x) I_m unless m = 1
+                certs = [
+                    closed_form_certificate(g, m, tau, mu),
+                    LmiCertificate(zero, np.eye(nm), zero,
+                                   u=1e-2 * mu / tau, epsilon=0.0),
+                    LmiCertificate(zero, 1e3 * np.eye(nm), zero,
+                                   u=mu * min(1.0, 1.0 / tau), epsilon=0.0),
+                    kron_cert,
+                    LmiCertificate(kron_cert.p12, p22, kron_cert.u_cap,
+                                   kron_cert.u, kron_cert.epsilon),
+                ]
+                for cert in certs:
+                    args = (cert, g, m, tau, mu, lipschitz, tol)
+                    try:
+                        want = lifted_check_certificate(*args)
+                    except np.linalg.LinAlgError:
+                        # G(tau) numerically singular: no verdict either way
+                        with pytest.raises(np.linalg.LinAlgError):
+                            check_certificate(*args)
+                        continue
+                    got = check_certificate(*args)
+                    slacks = _margin_slacks(cert, g, m, tau, mu, lipschitz)
+                    for a, b, slack in zip(got.margins, want.margins, slacks):
+                        assert abs(a - b) <= slack, (spec, m, tau, a, b, slack)
+                    thresholds = (tol, -tol, -tol)
+                    checks += 1
+                    if all(abs(margin - t) > slack for margin, t, slack
+                           in zip(want.margins, thresholds, slacks)):
+                        assert got.feasible == want.feasible, (spec, m, tau)
+                    else:
+                        band += 1
+                        flips += got.feasible != want.feasible
+    print(f"\n[reduced check] {checks} checks against the lifted one, "
+          f"{band} with a margin within rounding of its threshold, "
+          f"{flips} of them with another verdict")
+    assert band < checks // 4
+
+
+def test_quadratic_check_matches_the_lifted_check():
+    rng = np.random.default_rng(14)
+    for spec in ("cycle:7", "star:6", "er:8:0.5:3"):
+        g = graph_from_spec(spec)
+        for m in (1, 3):
+            hs = hessian_blocks_from(random_quadratic_ensemble(g.n, m, seed=2))
+            for tau in np.logspace(-3, 3, 4):
+                for cert in (closed_form_certificate(g, m, tau, 0.5),
+                             _kronecker_certificate(g.n, m, rng)):
+                    got = check_certificate_quadratic(cert, g, m, tau, hs)
+                    want = lifted_check_certificate_quadratic(cert, g, m, tau,
+                                                              hs)
+                    assert got.margins == want.margins
+                    assert got.feasible == want.feasible
+
+
+def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    g, m, tau = cycle(80), 3, 1000.0
+    cert = closed_form_certificate(g, m, tau, 0.5)
+    check_certificate(cert, g, m, tau, 0.5, 3.0)
+    assert sizes and max(sizes) <= 2 * g.n
+    sizes.clear()
+    p22 = cert.p22.copy()
+    p22[1, 1] *= 2.0
+    broken = LmiCertificate(cert.p12, p22, cert.u_cap, cert.u, cert.epsilon)
+    check_certificate(broken, g, m, tau, 0.5, 3.0)
+    assert max(sizes) == 2 * g.n * m
+
+
+@pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (6, 1), (7, 2), (5, 3)])
+def test_hessian_block_diag_matches_the_agent_loop(n, m):
+    hs = np.random.default_rng(10 * n + m).standard_normal((n, m, m))
+    got = _hessian_block_diag(hs, n, m)
+    assert got.shape == (n * m, n * m)
+    assert np.array_equal(got, hessian_block_diag(hs, n, m))
 
 
 @pytest.mark.parametrize("call", [
