@@ -16,10 +16,9 @@ from .integrators import (SchemeConfig, StepPlan, StepReport, dg_central_step,
                           gradient_tracking_step, mid_step, parse_scheme_spec,
                           step_plan)
 from .numerics import SolverSettings, newton_solve
-from .stability import (CertificateVerdict, LmiCertificate, audit_lyapunov,
-                        check_certificate, check_certificate_quadratic,
-                        closed_form_certificate, gradient_bound_block,
-                        midpoint_map_qr, search_certificate, step_gram)
+from .stability import (CertificateVerdict, LmiCertificate, check_certificate,
+                        check_certificate_quadratic, closed_form_certificate,
+                        search_certificate)
 
 __version__ = "0.1.0"
 
@@ -34,8 +33,7 @@ __all__ = [
     "gradient_tracking_init", "gradient_tracking_step", "mid_step",
     "parse_scheme_spec", "step_plan",
     "SolverSettings", "newton_solve",
-    "CertificateVerdict", "LmiCertificate", "audit_lyapunov",
-    "check_certificate", "check_certificate_quadratic",
-    "closed_form_certificate", "gradient_bound_block", "midpoint_map_qr",
-    "search_certificate", "step_gram",
+    "CertificateVerdict", "LmiCertificate", "check_certificate",
+    "check_certificate_quadratic", "closed_form_certificate",
+    "search_certificate",
 ]

@@ -8,6 +8,7 @@ Spec string formats (shared with the library):
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -123,51 +124,42 @@ def _cmd_certify(args):
         if value is not None:
             _require_positive(flag, value)
     graph = graphs_mod.from_spec(args.graph)
+    if args.quadratic:
+        if not args.cost:
+            raise SystemExit("--quadratic needs --cost quadratic:m:seed")
+        try:
+            ensemble = costs_mod.from_spec(args.cost, graph.n)
+            hessians = stability.hessian_blocks_from(ensemble)
+        except (ValueError, stability.NonQuadraticCostError) as exc:
+            raise SystemExit(f"--cost {args.cost}: {exc}") from None
+        m, mu = ensemble.dim, ensemble.mu
+        search_args = {"hessians": hessians}
+        check = functools.partial(stability.check_certificate_quadratic,
+                                  hessians=hessians)
+    else:
+        if args.mu is None:
+            raise SystemExit("--mu is required without --quadratic")
+        m, mu = args.m, args.mu
+        lipschitz = args.lipschitz if args.lipschitz is not None else mu
+        search_args = {"mu": mu, "lipschitz": lipschitz}
+        check = functools.partial(stability.check_certificate, mu=mu,
+                                  lipschitz=lipschitz)
     try:
-        return _certify(args, graph)
+        if args.search:
+            cert = stability.search_certificate(graph, m, args.tau,
+                                                **search_args)
+        else:
+            cert = stability.closed_form_certificate(graph, m, args.tau, mu)
+        verdict = None if cert is None else check(cert, graph, m, args.tau)
     except np.linalg.LinAlgError as exc:
         # G(tau) = I/tau^2 + Q/tau + Q^2 loses rank in floating point at
         # large tau when Q is singular, as on every bipartite graph
         raise SystemExit(f"--tau {args.tau:g}: G(tau) is numerically singular "
                          f"on graph {args.graph} ({exc}); no verdict") from None
-
-
-def _certify(args, graph):
-    """Print the verdict on `graph` and return the exit code."""
-    if args.quadratic:
-        if not args.cost:
-            raise SystemExit("--quadratic needs --cost quadratic:m:seed")
-        ensemble = costs_mod.from_spec(args.cost, graph.n)
-        hessians = stability.hessian_blocks_from(ensemble)
-        m = ensemble.dim
-        mu = ensemble.mu
-        if args.search:
-            cert = stability.search_certificate(graph, m, args.tau,
-                                                hessians=hessians)
-            if cert is None:
-                print("certificate: NotFound (family exhausted; not a proof "
-                      "of instability)")
-                return 1
-        else:
-            cert = stability.closed_form_certificate(graph, m, args.tau, mu)
-        verdict = stability.check_certificate_quadratic(cert, graph, m,
-                                                        args.tau, hessians)
-    else:
-        if args.mu is None:
-            raise SystemExit("--mu is required without --quadratic")
-        m = args.m
-        lipschitz = args.lipschitz if args.lipschitz is not None else args.mu
-        if args.search:
-            cert = stability.search_certificate(graph, m, args.tau, mu=args.mu,
-                                                lipschitz=lipschitz)
-            if cert is None:
-                print("certificate: NotFound (family exhausted; not a proof "
-                      "of instability)")
-                return 1
-        else:
-            cert = stability.closed_form_certificate(graph, m, args.tau, args.mu)
-        verdict = stability.check_certificate(cert, graph, m, args.tau,
-                                              args.mu, lipschitz)
+    if verdict is None:
+        print("certificate: NotFound (family exhausted; not a proof of "
+              "instability)")
+        return 1
     print("feasible,metric_margin,schur_margin,decrease_margin")
     print(f"{str(verdict.feasible).lower()},{verdict.metric_margin:.17g},"
           f"{verdict.schur_margin:.17g},{verdict.decrease_margin:.17g}")

@@ -20,22 +20,25 @@ inequality
 
     P S + S' P + B  <=  -u [[I, 0], [0, 0]]
 
-holds, where B bounds the gradient feedback term: `gradient_bound_block`
-for general strongly convex costs (Young's inequality with the certified
-mu and Lipschitz constants), or the exact per-agent Hessians for
-quadratic costs. All inequalities are verified by symmetric eigenvalue
-computations; no semidefinite programming is involved. G(tau), S and the
-(mu, L) bound are all X (x) I_m for an N x N X, so when P12, P22 and U
-are too, `check_certificate` decides on the 2N x 2N factors; the
-quadratic check, whose Hessians break that structure, runs at 2Nm. A
-closed-form certificate covers every graph with D^2 - A^2 PSD (cycles,
-complete graphs) at every step size, and small enough step sizes on any
-connected graph.
+holds, where B bounds the gradient feedback term: Young's inequality with
+the certified mu and Lipschitz constants for general strongly convex
+costs, or the exact per-agent Hessians for quadratic costs. All
+inequalities are verified by symmetric eigenvalue computations; no
+semidefinite programming is involved. Each check and each search builds
+G(tau) and S once, at N level. They and the (mu, L) bound are all
+X (x) I_m for an N x N X, so when P12, P22 and U are too,
+`check_certificate` decides on the 2N x 2N factors; the quadratic check,
+whose Hessians break that structure, runs at 2Nm. A closed-form
+certificate covers every graph with D^2 - A^2 PSD (cycles, complete
+graphs) at every step size, and small enough step sizes on any connected
+graph.
 """
+
+import functools
 
 import numpy as np
 
-from .numerics import require_symmetric
+from .numerics import DimensionMismatchError, require_symmetric
 
 _EIG_TOL = 1e-9
 
@@ -61,20 +64,17 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _graph_level(graph, tau):
-    """N-level pieces (L, Q, G) shared by the matrix builders."""
+def _step_matrices(graph, tau):
+    """N-level G(tau) and S: the one build of every check and search."""
+    _require_positive("tau", tau)
     lap = graph.laplacian()
     qmat = graph.q_matrix()
     gram = np.eye(graph.n) / tau ** 2 + qmat / tau + qmat @ qmat
-    return lap, qmat, (gram + gram.T) / 2.0
-
-
-def _midpoint_block(lap, qmat, gram, tau):
-    """N-level midpoint map; `midpoint_map_qr` lifts it by (x) I_m."""
-    n = lap.shape[0]
+    gram = (gram + gram.T) / 2.0
     a11 = -np.linalg.solve(gram, lap / tau + qmat @ lap + lap @ qmat)
     a12 = -np.linalg.solve(gram, lap) / tau
-    return np.block([[a11, a12], [tau * lap, np.zeros((n, n))]])
+    smap = np.block([[a11, a12], [tau * lap, np.zeros_like(lap)]])
+    return gram, smap
 
 
 def step_gram(graph, m, tau):
@@ -83,9 +83,7 @@ def step_gram(graph, m, tau):
     Positive definite for every tau > 0 (its smallest eigenvalue is at
     least 1/tau^2), and a polynomial in Q, with which it commutes.
     """
-    _require_positive("tau", tau)
-    _, _, gram = _graph_level(graph, tau)
-    return _lifted(gram, m)
+    return _lifted(_step_matrices(graph, tau)[0], m)
 
 
 def midpoint_map_qr(graph, m, tau):
@@ -97,51 +95,24 @@ def midpoint_map_qr(graph, m, tau):
     The gradient feedback enters only the q row, which is what makes the
     (q, r) coordinates the right ones for the decrease inequality.
     """
-    _require_positive("tau", tau)
-    return _lifted(_midpoint_block(*_graph_level(graph, tau), tau), m)
+    return _lifted(_step_matrices(graph, tau)[1], m)
 
 
-def gradient_feedback_gain(graph, m, tau, lipschitz):
-    """gamma(tau) = (lipschitz / tau) * ||G(tau)||, the cross-term gain.
+def _gain_block(gram_n, k, tau, epsilon, mu, lipschitz, u_cap):
+    """(mu, L) bound blockdiag((gamma eps/2 - mu/tau) I, gamma U / (2 eps)).
 
-    The lifted G(tau) has the eigenvalues of the N x N one, each repeated
-    m times, so the norm is taken at N level.
+    Young's inequality at level k, with gamma = (lipschitz / tau) ||G||
+    read off the N-level G; epsilon = 0 needs U = 0 (see the oracle
+    `gradient_bound_block`).
     """
-    _require_positive("tau", tau)
-    _, _, gram = _graph_level(graph, tau)
-    return (lipschitz / tau) * float(np.linalg.eigvalsh(gram)[-1])
-
-
-def gradient_bound_block(graph, m, tau, epsilon, mu, lipschitz, u_cap):
-    """Young-inequality bound on the gradient feedback term.
-
-    blockdiag( (gamma eps / 2 - mu / tau) I,  gamma U / (2 eps) )
-
-    where U upper-bounds P12' P12 through the Schur condition. mu / tau
-    is the certified decrease rate: strong convexity of every local cost
-    with constant mu makes the stacked gradient map strongly monotone
-    with the same constant. At epsilon = 0 the off-diagonal coupling must
-    be absent, so U (and P12) are required to vanish and the lower block
-    is zero.
-    """
-    _require_positive("tau", tau)
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    nm = graph.n * m
-    u_cap = require_symmetric(u_cap, name="U")
-    if u_cap.shape != (nm, nm):
-        raise ValueError(f"U must be {nm}x{nm}")
-    gamma = gradient_feedback_gain(graph, m, tau, lipschitz)
-    top = (gamma * epsilon / 2.0 - mu / tau) * np.eye(nm)
-    if epsilon == 0:
-        if float(np.max(np.abs(u_cap))) > 0.0:
-            raise InvalidEpsilonError("epsilon = 0 requires U = 0")
-        bottom = np.zeros((nm, nm))
-    else:
-        bottom = gamma * u_cap / (2.0 * epsilon)
-    out = np.zeros((2 * nm, 2 * nm))
-    out[:nm, :nm] = top
-    out[nm:, nm:] = bottom
+    gamma = (lipschitz / tau) * float(np.linalg.eigvalsh(gram_n)[-1])
+    size = gram_n.shape[0] * k
+    out = np.zeros((2 * size, 2 * size))
+    out[:size, :size] = (gamma * epsilon / 2.0 - mu / tau) * np.eye(size)
+    if epsilon == 0 and np.any(u_cap):
+        raise InvalidEpsilonError("epsilon = 0 requires U = 0")
+    if epsilon != 0:
+        out[size:, size:] = gamma * u_cap / (2.0 * epsilon)
     return out
 
 
@@ -158,13 +129,13 @@ def _hessian_block_diag(hessians, n, m):
     return hbd.reshape(n * m, n * m)
 
 
-def _quadratic_block(hbd, p12, gram, tau):
+def _hessian_block(hbd, p12, gram, tau):
+    """Symmetric part of [[-H / tau, 0], [-P12' G H / tau, 0]], H = hbd."""
     nm = hbd.shape[0]
-    p12 = np.asarray(p12, dtype=float)
     out = np.zeros((2 * nm, 2 * nm))
     out[:nm, :nm] = -hbd / tau
     out[nm:, :nm] = -(p12.T @ gram @ hbd) / tau
-    return out
+    return (out + out.T) / 2.0
 
 
 def hessian_blocks_from(ensemble):
@@ -227,14 +198,12 @@ class CertificateVerdict:
         return f"CertificateVerdict(feasible={self.feasible}, margins={self.margins})"
 
 
-def _metric(cert, gram):
-    p = np.block([[gram, cert.p12], [cert.p12.T, cert.p22]])
-    return (p + p.T) / 2.0
-
-
-def assemble_metric(cert, graph, m, tau):
+def _metric(gram, p12, p22):
     """Lyapunov metric P = [[G(tau), P12], [P12', P22]]."""
-    return _metric(cert, step_gram(graph, m, tau))
+    n = gram.shape[0]
+    p = np.empty((2 * n, 2 * n))
+    p[:n, :n], p[:n, n:], p[n:, :n], p[n:, n:] = gram, p12, p12.T, p22
+    return (p + p.T) / 2.0
 
 
 def _min_eig(mat):
@@ -251,6 +220,14 @@ def _decrease_margin(x, u):
     target = np.zeros_like(x)
     target[:nm, :nm] = u * np.eye(nm)
     return _min_eig(-(x + target))
+
+
+def _require_size(cert, graph, m):
+    size, nm = cert.p12.shape[0], graph.n * m
+    if size != nm:
+        raise DimensionMismatchError(
+            f"certificate blocks are {size}x{size}, but {graph.n} agents "
+            f"with m = {m} need {nm}x{nm}")
 
 
 def _kronecker_factor(cert, m):
@@ -273,21 +250,20 @@ def _kronecker_factor(cert, m):
 def _check(cert, graph, k, tau, bound, tol, schur_required):
     """Verdict on a certificate whose blocks are Nk x Nk.
 
-    G(tau) and the midpoint map are the N-level ones lifted by (x) I_k;
-    `bound(gram)` gives the gradient feedback block at the same level.
+    `bound(gram_n, gram)` is the feedback block from the N-level and the
+    lifted G(tau).
     """
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
-    gram = step_gram(graph, k, tau)
-    p = _metric(cert, gram)
+    gram_n, smap_n = _step_matrices(graph, tau)
+    gram = _lifted(gram_n, k)
+    p = _metric(gram, cert.p12, cert.p22)
     metric_margin = _min_eig(p)
     schur = np.block([[cert.u_cap, cert.p12],
                       [cert.p12.T, np.eye(graph.n * k)]])
     schur_margin = _min_eig(schur)
-    feedback = bound(gram)
-    smap = midpoint_map_qr(graph, k, tau)
-    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, feedback),
-                                       cert.u)
+    x = _decrease_lhs(p, _lifted(smap_n, k), bound(gram_n, gram))
+    decrease_margin = _decrease_margin(x, cert.u)
     feasible = (metric_margin >= tol and decrease_margin >= -tol
                 and (schur_margin >= -tol or not schur_required))
     return CertificateVerdict(feasible, (metric_margin, schur_margin,
@@ -297,20 +273,19 @@ def _check(cert, graph, k, tau, bound, tol, schur_required):
 def check_certificate(cert, graph, m, tau, mu, lipschitz, tol=_EIG_TOL):
     """Verify a certificate for strongly convex costs with constants (mu, L).
 
-    Returns a CertificateVerdict; raises InvalidCertificateError when the
-    claimed decrease coefficient u is not positive. Every matrix of this
-    check is X (x) I_m when P12, P22 and U are, and the check then runs
-    on the 2N x 2N factors instead of the 2Nm x 2Nm matrices: their
-    eigenvalues are the same, each repeated m times, so the margins are
-    the lifted ones up to rounding.
+    Returns a CertificateVerdict; raises DimensionMismatchError when the
+    blocks are not Nm x Nm and InvalidCertificateError when the claimed
+    decrease coefficient u is not positive. Every matrix of this check is
+    X (x) I_m when P12, P22 and U are, and the check then runs on the
+    2N x 2N factors instead of the 2Nm x 2Nm matrices: their eigenvalues
+    are the same, each repeated m times, so the margins are the lifted
+    ones up to rounding.
     """
-    level, blocks = _kronecker_factor(cert, m)
-
-    def bound(gram):
-        return gradient_bound_block(graph, level, tau, blocks.epsilon, mu,
-                                    lipschitz, blocks.u_cap)
-
-    return _check(blocks, graph, level, tau, bound, tol, schur_required=True)
+    _require_size(cert, graph, m)
+    k, blocks = _kronecker_factor(cert, m)
+    return _check(blocks, graph, k, tau, lambda gram_n, gram: _gain_block(
+        gram_n, k, tau, blocks.epsilon, mu, lipschitz, blocks.u_cap),
+        tol, schur_required=True)
 
 
 def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
@@ -322,12 +297,10 @@ def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
     reported for diagnostics). Per-agent Hessians break the Kronecker
     structure, so this check always runs on 2Nm x 2Nm matrices.
     """
-    def bound(gram):
-        hbd = _hessian_block_diag(hessians, graph.n, m)
-        block = _quadratic_block(hbd, cert.p12, gram, tau)
-        return (block + block.T) / 2.0
-
-    return _check(cert, graph, m, tau, bound, tol, schur_required=False)
+    _require_size(cert, graph, m)
+    return _check(cert, graph, m, tau, lambda gram_n, gram: _hessian_block(
+        _hessian_block_diag(hessians, graph.n, m), cert.p12, gram, tau),
+        tol, schur_required=False)
 
 
 def closed_form_certificate(graph, m, tau, mu):
@@ -362,59 +335,58 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
     None when the whole family fails. None is NOT evidence of
     instability; the family is only sufficient.
 
-    The scan runs on matrices built once per call, at the level the
-    public check uses: 2N x 2N for the (mu, lipschitz) family, whose
-    blocks are X (x) I_m, and 2Nm x 2Nm with Hessians. Within the family
-    the metric and Schur margins do not depend on beta, and the decrease
-    margin only falls as beta grows, so an alpha that fails at the
-    smallest beta has no verifying beta and is skipped. These screens
-    reject only margins that fail by more than their rounding error, and
-    a candidate that passes them is returned only once the public check
-    (`check_certificate` or `check_certificate_quadratic`) accepts it, so
-    the result is the first candidate of the scan order that the public
-    check accepts.
+    The scan builds G(tau) and S once per call and screens, with the
+    check's metric and feedback block, at the level the public check uses:
+    2N x 2N for the (mu, lipschitz) family, whose blocks are X (x) I_m,
+    and 2Nm x 2Nm with Hessians. Within the family the metric and Schur
+    margins do not depend on beta, and the decrease margin only falls as
+    beta grows, so an alpha that fails at the smallest beta has no
+    verifying beta and is skipped. These screens reject only margins that
+    fail by more than their rounding error, and a candidate that passes
+    them is returned only once the public check (`check_certificate` or
+    `check_certificate_quadratic`) accepts it, so the result is the first
+    candidate of the scan order that the public check accepts.
     """
-    _require_positive("tau", tau)
-    if hessians is not None:
+    # the (mu, lipschitz) family's blocks are X (x) I_m, so its screen runs
+    # at N level, as `check_certificate` does; Hessians break that structure
+    if hessians is None:
+        if lipschitz is None:
+            raise ValueError("lipschitz is required without Hessians")
+        _require_positive("lipschitz", lipschitz)
+        level = 1
+        check = functools.partial(check_certificate, mu=mu,
+                                  lipschitz=lipschitz, tol=tol)
+    else:
         hessians = np.asarray(hessians, dtype=float)
         if mu is None:
             mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
-    elif lipschitz is None:
-        raise ValueError("lipschitz is required without Hessians")
-    else:
-        _require_positive("lipschitz", lipschitz)
+        level = m
+        check = functools.partial(check_certificate_quadratic,
+                                  hessians=hessians, tol=tol)
     if mu is None:
         raise ValueError("mu is required without Hessians")
     _require_positive("mu", mu)
+    gram_n, smap_n = _step_matrices(graph, tau)
     alphas = [1.0 / tau ** 2] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
     smallest = min((b for b in betas if b > 0), default=None)
-    lap, qmat, gram_n = _graph_level(graph, tau)
-    n = graph.n
+    size, nm = graph.n * level, graph.n * m
+    gram, smap = _lifted(gram_n, level), _lifted(smap_n, level)
+    zero, zero_nm = np.zeros((size, size)), np.zeros((nm, nm))
     if hessians is None:
-        # the family's blocks are X (x) I_m, so the screen runs at N level,
-        # as `check_certificate` does
-        screen_m = 1
-        feedback = -(mu / tau) * np.eye(n)
+        bound = _gain_block(gram_n, level, tau, 0.0, mu, lipschitz, zero)
     else:
-        # per-agent Hessians break the Kronecker structure
-        screen_m = m
-        feedback = -_hessian_block_diag(hessians, n, m) / tau
-        feedback = (feedback + feedback.T) / 2.0
-    size = n * screen_m
-    gram = _lifted(gram_n, screen_m)
-    smap = _lifted(_midpoint_block(lap, qmat, gram_n, tau), screen_m)
+        hbd = _hessian_block_diag(hessians, graph.n, m)
+        bound = _hessian_block(hbd, zero, gram, tau)
     gram_min = float(np.linalg.eigvalsh(gram_n)[0])
-    bound = np.zeros((2 * size, 2 * size))
-    bound[:size, :size] = feedback
-    nm = n * m
-    zero = np.zeros((nm, nm))
+    beta_keys = [round(float(beta), 18) for beta in betas]
     seen = set()
     for alpha in alphas:
         candidates = []
-        for beta in betas:
-            key = (round(float(alpha), 15), round(float(beta), 18))
+        alpha_key = round(float(alpha), 15)
+        for beta, beta_key in zip(betas, beta_keys):
+            key = (alpha_key, beta_key)
             if key in seen or beta <= 0:
                 continue
             seen.add(key)
@@ -423,9 +395,7 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
         # block blockdiag(0, I) has margin 0 and always passes
         if not candidates or min(gram_min, alpha) < tol:
             continue
-        p = np.zeros((2 * size, 2 * size))
-        p[:size, :size] = gram
-        p[size:, size:] = alpha * np.eye(size)
+        p = _metric(gram, zero, alpha * np.eye(size))
         x = _decrease_lhs(p, smap, bound)
         slack = _rounding_slack(p, smap, bound)
         if _decrease_margin(x, smallest) < -tol - slack(smallest):
@@ -433,15 +403,9 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
         for beta in candidates:
             if _decrease_margin(x, beta) < -tol - slack(beta):
                 continue
-            cert = LmiCertificate(p12=zero, p22=alpha * np.eye(nm),
-                                  u_cap=zero, u=beta, epsilon=0.0)
-            if hessians is not None:
-                verdict = check_certificate_quadratic(cert, graph, m, tau,
-                                                      hessians, tol)
-            else:
-                verdict = check_certificate(cert, graph, m, tau, mu,
-                                            lipschitz, tol)
-            if verdict.feasible:
+            cert = LmiCertificate(p12=zero_nm, p22=alpha * np.eye(nm),
+                                  u_cap=zero_nm, u=beta, epsilon=0.0)
+            if check(cert, graph, m, tau).feasible:
                 return cert
     return None
 
@@ -461,42 +425,3 @@ def _rounding_slack(p, smap, bound):
     scale = 2.0 * np.linalg.norm(p) * np.linalg.norm(smap) + np.linalg.norm(bound)
     eps = np.finfo(float).eps
     return lambda u: 8.0 * dim * eps * (scale + u)
-
-
-def audit_lyapunov(trace, cert, equilibrium, graph, tau):
-    """Largest per-step violation of the certified decrease along a run.
-
-    Transforms the recorded states to (q, r = p - tau Q q), builds
-    V = e' P e / 2 around the equilibrium and returns
-
-        max_k  V(e[k+1]) - V(e[k]) + u * ||q_bar[k] - q*||^2
-
-    which is <= 0 (up to solver round-off) whenever the certificate
-    genuinely certifies the run. Positive values are diagnostic only.
-    """
-    q_hist = getattr(trace, "q_history", None)
-    p_hist = getattr(trace, "p_history", None)
-    if q_hist is None or p_hist is None:
-        raise ValueError("trace carries no state history; rerun with "
-                         "record_lyapunov=True")
-    q_hist = np.asarray(q_hist, dtype=float)
-    p_hist = np.asarray(p_hist, dtype=float)
-    if q_hist.shape != p_hist.shape or q_hist.ndim != 3:
-        raise ValueError("state history must be (steps+1, N, m) arrays")
-    steps_plus, n, m = q_hist.shape
-    if n != graph.n or equilibrium.q.shape != (n, m):
-        raise ValueError("history, graph and equilibrium disagree on shape")
-    if steps_plus < 2:
-        return 0.0
-    qmat = graph.q_matrix()
-    r_hist = p_hist - tau * np.einsum("ab,kbm->kam", qmat, q_hist)
-    r_star = equilibrium.p - tau * (qmat @ equilibrium.q)
-    err = np.concatenate([
-        (q_hist - equilibrium.q[None]).reshape(steps_plus, n * m),
-        (r_hist - r_star[None]).reshape(steps_plus, n * m)], axis=1)
-    metric = assemble_metric(cert, graph, m, tau)
-    values = 0.5 * np.einsum("ki,ij,kj->k", err, metric, err)
-    q_mid = (q_hist[:-1] + q_hist[1:]) / 2.0
-    dev = np.sum((q_mid - equilibrium.q[None]) ** 2, axis=(1, 2))
-    violations = values[1:] - values[:-1] + cert.u * dev
-    return float(np.max(violations))

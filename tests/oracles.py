@@ -21,11 +21,17 @@ Reference code that only the tests use.
   over the public checks, the behaviour `search_certificate` must keep.
 - `lifted_check_certificate` and `lifted_check_certificate_quadratic` are
   the certificate checks written out on the 2Nm x 2Nm matrices, with no
-  Kronecker reduction: the reference for `check_certificate`, which
+  Kronecker reduction and with G(tau) and the (q, r) midpoint map formed
+  here from L and Q alone: the reference for `check_certificate`, which
   decides a certificate whose blocks are X (x) I_m on its 2N x 2N
   factors. `hessian_block_diag` is the per-agent loop the vectorised
   `_hessian_block_diag` must match bitwise, and `quadratic_gradient_block`
   the exact quadratic feedback term as one matrix.
+- `gradient_feedback_gain` and `gradient_bound_block` are the (mu, L)
+  feedback bound built from the graph, the reference for the block the
+  package forms from the G(tau) it decides on; `assemble_metric` is the
+  Lyapunov metric P, and `audit_lyapunov` replays a recorded run and
+  measures the certified decrease step by step.
 - `neighbors` reads one vertex's sorted neighbours off the graph's edge
   arrays, which an edge scan checks.
 - `incidence`, `d2_minus_a2`, `tau_upper_bound` and
@@ -48,11 +54,9 @@ from phmid.graphs import DisconnectedGraphError, Graph
 from phmid.numerics import (DimensionMismatchError, SingularMatrixError,
                             as_matrix, as_vector, require_symmetric)
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
-                             LmiCertificate, _decrease_lhs, _decrease_margin,
-                             _hessian_block_diag, _metric, _min_eig,
-                             _quadratic_block, _require_positive,
-                             check_certificate, check_certificate_quadratic,
-                             gradient_bound_block, midpoint_map_qr, step_gram)
+                             InvalidEpsilonError, LmiCertificate,
+                             NonQuadraticCostError, check_certificate,
+                             check_certificate_quadratic)
 
 
 def solve_linear(a, b):
@@ -235,10 +239,31 @@ def value_sum(ensemble, theta):
     return float(sum(c.value(theta) for c in ensemble.costs))
 
 
+def _require_positive(name, value):
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 def _step_gram_n(graph, tau):
+    _require_positive("tau", tau)
     qmat = graph.q_matrix()
     gram = np.eye(graph.n) / tau ** 2 + qmat / tau + qmat @ qmat
     return (gram + gram.T) / 2.0
+
+
+def _step_gram(graph, m, tau):
+    return np.kron(_step_gram_n(graph, tau), np.eye(m))
+
+
+def _midpoint_map_qr(graph, m, tau):
+    """The (q, r) midpoint map, from L and Q alone."""
+    lap = graph.laplacian()
+    qmat = graph.q_matrix()
+    gram = _step_gram_n(graph, tau)
+    a11 = -np.linalg.solve(gram, lap / tau + qmat @ lap + lap @ qmat)
+    a12 = -np.linalg.solve(gram, lap) / tau
+    block = np.block([[a11, a12], [tau * lap, np.zeros((graph.n, graph.n))]])
+    return np.kron(block, np.eye(m))
 
 
 def midpoint_map_qp(graph, m, tau):
@@ -266,6 +291,11 @@ def change_of_basis(graph, m, tau):
 
 def hessian_block_diag(hessians, n, m):
     """Block diagonal of a per-agent (n, m, m) Hessian stack, agent by agent."""
+    hessians = np.asarray(hessians, dtype=float)
+    if hessians.shape != (n, m, m):
+        raise NonQuadraticCostError(
+            f"expected per-agent Hessian stack of shape {(n, m, m)}, "
+            f"got {hessians.shape}")
     hbd = np.zeros((n * m, n * m))
     for i in range(n):
         hbd[i * m:(i + 1) * m, i * m:(i + 1) * m] = hessians[i]
@@ -281,28 +311,91 @@ def quadratic_gradient_block(graph, m, tau, hessians, p12):
     with H the block diagonal of the per-agent Hessians. Only the
     symmetric part enters the decrease inequality.
     """
+    hbd = hessian_block_diag(hessians, graph.n, m)
+    gram = _step_gram(graph, m, tau)
+    nm = graph.n * m
+    out = np.zeros((2 * nm, 2 * nm))
+    out[:nm, :nm] = -hbd / tau
+    out[nm:, :nm] = -(np.asarray(p12, dtype=float).T @ gram @ hbd) / tau
+    return out
+
+
+def gradient_feedback_gain(graph, m, tau, lipschitz):
+    """gamma(tau) = (lipschitz / tau) * ||G(tau)||, the cross-term gain.
+
+    The lifted G(tau) has the eigenvalues of the N x N one, each repeated
+    m times, so the norm is taken at N level.
+    """
+    gram = _step_gram_n(graph, tau)
+    return (lipschitz / tau) * float(np.linalg.eigvalsh(gram)[-1])
+
+
+def gradient_bound_block(graph, m, tau, epsilon, mu, lipschitz, u_cap):
+    """Young-inequality bound on the gradient feedback term.
+
+    blockdiag( (gamma eps / 2 - mu / tau) I,  gamma U / (2 eps) )
+
+    where U upper-bounds P12' P12 through the Schur condition. At
+    epsilon = 0 the off-diagonal coupling must be absent, so U (and P12)
+    are required to vanish and the lower block is zero.
+    """
     _require_positive("tau", tau)
-    hbd = _hessian_block_diag(hessians, graph.n, m)
-    return _quadratic_block(hbd, p12, step_gram(graph, m, tau), tau)
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    nm = graph.n * m
+    u_cap = np.asarray(u_cap, dtype=float)
+    if u_cap.shape != (nm, nm):
+        raise ValueError(f"U must be {nm}x{nm}")
+    gamma = gradient_feedback_gain(graph, m, tau, lipschitz)
+    top = (gamma * epsilon / 2.0 - mu / tau) * np.eye(nm)
+    if epsilon == 0:
+        if float(np.max(np.abs(u_cap))) > 0.0:
+            raise InvalidEpsilonError("epsilon = 0 requires U = 0")
+        bottom = np.zeros((nm, nm))
+    else:
+        bottom = gamma * u_cap / (2.0 * epsilon)
+    out = np.zeros((2 * nm, 2 * nm))
+    out[:nm, :nm] = top
+    out[nm:, nm:] = bottom
+    return out
+
+
+def assemble_metric(cert, graph, m, tau):
+    """Lyapunov metric P = [[G(tau), P12], [P12', P22]]."""
+    p = np.block([[_step_gram(graph, m, tau), cert.p12],
+                  [cert.p12.T, cert.p22]])
+    return (p + p.T) / 2.0
+
+
+def _min_eig(mat):
+    return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
+
+
+def _lifted_verdict(cert, p, smap, bound, tol, schur_required):
+    """Verdict from the metric, midpoint map and feedback block, all 2Nm."""
+    nm = p.shape[0] // 2
+    metric_margin = _min_eig(p)
+    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
+    schur_margin = _min_eig(schur)
+    target = np.zeros_like(p)
+    target[:nm, :nm] = cert.u * np.eye(nm)
+    x = p @ smap + smap.T @ p + bound
+    decrease_margin = _min_eig(-(x + target))
+    feasible = (metric_margin >= tol and decrease_margin >= -tol
+                and (schur_margin >= -tol or not schur_required))
+    return CertificateVerdict(feasible, (metric_margin, schur_margin,
+                                         decrease_margin))
 
 
 def lifted_check_certificate(cert, graph, m, tau, mu, lipschitz, tol=1e-9):
     """`check_certificate` on the 2Nm x 2Nm matrices, whatever the blocks."""
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
-    nm = graph.n * m
-    p = _metric(cert, step_gram(graph, m, tau))
-    metric_margin = _min_eig(p)
-    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
-    schur_margin = _min_eig(schur)
     bound = gradient_bound_block(graph, m, tau, cert.epsilon, mu, lipschitz,
                                  cert.u_cap)
-    smap = midpoint_map_qr(graph, m, tau)
-    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
-    feasible = (metric_margin >= tol and schur_margin >= -tol
-                and decrease_margin >= -tol)
-    return CertificateVerdict(feasible, (metric_margin, schur_margin,
-                                         decrease_margin))
+    return _lifted_verdict(cert, assemble_metric(cert, graph, m, tau),
+                           _midpoint_map_qr(graph, m, tau), bound, tol,
+                           schur_required=True)
 
 
 def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
@@ -310,20 +403,11 @@ def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
     """`check_certificate_quadratic` written out on its own."""
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
-    nm = graph.n * m
-    gram = step_gram(graph, m, tau)
-    p = _metric(cert, gram)
-    metric_margin = _min_eig(p)
-    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
-    schur_margin = _min_eig(schur)
-    hbd = hessian_block_diag(hessians, graph.n, m)
-    bound = _quadratic_block(hbd, cert.p12, gram, tau)
+    bound = quadratic_gradient_block(graph, m, tau, hessians, cert.p12)
     bound = (bound + bound.T) / 2.0
-    smap = midpoint_map_qr(graph, m, tau)
-    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), cert.u)
-    feasible = metric_margin >= tol and decrease_margin >= -tol
-    return CertificateVerdict(feasible, (metric_margin, schur_margin,
-                                         decrease_margin))
+    return _lifted_verdict(cert, assemble_metric(cert, graph, m, tau),
+                           _midpoint_map_qr(graph, m, tau), bound, tol,
+                           schur_required=False)
 
 
 def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
@@ -358,6 +442,45 @@ def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
             if verdict.feasible:
                 return cert
     return None
+
+
+def audit_lyapunov(trace, cert, equilibrium, graph, tau):
+    """Largest per-step violation of the certified decrease along a run.
+
+    Transforms the recorded states to (q, r = p - tau Q q), builds
+    V = e' P e / 2 around the equilibrium and returns
+
+        max_k  V(e[k+1]) - V(e[k]) + u * ||q_bar[k] - q*||^2
+
+    which is <= 0 (up to solver round-off) whenever the certificate
+    genuinely certifies the run. Positive values are diagnostic only.
+    """
+    q_hist = getattr(trace, "q_history", None)
+    p_hist = getattr(trace, "p_history", None)
+    if q_hist is None or p_hist is None:
+        raise ValueError("trace carries no state history; rerun with "
+                         "record_lyapunov=True")
+    q_hist = np.asarray(q_hist, dtype=float)
+    p_hist = np.asarray(p_hist, dtype=float)
+    if q_hist.shape != p_hist.shape or q_hist.ndim != 3:
+        raise ValueError("state history must be (steps+1, N, m) arrays")
+    steps_plus, n, m = q_hist.shape
+    if n != graph.n or equilibrium.q.shape != (n, m):
+        raise ValueError("history, graph and equilibrium disagree on shape")
+    if steps_plus < 2:
+        return 0.0
+    qmat = graph.q_matrix()
+    r_hist = p_hist - tau * np.einsum("ab,kbm->kam", qmat, q_hist)
+    r_star = equilibrium.p - tau * (qmat @ equilibrium.q)
+    err = np.concatenate([
+        (q_hist - equilibrium.q[None]).reshape(steps_plus, n * m),
+        (r_hist - r_star[None]).reshape(steps_plus, n * m)], axis=1)
+    metric = assemble_metric(cert, graph, m, tau)
+    values = 0.5 * np.einsum("ki,ij,kj->k", err, metric, err)
+    q_mid = (q_hist[:-1] + q_hist[1:]) / 2.0
+    dev = np.sum((q_mid - equilibrium.q[None]) ** 2, axis=(1, 2))
+    violations = values[1:] - values[:-1] + cert.u * dev
+    return float(np.max(violations))
 
 
 def neighbors(graph, i):

@@ -18,13 +18,13 @@ from phmid.harness import (STATUS_DIVERGED, STATUS_MAX_STEPS, ExperimentConfig,
                            export_csv, k_b, run, tau_sweep)
 from phmid.integrators import euler_step, mid_step
 from phmid.numerics import SolverSettings
-from phmid.stability import (audit_lyapunov, check_certificate,
-                             check_certificate_quadratic,
+from phmid.stability import (check_certificate, check_certificate_quadratic,
                              closed_form_certificate, hessian_blocks_from,
-                             midpoint_map_qr, step_gram, assemble_metric)
+                             midpoint_map_qr, step_gram)
 
-from oracles import (change_of_basis, d2_minus_a2, discrete_gradient, incidence,
-                     kron, midpoint_map_qp)
+from oracles import (assemble_metric, audit_lyapunov, change_of_basis,
+                     d2_minus_a2, discrete_gradient, incidence, kron,
+                     midpoint_map_qp)
 
 DESK_GRAPH = "cycle:10"
 DESK_COST = "quadratic:3:42"

@@ -124,6 +124,19 @@ def test_certify_rejects_bad_inputs(flag, value, graph, search, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("cost", ["logistic:3:10:0.1:42", "quadratic:3"],
+                         ids=["not-quadratic", "malformed"])
+def test_certify_rejects_bad_cost(cost, capsys):
+    argv = ["certify", "--graph", "cycle:6", "--tau", "1", "--quadratic",
+            "--cost", cost]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith(f"--cost {cost}: ")
+    assert "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["certify", "--graph", "cycle:6", "--tau", "1000", "--mu", "1",
             "--lipschitz", "3"]

@@ -6,18 +6,18 @@ from phmid.dynamics import NetworkState, equilibrium_state
 from phmid.graphs import Graph, complete, cycle, erdos_renyi, star
 from phmid.graphs import from_spec as graph_from_spec
 from phmid.integrators import euler_step, mid_step
+from phmid.numerics import DimensionMismatchError
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
                              NonQuadraticCostError, _hessian_block_diag,
-                             _rounding_slack, assemble_metric,
-                             audit_lyapunov, check_certificate,
+                             _rounding_slack, check_certificate,
                              check_certificate_quadratic,
-                             closed_form_certificate, gradient_bound_block,
-                             gradient_feedback_gain, hessian_blocks_from,
+                             closed_form_certificate, hessian_blocks_from,
                              midpoint_map_qr, search_certificate, step_gram)
 
-from oracles import (change_of_basis, hessian_block_diag, kron,
-                     lifted_check_certificate,
+from oracles import (assemble_metric, audit_lyapunov, change_of_basis,
+                     gradient_bound_block, gradient_feedback_gain,
+                     hessian_block_diag, kron, lifted_check_certificate,
                      lifted_check_certificate_quadratic, midpoint_map_qp,
                      quadratic_gradient_block, reference_search)
 
@@ -428,6 +428,48 @@ def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch):
     broken = LmiCertificate(cert.p12, p22, cert.u_cap, cert.u, cert.epsilon)
     check_certificate(broken, g, m, tau, 0.5, 3.0)
     assert max(sizes) == 2 * g.n * m
+
+
+@pytest.mark.parametrize("m,size", [(1, 4), (2, 5), (2, 8)])
+def test_checks_reject_certificates_of_the_wrong_size(m, size):
+    g = graph_from_spec("cycle:5")
+    zero = np.zeros((size, size))
+    cert = LmiCertificate(zero, np.eye(size), zero, u=0.1, epsilon=0.0)
+    hs = np.repeat(np.eye(m)[None], g.n, axis=0)
+    for check in (lambda: check_certificate(cert, g, m, 1.0, 0.5, 2.0),
+                  lambda: check_certificate_quadratic(cert, g, m, 1.0, hs)):
+        with pytest.raises(DimensionMismatchError) as exc:
+            check()
+        assert f"{size}x{size}" in str(exc.value)
+        assert f"{g.n * m}x{g.n * m}" in str(exc.value)
+
+
+def test_one_build_per_decision(monkeypatch):
+    # L, Q, G(tau) and S are formed once per check and once per search
+    calls = {}
+    for name in ("laplacian", "q_matrix"):
+        def counted(self, _name=name, _method=getattr(Graph, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(self)
+
+        monkeypatch.setattr(Graph, name, counted)
+    g, m, tau = cycle(8), 3, 10.0
+    cert = closed_form_certificate(g, m, tau, 0.5)
+    p22 = cert.p22.copy()
+    p22[1, 1] *= 2.0
+    broken = LmiCertificate(cert.p12, p22, cert.u_cap, cert.u, cert.epsilon)
+    hs = hessian_blocks_from(random_quadratic_ensemble(g.n, m, seed=3))
+    hs4 = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
+    for decide in (lambda: check_certificate(cert, g, m, tau, 0.5, 3.0),
+                   lambda: check_certificate(broken, g, m, tau, 0.5, 3.0),
+                   lambda: check_certificate_quadratic(cert, g, m, tau, hs),
+                   lambda: search_certificate(star(4), 1, 50.0, hessians=hs4),
+                   lambda: search_certificate(graph_from_spec("er:20:0.3:1"),
+                                              3, 10.0, mu=0.5, lipschitz=3.0)):
+        calls.clear()
+        decide()
+        assert calls == {"laplacian": 1, "q_matrix": 1}
+    assert search_certificate(star(4), 1, 50.0, hessians=hs4) is None
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (6, 1), (7, 2), (5, 3)])
