@@ -117,8 +117,18 @@ def _require_positive(flag, value):
 
 
 def _cmd_certify(args):
+    # each family takes its constants from its own flags: quadratic ones
+    # from --cost, the (mu, L) family from --m, --mu and --lipschitz
+    if args.quadratic:
+        for flag, value in (("--m", args.m), ("--mu", args.mu),
+                            ("--lipschitz", args.lipschitz)):
+            if value is not None:
+                raise SystemExit(f"{flag} does not apply with --quadratic "
+                                 "(the cost spec gives the Hessians)")
+    elif args.cost is not None:
+        raise SystemExit("--cost applies only with --quadratic")
     _require_positive("--tau", args.tau)
-    if args.m < 1:
+    if args.m is not None and args.m < 1:
         raise SystemExit(f"--m must be >= 1, got {args.m}")
     for flag, value in (("--mu", args.mu), ("--lipschitz", args.lipschitz)):
         if value is not None:
@@ -129,8 +139,8 @@ def _cmd_certify(args):
             raise SystemExit("--quadratic needs --cost quadratic:m:seed")
         try:
             ensemble = costs_mod.from_spec(args.cost, graph.n)
-            hessians = stability.hessian_blocks_from(ensemble)
-        except (ValueError, stability.NonQuadraticCostError) as exc:
+            hessians = ensemble.hessian_blocks()
+        except (ValueError, costs_mod.NonQuadraticCostError) as exc:
             raise SystemExit(f"--cost {args.cost}: {exc}") from None
         m, mu = ensemble.dim, ensemble.mu
         search_args = {"hessians": hessians}
@@ -139,7 +149,7 @@ def _cmd_certify(args):
     else:
         if args.mu is None:
             raise SystemExit("--mu is required without --quadratic")
-        m, mu = args.m, args.mu
+        m, mu = 1 if args.m is None else args.m, args.mu
         lipschitz = args.lipschitz if args.lipschitz is not None else mu
         search_args = {"mu": mu, "lipschitz": lipschitz}
         check = functools.partial(stability.check_certificate, mu=mu,
@@ -199,7 +209,7 @@ def build_parser():
     p_cert.add_argument("--mu", type=float, help="strong convexity constant")
     p_cert.add_argument("--lipschitz", type=float,
                         help="gradient Lipschitz constant (defaults to mu)")
-    p_cert.add_argument("--m", type=int, default=1,
+    p_cert.add_argument("--m", type=int,
                         help="per-agent dimension (default 1)")
     p_cert.add_argument("--quadratic", action="store_true",
                         help="use the exact quadratic-cost check; needs --cost")

@@ -38,6 +38,14 @@ class NetworkState:
         self.q = q
         self.p = p
 
+    @classmethod
+    def stepped(cls, q, p):
+        """The state a step computed, not re-checked: an overflowing step
+        has to reach the harness's divergence test as inf or NaN."""
+        state = cls.__new__(cls)
+        state.q, state.p = q, p
+        return state
+
     @property
     def n_agents(self):
         return self.q.shape[-2]

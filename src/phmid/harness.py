@@ -166,7 +166,7 @@ def _keep(state, plan, cells):
     if isinstance(state, integrators.GtState):
         state = integrators.GtState(state.q[cells], state.tracker[cells])
     else:
-        state = NetworkState(state.q[cells], state.p[cells])
+        state = NetworkState.stepped(state.q[cells], state.p[cells])
     return state, plan.keep(cells)
 
 

@@ -200,7 +200,7 @@ def euler_step(state, ensemble, graph, tau, plan=None):
     """
     tau = _plan_for("euler", graph, tau, state.q, plan).tau_entry
     dq, dp = continuous_rhs(state, ensemble, graph)
-    return NetworkState(state.q + tau * dq, state.p + tau * dp)
+    return NetworkState.stepped(state.q + tau * dq, state.p + tau * dp)
 
 
 def dg_central_step(state, ensemble, graph, tau, solver=None, plan=None):
@@ -254,8 +254,8 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, plan=None):
         z, iters, rnorm = newton_solve(residual, jacobian, z0, solver)
     except SOLVER_ERRORS as exc:
         raise _cell_failure(exc, 1) from None
-    return StepReport(NetworkState(*split(z)), np.repeat(iters[..., None], n, -1),
-                      float(rnorm.max()))
+    return StepReport(NetworkState.stepped(*split(z)),
+                      np.repeat(iters[..., None], n, -1), float(rnorm.max()))
 
 
 def mid_step(state, ensemble, graph, tau, solver=None, plan=None):
@@ -302,7 +302,7 @@ def mid_step(state, ensemble, graph, tau, solver=None, plan=None):
     except SOLVER_ERRORS as exc:
         raise _cell_failure(exc, q0.shape[-2], "agent") from None
     pp = p0 + plan.tau_entry * (plan.deg * qp - nbr_q)
-    return StepReport(NetworkState(qp, pp), iters, float(rnorm.max()))
+    return StepReport(NetworkState.stepped(qp, pp), iters, float(rnorm.max()))
 
 
 def _cell_failure(exc, rows_per_cell, row_name=None):

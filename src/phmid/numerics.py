@@ -47,16 +47,6 @@ def as_vector(v, name="vector"):
     return arr
 
 
-def as_matrix(a, name="matrix"):
-    """Coerce to a finite 2-D float array, raising on NaN/Inf."""
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def require_symmetric(s, tol=1e-12, name="matrix"):
     """Return `s` as an array after checking symmetry to relative tolerance.
 

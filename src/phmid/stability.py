@@ -38,6 +38,7 @@ import functools
 
 import numpy as np
 
+from .costs import NonQuadraticCostError
 from .numerics import DimensionMismatchError, require_symmetric
 
 _EIG_TOL = 1e-9
@@ -49,10 +50,6 @@ class InvalidCertificateError(ValueError):
 
 class InvalidEpsilonError(ValueError):
     """epsilon = 0 requires U = 0 (and P12 = 0) in the bound block."""
-
-
-class NonQuadraticCostError(TypeError):
-    """A quadratic-cost-only operation received another cost family."""
 
 
 def _lifted(block_n, m):
@@ -136,14 +133,6 @@ def _hessian_block(hbd, p12, gram, tau):
     out[:nm, :nm] = -hbd / tau
     out[nm:, :nm] = -(p12.T @ gram @ hbd) / tau
     return (out + out.T) / 2.0
-
-
-def hessian_blocks_from(ensemble):
-    """Per-agent Hessian stack of a quadratic ensemble."""
-    try:
-        return ensemble.hessian_blocks()
-    except TypeError as exc:
-        raise NonQuadraticCostError(str(exc)) from exc
 
 
 class LmiCertificate:

@@ -4,8 +4,13 @@ Reference code that only the tests use.
 - `solve_linear` is a dense LU solve written out in Python, the
   independent reference for the linear algebra the package leaves to
   LAPACK.
-- `min_eigenvalue_symmetric`, `is_psd` and `kron` are the small matrix
-  helpers the identity tests use; the package calls `np.kron` itself.
+- `as_matrix`, `min_eigenvalue_symmetric`, `is_psd` and `kron` are the
+  small matrix helpers the identity tests use; the package calls
+  `np.kron` itself.
+- `QuadraticAgent` and `LogisticAgent` are the agent-by-agent reference
+  costs (value, gradient, Hessian, curvature bounds), built from the
+  records of `CostEnsemble.costs` by `agents`; the package evaluates
+  every agent at once from its stacks.
 - `discrete_gradient` is the mean-value discrete gradient by 5-node
   Gauss-Legendre quadrature. No scheme uses it: `dg` takes the midpoint,
   which is exact for the quadratic storage.
@@ -13,8 +18,8 @@ Reference code that only the tests use.
   literally as (L (x) M) x + phi(x), the cross-check of
   `continuous_rhs`; `agent_stack`/`from_agent_stack` are its agent-major
   state layout.
-- `optimality_residual`, `passivity_check`, `ensemble_constants` and
-  `value_sum` are diagnostics of the flow and the costs.
+- `optimality_residual`, `passivity_check` and `value_sum` are
+  diagnostics of the flow and the costs.
 - The (q, p) midpoint map and the change of basis to (q, r) are the other
   side of the similarity identity that checks `midpoint_map_qr`.
 - `reference_search` is the certificate search as a plain in-order scan
@@ -48,15 +53,14 @@ import math
 
 import numpy as np
 
-from phmid.costs import CostEnsemble
+from phmid.costs import NonQuadraticCostError, QuadraticCost
 from phmid.dynamics import NetworkState
 from phmid.graphs import DisconnectedGraphError, Graph
 from phmid.numerics import (DimensionMismatchError, SingularMatrixError,
-                            as_matrix, as_vector, require_symmetric)
+                            as_vector, require_symmetric)
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
-                             NonQuadraticCostError, check_certificate,
-                             check_certificate_quadratic)
+                             check_certificate, check_certificate_quadratic)
 
 
 def solve_linear(a, b):
@@ -88,6 +92,16 @@ def solve_linear(a, b):
     for k in range(n - 1, -1, -1):
         x[k] = (m[k, n] - m[k, k + 1:n] @ x[k + 1:]) / m[k, k]
     return x
+
+
+def as_matrix(a, name="matrix"):
+    """Coerce to a finite 2-D float array, raising on NaN/Inf."""
+    arr = np.asarray(a, dtype=float)
+    if arr.ndim != 2:
+        raise DimensionMismatchError(f"{name} must be 2-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 def min_eigenvalue_symmetric(s, sym_tol=1e-12):
@@ -228,15 +242,110 @@ def passivity_check(state, ensemble, graph):
     return value
 
 
-def ensemble_constants(costs):
-    """(mu, lipschitz) certified for every cost in the iterable."""
-    ens = CostEnsemble(costs)
-    return ens.mu, ens.lipschitz
+def _sigmoid(t):
+    """Numerically stable logistic sigmoid."""
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+class _Agent:
+    def _check(self, theta):
+        theta = as_vector(theta, "theta")
+        if theta.shape[0] != self.dim:
+            raise DimensionMismatchError(
+                f"theta has dimension {theta.shape[0]}, cost expects {self.dim}")
+        return theta
+
+
+class QuadraticAgent(_Agent):
+    """f(theta) = theta' H theta / 2 + b' theta, evaluated on its own."""
+
+    def __init__(self, h, b):
+        self.h = as_matrix(h, "h")
+        self.b = as_vector(b, "b")
+
+    @property
+    def dim(self):
+        return self.b.shape[0]
+
+    def value(self, theta):
+        theta = self._check(theta)
+        return float(0.5 * theta @ (self.h @ theta) + self.b @ theta)
+
+    def gradient(self, theta):
+        theta = self._check(theta)
+        return self.h @ theta + self.b
+
+    def hessian(self, theta):
+        self._check(theta)
+        return self.h.copy()
+
+    def curvature_bounds(self):
+        """(strong convexity constant, gradient Lipschitz constant)."""
+        return tuple(np.linalg.eigvalsh(self.h)[[0, -1]].tolist())
+
+
+class LogisticAgent(_Agent):
+    """Regularized logistic loss over labeled points, evaluated on its own.
+
+    f(theta) = sum_k log(1 + exp(-l_k * (theta . [p_k; 1])))
+               + reg * ||theta||^2 / (2 * n_agents)
+    """
+
+    def __init__(self, points, labels, reg, n_agents):
+        self.points = as_matrix(points, "points")
+        self.labels = as_vector(labels, "labels")
+        self.reg_floor = reg / n_agents
+        self.augmented = np.hstack([self.points, np.ones((self.points.shape[0], 1))])
+
+    @property
+    def dim(self):
+        return self.points.shape[1] + 1
+
+    def value(self, theta):
+        theta = self._check(theta)
+        margins = self.labels * (self.augmented @ theta)
+        loss = float(np.sum(np.logaddexp(0.0, -margins)))
+        return loss + 0.5 * self.reg_floor * float(theta @ theta)
+
+    def gradient(self, theta):
+        theta = self._check(theta)
+        margins = self.labels * (self.augmented @ theta)
+        s = _sigmoid(-margins)
+        return self.augmented.T @ (-self.labels * s) + self.reg_floor * theta
+
+    def hessian(self, theta):
+        theta = self._check(theta)
+        margins = self.labels * (self.augmented @ theta)
+        s = _sigmoid(-margins)
+        w = s * (1.0 - s)
+        h = (self.augmented * w[:, None]).T @ self.augmented
+        h += self.reg_floor * np.eye(self.dim)
+        return (h + h.T) / 2.0
+
+    def curvature_bounds(self):
+        """(reg floor, reg floor + data term bound): only the regularizer
+        is a certified lower bound, and the upper bound uses the 1/4 cap
+        on the sigmoid derivative."""
+        gram = self.augmented.T @ self.augmented
+        data_top = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
+        return self.reg_floor, self.reg_floor + 0.25 * data_top
+
+
+def agents(ensemble):
+    """The reference cost of each agent of `ensemble`, from its records."""
+    return [QuadraticAgent(c.h, c.b) if isinstance(c, QuadraticCost)
+            else LogisticAgent(c.points, c.labels, c.reg, c.n_agents)
+            for c in ensemble.costs]
 
 
 def value_sum(ensemble, theta):
     """Sum of all local costs of `ensemble` at a common point."""
-    return float(sum(c.value(theta) for c in ensemble.costs))
+    return float(sum(c.value(theta) for c in agents(ensemble)))
 
 
 def _require_positive(name, value):

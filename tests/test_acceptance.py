@@ -10,7 +10,7 @@ experiment at pinned tolerances on fixed seeded instances.
 import numpy as np
 import pytest
 
-from phmid.costs import CostEnsemble, LogisticCost, from_spec as cost_from_spec
+from phmid.costs import CostEnsemble, from_spec as cost_from_spec
 from phmid.costs import random_quadratic_ensemble
 from phmid.dynamics import NetworkState, equilibrium_state
 from phmid.graphs import complete, cycle, erdos_renyi, star, from_spec as graph_from_spec
@@ -19,10 +19,10 @@ from phmid.harness import (STATUS_DIVERGED, STATUS_MAX_STEPS, ExperimentConfig,
 from phmid.integrators import euler_step, mid_step
 from phmid.numerics import SolverSettings
 from phmid.stability import (check_certificate, check_certificate_quadratic,
-                             closed_form_certificate, hessian_blocks_from,
+                             closed_form_certificate,
                              midpoint_map_qr, step_gram)
 
-from oracles import (assemble_metric, audit_lyapunov, change_of_basis,
+from oracles import (agents, assemble_metric, audit_lyapunov, change_of_basis,
                      d2_minus_a2, discrete_gradient, incidence, kron,
                      midpoint_map_qp)
 
@@ -91,9 +91,8 @@ def test_criterion_2_euler_instability_contrast(mid_desk_traces):
 
     # scalar analytic multipliers for f = q^2 / 2
     from phmid.graphs import Graph
-    from phmid.costs import QuadraticCost
     g1 = Graph(1, [])
-    ens1 = CostEnsemble([QuadraticCost(np.eye(1), np.zeros(1))])
+    ens1 = CostEnsemble.quadratic(np.eye(1)[None], np.zeros((1, 1)))
     st = NetworkState(np.array([[1.0]]), np.array([[0.0]]))
     out = euler_step(st, ens1, g1, 3.0)
     assert abs(out.q[0, 0]) == pytest.approx(abs(1.0 - 3.0), abs=1e-15)
@@ -156,7 +155,7 @@ def test_criterion_4_certificate_suite(desk_ensemble):
 
     # (c) quadratic-cost inequality on the criterion-1 problem
     g10 = graph_from_spec(DESK_GRAPH)
-    hessians = hessian_blocks_from(desk_ensemble)
+    hessians = desk_ensemble.hessian_blocks()
     for tau in (3.78, 10.0):
         cert = closed_form_certificate(g10, 3, tau, desk_ensemble.mu)
         verdict = check_certificate_quadratic(cert, g10, 3, tau, hessians,
@@ -169,7 +168,7 @@ def test_criterion_4_certificate_suite(desk_ensemble):
 
 def test_criterion_5_lyapunov_decrease_audit(mid_desk_traces, desk_ensemble):
     g = graph_from_spec(DESK_GRAPH)
-    hessians = hessian_blocks_from(desk_ensemble)
+    hessians = desk_ensemble.hessian_blocks()
     audited = {}
     traces = dict(mid_desk_traces)
     traces[3.78] = run(_desk_config("mid:tau=3.78", steps=1500, record=True))
@@ -209,7 +208,7 @@ def test_criterion_6_discrete_gradient_identities():
             u = rng.standard_normal(dim)
             v = rng.standard_normal(dim)
         else:
-            cost = logistic.costs[int(rng.integers(10))]
+            cost = agents(logistic)[int(rng.integers(10))]
             value, grad = cost.value, cost.gradient
             u = rng.standard_normal(3)
             # step-scale separation: the fixed 5-node rule resolves the
@@ -271,9 +270,8 @@ def test_criterion_7_mid_correctness_oracles():
 
     # (c) single agent equals the analytic midpoint contraction
     from phmid.graphs import Graph
-    from phmid.costs import QuadraticCost
     g1 = Graph(1, [])
-    ens1 = CostEnsemble([QuadraticCost(np.eye(1), np.zeros(1))])
+    ens1 = CostEnsemble.quadratic(np.eye(1)[None], np.zeros((1, 1)))
     for tau in (0.1, 1.0, 10.0, 1000.0):
         rep = mid_step(NetworkState(np.array([[1.0]]), np.array([[0.0]])),
                        ens1, g1, tau)

@@ -137,6 +137,38 @@ def test_certify_rejects_bad_cost(cost, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("cost, reason", [
+    ("quadratic:0:1", "costs need dimension m >= 1"),
+    ("logistic:3:0:0.1:1", "need at least one data point"),
+], ids=["zero-dimension", "no-points"])
+def test_empty_costs_are_rejected_where_the_spec_enters(cost, reason, capsys):
+    with pytest.raises(ValueError, match=f"bad cost spec '{cost}': {reason}"):
+        main(["run", "--graph", "cycle:6", "--cost", cost,
+              "--scheme", "mid:tau=1", "--steps", "3"])
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--graph", "cycle:6", "--tau", "1", "--quadratic",
+              "--cost", cost])
+    assert str(exc.value.code) == f"--cost {cost}: bad cost spec '{cost}': {reason}"
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--quadratic", "--cost", "quadratic:3:42", "--m", "5"],
+    ["--quadratic", "--cost", "quadratic:3:42", "--mu", "7"],
+    ["--quadratic", "--cost", "quadratic:3:42", "--lipschitz", "3"],
+    ["--quadratic", "--cost", "quadratic:3:42", "--m", "1"],
+    ["--mu", "1", "--cost", "quadratic:3:42"],
+], ids=["m", "mu", "lipschitz", "m-default-value", "cost-without-quadratic"])
+def test_certify_rejects_flags_of_the_other_family(flags, capsys):
+    flag = flags[-2]
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--graph", "cycle:6", "--tau", "1"] + flags)
+    message = str(exc.value.code)
+    assert message.startswith(f"{flag} ")
+    assert "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     argv = ["certify", "--graph", "cycle:6", "--tau", "1000", "--mu", "1",
             "--lipschitz", "3"]

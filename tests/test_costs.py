@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from phmid.costs import (CostEnsemble, LogisticCost, QuadraticCost, from_spec,
+from phmid.costs import (CostEnsemble, QuadraticCost, from_spec,
                          random_logistic_ensemble, random_quadratic_ensemble)
 from phmid.numerics import DimensionMismatchError, NonSymmetricError
 
-from oracles import ensemble_constants, quadratic_ensemble_stacks, value_sum
+from oracles import QuadraticAgent, agents, quadratic_ensemble_stacks, value_sum
 
 
 def test_quadratic_identity_cost():
-    c = QuadraticCost(np.eye(3), np.zeros(3))
+    c, = agents(CostEnsemble.quadratic(np.eye(3)[None], np.zeros((1, 3))))
     theta = np.array([1.0, -2.0, 0.5])
     assert np.array_equal(c.gradient(theta), theta)
     assert c.value(np.zeros(3)) == 0.0
@@ -18,21 +18,21 @@ def test_quadratic_identity_cost():
 
 def test_quadratic_rejects_indefinite():
     with pytest.raises(ValueError):
-        QuadraticCost(np.diag([1.0, -0.1]), np.zeros(2))
+        CostEnsemble.quadratic(np.diag([1.0, -0.1])[None], np.zeros((1, 2)))
 
 
 def test_logistic_value_at_zero():
     # exp(0) = 1 in every margin, so each point contributes log 2
-    c = LogisticCost(np.array([[0.5], [-1.0], [2.0]]),
-                     np.array([1.0, -1.0, 1.0]), reg=0.1, n_agents=10)
+    c = agents(CostEnsemble.logistic(np.tile([[0.5], [-1.0], [2.0]], (10, 1, 1)),
+                                     np.tile([1.0, -1.0, 1.0], (10, 1)), reg=0.1))[0]
     assert c.value(np.zeros(2)) == pytest.approx(3 * np.log(2.0), rel=1e-15)
 
 
 def test_logistic_validation():
     with pytest.raises(ValueError):
-        LogisticCost(np.zeros((2, 1)), np.array([1.0, 0.5]), 0.1, 10)
+        CostEnsemble.logistic(np.zeros((10, 2, 1)), np.tile([1.0, 0.5], (10, 1)), 0.1)
     with pytest.raises(ValueError):
-        LogisticCost(np.zeros((2, 1)), np.array([1.0, -1.0]), 0.0, 10)
+        CostEnsemble.logistic(np.zeros((10, 2, 1)), np.tile([1.0, -1.0], (10, 1)), 0.0)
 
 
 def _finite_difference_gradient(cost, theta, step=1e-6):
@@ -46,8 +46,8 @@ def _finite_difference_gradient(cost, theta, step=1e-6):
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
-    quad = random_quadratic_ensemble(3, 4, seed=2).costs
-    logi = random_logistic_ensemble(3, 3, 8, 0.1, seed=2).costs
+    quad = agents(random_quadratic_ensemble(3, 4, seed=2))
+    logi = agents(random_logistic_ensemble(3, 3, 8, 0.1, seed=2))
     for cost in quad + logi:
         for _ in range(5):
             theta = rng.standard_normal(cost.dim)
@@ -58,7 +58,7 @@ def test_gradients_match_finite_differences():
 
 def test_hessians_match_finite_differences():
     rng = np.random.default_rng(2)
-    for cost in random_logistic_ensemble(2, 3, 6, 0.2, seed=7).costs:
+    for cost in agents(random_logistic_ensemble(2, 3, 6, 0.2, seed=7)):
         theta = rng.standard_normal(cost.dim)
         h = cost.hessian(theta)
         assert np.abs(h - h.T).max() == 0.0
@@ -70,9 +70,34 @@ def test_hessians_match_finite_differences():
             assert np.linalg.norm(h[:, k] - col) <= 1e-5 * (1 + np.linalg.norm(col))
 
 
+def test_logistic_stacks_are_validated_like_single_costs():
+    points = np.zeros((2, 3, 1))
+    labels = np.array([[1.0, -1.0, 1.0], [-1.0, -1.0, 1.0]])
+    assert len(CostEnsemble.logistic(points, labels, 0.1).costs) == 2
+    bad = points.copy()
+    bad[1, 2, 0] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        CostEnsemble.logistic(bad, labels, 0.1)
+    with pytest.raises(DimensionMismatchError):
+        CostEnsemble.logistic(points, labels[:, :2], 0.1)
+    with pytest.raises(DimensionMismatchError):
+        CostEnsemble.logistic(points[0], labels[0], 0.1)
+    with pytest.raises(ValueError, match="at least one data point"):
+        CostEnsemble.logistic(points[:, :0], labels[:, :0], 0.1)
+    with pytest.raises(ValueError, match="at least one cost"):
+        CostEnsemble.logistic(points[:0], labels[:0], 0.1)
+    bad = labels.copy()
+    bad[1, 0] = 0.0
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        CostEnsemble.logistic(points, bad, 0.1)
+    for reg in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="reg must be > 0"):
+            CostEnsemble.logistic(points, labels, reg)
+
+
 def test_ensemble_constants_quadratic():
-    c = QuadraticCost(np.diag([1.0, 3.0]), np.zeros(2))
-    mu, lip = ensemble_constants([c])
+    ens = CostEnsemble.quadratic(np.diag([1.0, 3.0])[None], np.zeros((1, 2)))
+    mu, lip = ens.mu, ens.lipschitz
     assert mu == pytest.approx(1.0, abs=1e-12)
     assert lip == pytest.approx(3.0, abs=1e-12)
 
@@ -82,7 +107,7 @@ def test_ensemble_constants_logistic():
     assert ens.mu == pytest.approx(0.1 / 10, rel=1e-15)
     # the Lipschitz bound dominates sampled Hessian eigenvalues
     rng = np.random.default_rng(5)
-    for cost in ens.costs:
+    for cost in agents(ens):
         for _ in range(10):
             theta = rng.standard_normal(3)
             top = np.linalg.eigvalsh(cost.hessian(theta))[-1]
@@ -93,7 +118,7 @@ def test_centralized_optimum_identity_hessians():
     # all f_i = |theta|^2/2 + b_i . theta  =>  theta* = -mean(b_i)
     rng = np.random.default_rng(8)
     bs = rng.standard_normal((5, 3))
-    ens = CostEnsemble([QuadraticCost(np.eye(3), b) for b in bs])
+    ens = CostEnsemble.quadratic(np.tile(np.eye(3), (5, 1, 1)), bs)
     theta = ens.centralized_optimum()
     assert np.linalg.norm(theta + bs.mean(axis=0)) <= 1e-10
 
@@ -104,13 +129,9 @@ def test_centralized_optimum_symmetric_logistic_data():
     # summed logistic gradient then cancels exactly at zero
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((6, 2))
-    costs = [
-        LogisticCost(pts, np.ones(6), 0.1, 4),
-        LogisticCost(-pts, -np.ones(6), 0.1, 4),
-        LogisticCost(pts, -np.ones(6), 0.1, 4),
-        LogisticCost(-pts, np.ones(6), 0.1, 4),
-    ]
-    ens = CostEnsemble(costs)
+    ens = CostEnsemble.logistic(np.stack([pts, -pts, pts, -pts]),
+                                np.stack([np.ones(6), -np.ones(6),
+                                          -np.ones(6), np.ones(6)]), 0.1)
     theta = ens.centralized_optimum(tol=1e-12)
     assert np.linalg.norm(theta) <= 1e-10
     # cross-check with an independent gradient-descent oracle
@@ -137,7 +158,7 @@ def test_strong_monotonicity_and_lipschitz():
     quad = random_quadratic_ensemble(3, 3, seed=13)
     logi = random_logistic_ensemble(3, 3, 8, 0.1, seed=13)
     for ens in (quad, logi):
-        for cost in ens.costs:
+        for cost in agents(ens):
             for _ in range(20):
                 u = rng.standard_normal(cost.dim)
                 v = rng.standard_normal(cost.dim)
@@ -166,22 +187,18 @@ def test_gradient_stack_matches_per_agent():
         rng = np.random.default_rng(17)
         q = rng.standard_normal((4, 3))
         stacked = ens.gradient_stack(q)
-        rows = np.stack([c.gradient(q[i]) for i, c in enumerate(ens.costs)])
+        rows = np.stack([c.gradient(q[i]) for i, c in enumerate(agents(ens))])
         assert np.abs(stacked - rows).max() <= 1e-14
         hs = ens.hessian_stack(q)
-        hrows = np.stack([c.hessian(q[i]) for i, c in enumerate(ens.costs)])
+        hrows = np.stack([c.hessian(q[i]) for i, c in enumerate(agents(ens))])
         assert np.abs(hs - hrows).max() <= 1e-14
 
 
 def test_stacks_broadcast_over_leading_axes():
     # leading axes (the cells of a sweep) evaluate slice by slice, bitwise
     rng = np.random.default_rng(18)
-    mixed = CostEnsemble([QuadraticCost(np.eye(3), np.ones(3)),
-                          LogisticCost(rng.standard_normal((5, 2)),
-                                       np.array([1.0, -1.0, 1.0, 1.0, -1.0]),
-                                       0.1, 2)])
     for ens in (random_quadratic_ensemble(4, 3, seed=19),
-                random_logistic_ensemble(4, 3, 6, 0.1, seed=19), mixed):
+                random_logistic_ensemble(4, 3, 6, 0.1, seed=19)):
         q = rng.standard_normal((2, 3, ens.n_agents, 3))
         grads = ens.gradient_stack(q)
         hessians = ens.hessian_stack(q)
@@ -211,11 +228,11 @@ def test_cost_from_spec():
 
 
 def test_dimension_mismatch_raises():
-    c = QuadraticCost(np.eye(2), np.zeros(2))
+    c, = agents(CostEnsemble.quadratic(np.eye(2)[None], np.zeros((1, 2))))
     with pytest.raises(DimensionMismatchError):
         c.value(np.zeros(3))
     with pytest.raises(DimensionMismatchError):
-        CostEnsemble([c, QuadraticCost(np.eye(3), np.zeros(3))])
+        CostEnsemble.quadratic(np.stack([np.eye(2), np.eye(2)]), np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("n, m, seed", [(1, 3, 5), (10, 3, 42), (50, 1, 3),
@@ -226,11 +243,13 @@ def test_quadratic_ensemble_keeps_the_per_agent_draws(n, m, seed):
     ens = random_quadratic_ensemble(n, m, seed)
     assert np.array_equal(np.stack([c.h for c in ens.costs]), h)
     assert np.array_equal(np.stack([c.b for c in ens.costs]), b)
-    one_by_one = CostEnsemble([QuadraticCost(h_i, b_i) for h_i, b_i in zip(h, b)])
-    assert (ens.mu, ens.lipschitz) == (one_by_one.mu, one_by_one.lipschitz)
-    assert [c.curvature_bounds() for c in ens.costs] == \
-        [c.curvature_bounds() for c in one_by_one.costs]
-    assert np.array_equal(ens.centralized_optimum(), one_by_one.centralized_optimum())
+    one_by_one = [QuadraticAgent(h_i, b_i) for h_i, b_i in zip(h, b)]
+    bounds = [c.curvature_bounds() for c in one_by_one]
+    assert (ens.mu, ens.lipschitz) == (min(lo for lo, _ in bounds),
+                                       max(hi for _, hi in bounds))
+    assert [c.curvature_bounds() for c in agents(ens)] == bounds
+    assert np.array_equal(ens.centralized_optimum(),
+                          CostEnsemble.quadratic(h, b).centralized_optimum())
 
 
 def test_quadratic_ensemble_builds_no_per_agent_cost_until_asked(monkeypatch):
@@ -243,8 +262,7 @@ def test_quadratic_ensemble_builds_no_per_agent_cost_until_asked(monkeypatch):
         raise AssertionError("a per-agent cost was built")
 
     with monkeypatch.context() as patched:
-        patched.setattr(QuadraticCost, "_set", per_agent)
-        patched.setattr(QuadraticCost, "curvature_bounds", per_agent)
+        patched.setattr(QuadraticCost, "__init__", per_agent)
         ens = random_quadratic_ensemble(40, 3, seed=8)
         assert (ens.n_agents, ens.dim) == (40, 3)
         assert (ens.mu, ens.lipschitz) == (want.mu, want.lipschitz)
@@ -259,28 +277,28 @@ def test_quadratic_ensemble_builds_no_per_agent_cost_until_asked(monkeypatch):
 def test_quadratic_stacks_are_validated_like_single_costs():
     h = np.stack([np.eye(2), np.diag([1.0, 2.0]), np.eye(2)])
     b = np.zeros((3, 2))
-    assert len(QuadraticCost.from_stacks(h, b)) == 3
+    assert len(CostEnsemble.quadratic(h, b).costs) == 3
     bad = h.copy()
     bad[1] = np.diag([1.0, -0.5])
     with pytest.raises(ValueError, match="positive definite"):
-        QuadraticCost.from_stacks(bad, b)
+        CostEnsemble.quadratic(bad, b)
     bad = h.copy()
     bad[2, 0, 1] = 1e-3
     with pytest.raises(NonSymmetricError):
-        QuadraticCost.from_stacks(bad, b)
+        CostEnsemble.quadratic(bad, b)
     # each Hessian is held to its own scale, not to the stack's largest
     bad = h.copy()
     bad[0] *= 1e6
     bad[2, 0, 1] = 1e-8
     with pytest.raises(NonSymmetricError):
-        QuadraticCost(bad[2], b[2])
+        CostEnsemble.quadratic(bad[2:], b[2:])
     with pytest.raises(NonSymmetricError):
-        QuadraticCost.from_stacks(bad, b)
+        CostEnsemble.quadratic(bad, b)
     bad = h.copy()
     bad[0, 1, 1] = np.nan
     with pytest.raises(ValueError):
-        QuadraticCost.from_stacks(bad, b)
+        CostEnsemble.quadratic(bad, b)
     with pytest.raises(DimensionMismatchError):
-        QuadraticCost.from_stacks(h, np.zeros((3, 3)))
+        CostEnsemble.quadratic(h, np.zeros((3, 3)))
     with pytest.raises(DimensionMismatchError):
-        QuadraticCost(np.eye(2), np.zeros(3))
+        CostEnsemble.quadratic(np.eye(2)[None], np.zeros((1, 3)))

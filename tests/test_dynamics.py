@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phmid.costs import CostEnsemble, QuadraticCost, random_quadratic_ensemble
+from phmid.costs import CostEnsemble, random_quadratic_ensemble
 from phmid.dynamics import (NetworkState, bregman_lyapunov, continuous_rhs,
                             equilibrium_state)
 from phmid.graphs import Graph, complete, cycle, erdos_renyi
@@ -12,7 +12,7 @@ from oracles import (PhsDesign, agent_stack, compact_rhs, from_agent_stack,
 
 
 def _single_agent_ensemble(m=1):
-    return CostEnsemble([QuadraticCost(np.eye(m), np.zeros(m))])
+    return CostEnsemble.quadratic(np.eye(m)[None], np.zeros((1, m)))
 
 
 def _random_state(rng, n, m):
@@ -115,7 +115,7 @@ def test_optimality_residual_examples():
     assert grad_res > 0.1
 
     g2 = Graph(2, [(0, 1)])
-    ens2 = CostEnsemble([QuadraticCost(np.eye(1), np.zeros(1))] * 2)
+    ens2 = CostEnsemble.quadratic(np.ones((2, 1, 1)), np.zeros((2, 1)))
     st2 = NetworkState(np.array([[1.0], [-1.0]]), np.zeros((2, 1)))
     _, cons = optimality_residual(st2, ens2, g2)
     assert cons == pytest.approx(np.hypot(2.0, 2.0), rel=1e-15)

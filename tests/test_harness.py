@@ -133,6 +133,18 @@ def test_sweep_raises_the_error_of_its_first_failing_cell():
         assert str(swept.value) == str(alone.value)
 
 
+@pytest.mark.parametrize("scheme", ["euler", "gt"])
+def test_an_overflowing_step_ends_its_cell_as_diverged(scheme):
+    # at tau = 1e308 the first step overflows to inf: the cell leaves the
+    # sweep as Diverged, and the tau = 1 cell keeps its row
+    cfg = ExperimentConfig("cycle:6", "quadratic:3:1", "mid:tau=1", steps=3,
+                           seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = tau_sweep(cfg, [1.0, 1e308], [scheme])
+    assert [(row.tau, row.status) for row in table] == [
+        (1.0, STATUS_MAX_STEPS), (1e308, STATUS_DIVERGED)]
+
+
 def test_dg_completes_at_a_huge_tau():
     # at tau = 1e300 the I/tau blocks of the dg Jacobian are far below the
     # Laplacian's, but LAPACK still factors it

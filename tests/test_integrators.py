@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phmid.costs import (CostEnsemble, QuadraticCost, random_logistic_ensemble,
+from phmid.costs import (CostEnsemble, random_logistic_ensemble,
                          random_quadratic_ensemble)
 from phmid.dynamics import NetworkState, continuous_rhs, equilibrium_state
 from phmid.graphs import Graph, cycle, erdos_renyi
@@ -19,7 +19,7 @@ from oracles import kron, metropolis_weights
 
 def _scalar_problem():
     g = Graph(1, [])
-    ens = CostEnsemble([QuadraticCost(np.eye(1), np.zeros(1))])
+    ens = CostEnsemble.quadratic(np.eye(1)[None], np.zeros((1, 1)))
     return g, ens
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phmid.costs import random_quadratic_ensemble
+from phmid.costs import NonQuadraticCostError, random_quadratic_ensemble
 from phmid.dynamics import NetworkState, equilibrium_state
 from phmid.graphs import Graph, complete, cycle, erdos_renyi, star
 from phmid.graphs import from_spec as graph_from_spec
@@ -9,10 +9,10 @@ from phmid.integrators import euler_step, mid_step
 from phmid.numerics import DimensionMismatchError
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
-                             NonQuadraticCostError, _hessian_block_diag,
+                             _hessian_block_diag,
                              _rounding_slack, check_certificate,
                              check_certificate_quadratic,
-                             closed_form_certificate, hessian_blocks_from,
+                             closed_form_certificate,
                              midpoint_map_qr, search_certificate, step_gram)
 
 from oracles import (assemble_metric, audit_lyapunov, change_of_basis,
@@ -231,7 +231,7 @@ def test_quadratic_check_er_graph_is_out_of_family():
     # instability claim: the scheme itself still converges here.
     g = erdos_renyi(10, 0.4, seed=42)
     ens = random_quadratic_ensemble(10, 3, seed=42)
-    hs = hessian_blocks_from(ens)
+    hs = ens.hessian_blocks()
     assert search_certificate(g, 3, 10.0, hessians=hs) is None
     theta = ens.centralized_optimum()
     rng = np.random.default_rng(0)
@@ -267,7 +267,7 @@ def test_quadratic_feasible_whenever_general_feasible():
         general = check_certificate(cert, g, m, tau, ens.mu, ens.lipschitz)
         if general.feasible:
             quad = check_certificate_quadratic(cert, g, m, tau,
-                                               hessian_blocks_from(ens))
+                                               ens.hessian_blocks())
             assert quad.feasible, (g.n, tau, quad.margins)
             checked += 1
     assert checked >= 5
@@ -298,7 +298,7 @@ def test_search_matches_the_in_order_scan(spec):
     # alpha, and tau <= 1e-6, where rounding decides the margins
     g = graph_from_spec(spec)
     for m in (1, 3):
-        hs = hessian_blocks_from(random_quadratic_ensemble(g.n, m, seed=5))
+        hs = random_quadratic_ensemble(g.n, m, seed=5).hessian_blocks()
         for tau in np.logspace(-7, 2, 10):
             for kwargs in ({"mu": 0.5, "lipschitz": 2.0}, {"hessians": hs}):
                 want = reference_search(g, m, tau, **kwargs)
@@ -398,7 +398,7 @@ def test_quadratic_check_matches_the_lifted_check():
     for spec in ("cycle:7", "star:6", "er:8:0.5:3"):
         g = graph_from_spec(spec)
         for m in (1, 3):
-            hs = hessian_blocks_from(random_quadratic_ensemble(g.n, m, seed=2))
+            hs = random_quadratic_ensemble(g.n, m, seed=2).hessian_blocks()
             for tau in np.logspace(-3, 3, 4):
                 for cert in (closed_form_certificate(g, m, tau, 0.5),
                              _kronecker_certificate(g.n, m, rng)):
@@ -458,7 +458,7 @@ def test_one_build_per_decision(monkeypatch):
     p22 = cert.p22.copy()
     p22[1, 1] *= 2.0
     broken = LmiCertificate(cert.p12, p22, cert.u_cap, cert.u, cert.epsilon)
-    hs = hessian_blocks_from(random_quadratic_ensemble(g.n, m, seed=3))
+    hs = random_quadratic_ensemble(g.n, m, seed=3).hessian_blocks()
     hs4 = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
     for decide in (lambda: check_certificate(cert, g, m, tau, 0.5, 3.0),
                    lambda: check_certificate(broken, g, m, tau, 0.5, 3.0),
@@ -540,7 +540,7 @@ def test_audit_certified_run_decreases():
     tau = 10.0
     cert = closed_form_certificate(g, 2, tau, ens.mu)
     assert check_certificate_quadratic(cert, g, 2, tau,
-                                       hessian_blocks_from(ens)).feasible
+                                       ens.hessian_blocks()).feasible
     rng = np.random.default_rng(10)
     trace, start = _mid_run(g, ens, tau, 800, rng)
     eq = equilibrium_state(ens, g, initial=start, mid_tau=tau)
