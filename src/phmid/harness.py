@@ -222,50 +222,53 @@ def _simulate(config, schemes):
     columns = slice(None)  # `live` to write through: a slice until a cell leaves
     failure = None
 
-    for k in range(1, steps + 1):
-        while True:
-            tic = time.perf_counter_ns()
-            try:
-                new, iters = step(state, plan)
-            except SOLVER_ERRORS as exc:
-                cut = getattr(exc, "cell", 0)
-                if cut == 0:
-                    # A raised error that this frame still holds forms a
-                    # reference cycle with its traceback, which keeps the
-                    # whole batch alive until the garbage collector runs.
-                    failure = None
-                    raise
-                failure = exc
-                live = columns = live[:cut]
-                state, plan = _keep(state, plan, slice(cut))
-                continue
-            toc = time.perf_counter_ns()
-            break
-
-        norm_sq = _squared_norms(new.q)
-        if kind != "gt":
-            norm_sq += _squared_norms(new.p)
-        ok = norm_sq <= DIVERGENCE_LIMIT ** 2  # False for a NaN or inf norm
-        if not ok.all():
-            for cell in live[~ok]:
-                status[cell] = STATUS_DIVERGED
-                lengths[cell] = k
-            live = columns = live[ok]
-            if not live.size:
+    # An overflowing cell leaves the batch as Diverged below; its inf and
+    # NaN arithmetic on the way there is expected, not worth a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            while True:
+                tic = time.perf_counter_ns()
+                try:
+                    new, iters = step(state, plan)
+                except SOLVER_ERRORS as exc:
+                    cut = getattr(exc, "cell", 0)
+                    if cut == 0:
+                        # A raised error that this frame still holds forms a
+                        # reference cycle with its traceback, which keeps the
+                        # whole batch alive until the garbage collector runs.
+                        failure = None
+                        raise
+                    failure = exc
+                    live = columns = live[:cut]
+                    state, plan = _keep(state, plan, slice(cut))
+                    continue
+                toc = time.perf_counter_ns()
                 break
-            new, plan = _keep(new, plan, ok)
-            iters = iters[ok]
 
-        state = new
-        errors[k, columns] = _consensus_errors(state.q, theta_star)
-        newton_iters[k, columns] = iters
-        wall_ns[k] = toc - tic
-        if record:
-            for i, cell in enumerate(live):
-                lyap[cell].append(bregman_lyapunov(
-                    NetworkState(state.q[i], state.p[i]), equilibria[cell]))
-                q_hist[cell].append(state.q[i].copy())
-                p_hist[cell].append(state.p[i].copy())
+            norm_sq = _squared_norms(new.q)
+            if kind != "gt":
+                norm_sq += _squared_norms(new.p)
+            ok = norm_sq <= DIVERGENCE_LIMIT ** 2  # False for a NaN or inf norm
+            if not ok.all():
+                for cell in live[~ok]:
+                    status[cell] = STATUS_DIVERGED
+                    lengths[cell] = k
+                live = columns = live[ok]
+                if not live.size:
+                    break
+                new, plan = _keep(new, plan, ok)
+                iters = iters[ok]
+
+            state = new
+            errors[k, columns] = _consensus_errors(state.q, theta_star)
+            newton_iters[k, columns] = iters
+            wall_ns[k] = toc - tic
+            if record:
+                for i, cell in enumerate(live):
+                    lyap[cell].append(bregman_lyapunov(
+                        NetworkState(state.q[i], state.p[i]), equilibria[cell]))
+                    q_hist[cell].append(state.q[i].copy())
+                    p_hist[cell].append(state.p[i].copy())
 
     if failure is not None:
         try:

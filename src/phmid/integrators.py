@@ -79,7 +79,9 @@ def parse_scheme_spec(spec):
 class StepReport:
     """Result of one implicit step.
 
-    On success `max_residual` is at or below the solver tolerance.
+    On success every Newton row met the solver's stop test, so
+    `max_residual` is at or below its tolerance unless a row ended with a
+    correction at rounding level (see `SolverSettings`).
     """
 
     def __init__(self, state, newton_iterations, max_residual):

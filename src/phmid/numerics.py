@@ -8,6 +8,10 @@ after construction, so results can be shared freely between threads.
 
 import numpy as np
 
+# a Newton correction no larger than this share of its iterate's norm
+# cannot move the iterate at working precision
+_ROUNDING_SHARE = 16.0 * np.finfo(float).eps
+
 
 class NumericsError(Exception):
     """Base class for numerical failures in this module."""
@@ -72,8 +76,14 @@ def require_symmetric(s, tol=1e-12, name="matrix"):
 class SolverSettings:
     """Settings for the damped Newton solver.
 
-    Defaults keep the implicit-solve error far below the 1e-6 accuracy
-    band used by the experiment harness.
+    A row is converged when its residual norm is at or below
+    `residual_tolerance`, or when its Newton correction is at rounding
+    level: the full step does not lower the residual and the correction
+    is at most 16 eps times the iterate's norm, so the iterate cannot
+    change at working precision. The second rule is what lets a solve
+    finish at step sizes where the residual's rounding floor lies above
+    the tolerance. Defaults keep the implicit-solve error far below the
+    1e-6 accuracy band used by the experiment harness.
     """
 
     def __init__(self, residual_tolerance=1e-12, max_iterations=100,
@@ -99,14 +109,18 @@ def newton_solve(residual, jacobian, x0, settings=None):
 
     `residual` maps the (..., k) iterate to its residuals and `jacobian`
     to the (..., k, k) Jacobians, row by row; a 1-D `x0` is one row. A row
-    is done once its residual norm is at or below the tolerance. Each row
-    halves its own step (factor `damping_shrink`) until its residual norm
-    decreases, which makes the iteration globally convergent on the
-    gradient maps of strongly convex functions used throughout this
+    is done once its residual norm is at or below the tolerance, or once
+    its full Newton step fails to lower the residual while the correction
+    is at rounding level, ||delta|| <= 16 eps ||x|| (the correction test of
+    Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 2.1).
+    Each row halves its own step (factor `damping_shrink`) until its
+    residual norm decreases, which makes the iteration globally convergent
+    on the gradient maps of strongly convex functions used throughout this
     package. No row's iterates depend on another row.
 
     Returns the iterate, the Newton steps per row and the residual norm
-    per row. Raises MaxIterationsError when a row's backtracking stalls
+    per row, which exceeds the tolerance on rows ended by the correction
+    test. Raises MaxIterationsError when a row's backtracking stalls
     (60 halvings) or rows miss the tolerance after `max_iterations`, and
     SingularMatrixError when LAPACK reports a singular Jacobian. Both
     carry `reason`, the mask `failed` of the failing rows, the whole
@@ -119,8 +133,11 @@ def newton_solve(residual, jacobian, x0, settings=None):
         raise ValueError("the residual at the start point is not finite")
     rnorm = np.linalg.norm(r, axis=-1)
     iters = np.zeros(rnorm.shape, dtype=int)
+    settled = None  # the rows ended by the correction test, once there are any
     for iteration in range(settings.max_iterations + 1):
         active = rnorm > settings.residual_tolerance
+        if settled is not None:
+            active &= ~settled
         if not active.any():
             return x, iters, rnorm
         if iteration == settings.max_iterations:
@@ -136,7 +153,7 @@ def newton_solve(residual, jacobian, x0, settings=None):
         alpha = np.ones(rnorm.shape)
         pending = active
         step = delta  # alpha = 1 on every row
-        for _ in range(60):
+        for halving in range(60):
             cand = x + step
             cres = residual(cand)
             cnorm = np.linalg.norm(cres, axis=-1)
@@ -150,6 +167,15 @@ def newton_solve(residual, jacobian, x0, settings=None):
             pending = pending & ~ok
             if not pending.any():
                 break
+            if halving == 0:
+                # a full step that cannot lower the residual, by a correction
+                # that cannot move the iterate: the row is at its rounding floor
+                floor = pending & (np.linalg.norm(delta, axis=-1)
+                                   <= _ROUNDING_SHARE * np.linalg.norm(x, axis=-1))
+                settled = floor if settled is None else settled | floor
+                pending = pending & ~floor
+                if not pending.any():
+                    break
             alpha = np.where(pending, alpha * settings.damping_shrink, alpha)
             step = alpha[..., None] * delta
         else:

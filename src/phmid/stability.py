@@ -28,7 +28,10 @@ semidefinite programming is involved. Each check and each search builds
 G(tau) and S once, at N level. They and the (mu, L) bound are all
 X (x) I_m for an N x N X, so when P12, P22 and U are too,
 `check_certificate` decides on the 2N x 2N factors; the quadratic check,
-whose Hessians break that structure, runs at 2Nm. A closed-form
+whose Hessians break that structure, runs at 2Nm. On a regular graph,
+where every one of these matrices is a polynomial in the adjacency, a
+certificate whose blocks are multiples of I is decided mode by mode, on
+N 2 x 2 blocks. A closed-form
 certificate covers every graph with D^2 - A^2 PSD (cycles, complete
 graphs) at every step size, and small enough step sizes on any connected
 graph.
@@ -95,21 +98,56 @@ def midpoint_map_qr(graph, m, tau):
     return _lifted(_step_matrices(graph, tau)[1], m)
 
 
-def _gain_block(gram_n, k, tau, epsilon, mu, lipschitz, u_cap):
-    """(mu, L) bound blockdiag((gamma eps/2 - mu/tau) I, gamma U / (2 eps)).
+def _step_modes(graph, tau):
+    """G(tau) and S of a regular graph, one 2 x 2 block per mode.
 
-    Young's inequality at level k, with gamma = (lipschitz / tau) ||G||
-    read off the N-level G; epsilon = 0 needs U = 0 (see the oracle
-    `gradient_bound_block`).
+    On a d-regular graph L = d I - A and Q = (d I + A)/2, so L, Q, G(tau)
+    and S are polynomials in the adjacency A and share its eigenvectors.
+    For each eigenvalue a_j of A, with q = (d + a_j)/2 and l = d - a_j,
+    returns G_j = 1/tau^2 + q/tau + q^2 and the entries (s11, s12, s21)
+    of S_j = [[s11, s12], [s21, 0]]. The eigenvalues of A lie in [-d, d],
+    and the computed ones are clipped to it, so q >= 0 and G_j >= 1/tau^2
+    as in exact arithmetic. The consensus eigenvalue is set to d exactly:
+    it is A's largest and simple on a connected graph, so its mode has
+    l = 0 and S_j = 0 without rounding. Raises LinAlgError, as the dense
+    solve does, when some G_j rounds to 0.
     """
-    gamma = (lipschitz / tau) * float(np.linalg.eigvalsh(gram_n)[-1])
-    size = gram_n.shape[0] * k
-    out = np.zeros((2 * size, 2 * size))
-    out[:size, :size] = (gamma * epsilon / 2.0 - mu / tau) * np.eye(size)
+    _require_positive("tau", tau)
+    d = graph.degrees[0]
+    adj = np.clip(np.linalg.eigvalsh(graph.adjacency()), -d, d)
+    adj[-1] = d
+    q, lap = (d + adj) / 2.0, d - adj
+    gram = 1.0 / tau ** 2 + q / tau + q * q
+    if not (gram > 0).all():
+        raise np.linalg.LinAlgError("G(tau) is numerically singular")
+    return gram, (-(lap / tau + 2.0 * q * lap) / gram, -lap / gram / tau,
+                  tau * lap)
+
+
+def _gain_terms(gram_max, tau, epsilon, mu, lipschitz, u_cap):
+    """(top, bottom) of the (mu, L) bound blockdiag(top I, bottom).
+
+    Young's inequality: top = gamma eps/2 - mu/tau and bottom =
+    gamma U / (2 eps), with gamma = (lipschitz / tau) lambda_max(G);
+    epsilon = 0 needs U = 0 (see the oracle `gradient_bound_block`). U is
+    a matrix or, mode by mode, the scalar of U = u I.
+    """
     if epsilon == 0 and np.any(u_cap):
         raise InvalidEpsilonError("epsilon = 0 requires U = 0")
-    if epsilon != 0:
-        out[size:, size:] = gamma * u_cap / (2.0 * epsilon)
+    gamma = (lipschitz / tau) * gram_max
+    bottom = gamma * u_cap / (2.0 * epsilon) if epsilon != 0 else 0.0
+    return gamma * epsilon / 2.0 - mu / tau, bottom
+
+
+def _gain_block(gram_n, k, tau, epsilon, mu, lipschitz, u_cap):
+    """The (mu, L) bound of `_gain_terms` as a matrix at level k, with
+    lambda_max(G) read off the N-level G."""
+    top, bottom = _gain_terms(float(np.linalg.eigvalsh(gram_n)[-1]), tau,
+                              epsilon, mu, lipschitz, u_cap)
+    size = gram_n.shape[0] * k
+    out = np.zeros((2 * size, 2 * size))
+    out[:size, :size] = top * np.eye(size)
+    out[size:, size:] = bottom
     return out
 
 
@@ -199,6 +237,22 @@ def _min_eig(mat):
     return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
 
 
+def _min_eig2(a, b, c):
+    """Smallest eigenvalue of every symmetric [[a, b], [b, c]], elementwise.
+
+    Free of cancellation: when the mean (a + c)/2 is positive, the small
+    eigenvalue is det / (mean + r) with r = hypot((a - c)/2, b), so a tiny
+    eigenvalue beside a large one keeps its relative digits; otherwise
+    mean - r adds two nonpositive terms. A diagonal block gives its
+    smaller entry exactly, and adding 0.0 turns -0 into +0.
+    """
+    mean = (a + c) / 2.0
+    r = np.hypot((a - c) / 2.0, b)
+    small = np.asarray(mean - r)
+    np.divide(a * c - b * b, mean + r, out=small, where=mean > 0)
+    return np.where(b == 0, np.minimum(a, c), small) + 0.0
+
+
 def _decrease_lhs(p, smap, bound):
     """X = P S + S' P + B; the decrease inequality is X <= -u E11."""
     return p @ smap + smap.T @ p + bound
@@ -211,12 +265,54 @@ def _decrease_margin(x, u):
     return _min_eig(-(x + target))
 
 
-def _require_size(cert, graph, m):
+def _require_checkable(cert, graph, m):
     size, nm = cert.p12.shape[0], graph.n * m
     if size != nm:
         raise DimensionMismatchError(
             f"certificate blocks are {size}x{size}, but {graph.n} agents "
             f"with m = {m} need {nm}x{nm}")
+    if cert.u <= 0:
+        raise InvalidCertificateError("certificate requires u > 0")
+
+
+def _scalar(block):
+    """c when `block` is exactly c I, else None.
+
+    Decided from the diagonal and the count of nonzero entries, without
+    forming c I.
+    """
+    c = block[0, 0]
+    diagonal = np.diagonal(block)
+    if (diagonal == c).all() and np.count_nonzero(block) == (
+            diagonal.size if c != 0 else 0):
+        return float(c)
+    return None
+
+
+def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz, tol):
+    """`check_certificate` on a regular graph with P12 = c12 I, P22 = c22 I
+    and U = cu I: every matrix of the check splits into one 2 x 2 block
+    per eigenvalue of A (see `_step_modes`), each repeated m times, and
+    the Schur block is the same [[cu, c12], [c12, 1]] in every mode.
+    """
+    gram, (s11, s12, s21) = _step_modes(graph, tau)
+    top, bottom = _gain_terms(gram.max(), tau, cert.epsilon, mu, lipschitz,
+                              cu)
+    metric_margin = _min_eig2(gram, c12, c22).min()
+    schur_margin = _min_eig2(cu, c12, 1.0)
+    # X = P S + S' P + B mode by mode, with P_j = [[G_j, c12], [c12, c22]].
+    # Its off-diagonal G_j s12 + c12 s11 + c22 s21 is written with
+    # G_j s12 = -l/tau = -s21/tau^2, so that it vanishes without rounding
+    # for the closed form's c22 = 1/tau^2 and c12 = 0.
+    ps11 = gram * s11 + c12 * s21
+    x11 = (ps11 + ps11 + top) + cert.u
+    x12 = s21 * (c22 - 1.0 / tau ** 2) + c12 * s11
+    x22 = 2.0 * c12 * s12 + bottom
+    decrease_margin = _min_eig2(-x11, -x12, -x22).min()
+    feasible = (metric_margin >= tol and decrease_margin >= -tol
+                and schur_margin >= -tol)
+    return CertificateVerdict(feasible, (metric_margin, schur_margin,
+                                         decrease_margin))
 
 
 def _kronecker_factor(cert, m):
@@ -242,8 +338,6 @@ def _check(cert, graph, k, tau, bound, tol, schur_required):
     `bound(gram_n, gram)` is the feedback block from the N-level and the
     lifted G(tau).
     """
-    if cert.u <= 0:
-        raise InvalidCertificateError("certificate requires u > 0")
     gram_n, smap_n = _step_matrices(graph, tau)
     gram = _lifted(gram_n, k)
     p = _metric(gram, cert.p12, cert.p22)
@@ -268,9 +362,17 @@ def check_certificate(cert, graph, m, tau, mu, lipschitz, tol=_EIG_TOL):
     X (x) I_m when P12, P22 and U are, and the check then runs on the
     2N x 2N factors instead of the 2Nm x 2Nm matrices: their eigenvalues
     are the same, each repeated m times, so the margins are the lifted
-    ones up to rounding.
+    ones up to rounding. On a regular graph with P12, P22 and U each a
+    multiple of I (the closed form and every search result), it runs
+    mode by mode instead: one N x N eigen-solve of A and N 2 x 2 blocks,
+    in which the conserved consensus mode reads exactly 0.
     """
-    _require_size(cert, graph, m)
+    _require_checkable(cert, graph, m)
+    degrees = graph.degrees
+    if (degrees == degrees[0]).all():
+        scalars = [_scalar(block) for block in (cert.p12, cert.p22, cert.u_cap)]
+        if None not in scalars:
+            return _check_modes(*scalars, cert, graph, tau, mu, lipschitz, tol)
     k, blocks = _kronecker_factor(cert, m)
     return _check(blocks, graph, k, tau, lambda gram_n, gram: _gain_block(
         gram_n, k, tau, blocks.epsilon, mu, lipschitz, blocks.u_cap),
@@ -286,7 +388,7 @@ def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
     reported for diagnostics). Per-agent Hessians break the Kronecker
     structure, so this check always runs on 2Nm x 2Nm matrices.
     """
-    _require_size(cert, graph, m)
+    _require_checkable(cert, graph, m)
     return _check(cert, graph, m, tau, lambda gram_n, gram: _hessian_block(
         _hessian_block_diag(hessians, graph.n, m), cert.p12, gram, tau),
         tol, schur_required=False)
@@ -295,7 +397,9 @@ def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
 def closed_form_certificate(graph, m, tau, mu):
     """The certificate that needs no search.
 
-    P12 = 0, U = 0, P22 = I/tau^2, u = mu * min(1, 1/tau), epsilon = 0.
+    P12 = 0, U = 0, P22 = I/tau^2, u = mu * min(1, 1/tau), epsilon = 0;
+    u is computed as mu / max(1, tau), rounded once, so that at tau >= 1
+    it equals the bound's mu/tau bit for bit.
     With these choices the decrease inequality reduces to the positive
     semidefiniteness of L/tau + Q L + L Q (note Q L + L Q equals
     (D^2 - A^2) (x) I_m exactly), so the certificate verifies on every
@@ -309,7 +413,7 @@ def closed_form_certificate(graph, m, tau, mu):
     nm = graph.n * m
     zero = np.zeros((nm, nm))
     return LmiCertificate(p12=zero, p22=np.eye(nm) / tau ** 2, u_cap=zero,
-                          u=mu * min(1.0, 1.0 / tau), epsilon=0.0)
+                          u=mu / max(1.0, tau), epsilon=0.0)
 
 
 def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
@@ -405,7 +509,9 @@ def _rounding_slack(p, smap, bound):
     Rounding in X = P S + S' P + B and in the eigen-solve moves a computed
     eigenvalue of X + u E11 by at most about delta = dim * eps * (2 |P| |S|
     + |B| + u), in Frobenius norms; the screen builds its matrices at the
-    level the public check uses, so delta bounds both. The exact margin
+    level the public check uses, so delta bounds both (the mode-by-mode
+    check of a regular graph works on 2 x 2 blocks and rounds less). The
+    exact margin
     only falls as u grows, so if the screen reads below -tol - 2 delta at
     some u, the public check reads below -tol at that u and at every
     larger one. The slack is 2 delta with a factor of 4 to spare.

@@ -102,7 +102,9 @@ _BAD_INPUTS = [
     ("--mu", "inf"), ("--mu", "nan"), ("--mu", "0"),
     ("--lipschitz", "-3"), ("--lipschitz", "inf"),
 ]
-# G(1e9) is numerically singular on these bipartite graphs
+# G(1e9) is numerically singular on these bipartite graphs. The closed
+# form on the regular cycle is still decided, mode by mode; the irregular
+# graph and both searches, whose screens solve with G, get no verdict.
 _SINGULAR_G = ["cycle:6", "er:6:0.5:1"]
 
 
@@ -118,6 +120,12 @@ def test_certify_rejects_bad_inputs(flag, value, graph, search, capsys):
     options = {"--graph": graph, "--tau": "10", "--mu": "1",
                "--lipschitz": "3", "--m": "1", flag: value}
     argv = ["certify"] + [x for item in options.items() for x in item]
+    if (value, graph, search) == ("1e9", "cycle:6", False):
+        # infeasible: the metric margin is G's bipartite mode, 1/tau^2
+        assert main(argv) == 1
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert (row[0], float(row[1])) == ("false", 1.0 / 1e9 ** 2)
+        return
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--search"] if search else []))
     assert str(exc.value.code).startswith(flag)

@@ -153,6 +153,16 @@ def test_centralized_optimum_is_local_minimum():
             assert base <= value_sum(ens, theta + 0.01 * d) + 1e-12
 
 
+def test_centralized_optimum_converges_at_a_huge_cost_scale():
+    # at point scale 1e6 the summed gradient's rounding floor lies far
+    # above the 1e-12 tolerance; the solve ends on the correction test,
+    # with the sum at rounding level of its terms
+    ens = from_spec("logistic:3:10:0.1:42:1e6", 20)
+    theta = ens.centralized_optimum()
+    grads = ens.gradient_stack(np.repeat(theta[None], 20, axis=0))
+    assert np.linalg.norm(grads.sum(axis=0)) <= 1e-12 * np.abs(grads).sum()
+
+
 def test_strong_monotonicity_and_lipschitz():
     rng = np.random.default_rng(12)
     quad = random_quadratic_ensemble(3, 3, seed=13)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from phmid import harness
 from phmid.harness import (NOT_REACHED, STATUS_DIVERGED, STATUS_MAX_STEPS,
                            ExperimentConfig, RunTrace, SweepTable, export_csv,
                            k_b, run, tau_sweep)
-from phmid.numerics import MaxIterationsError
+from phmid.numerics import MaxIterationsError, SolverSettings
 
 
 def _quad_config(**kw):
@@ -120,9 +121,23 @@ def test_sweep_rows_equal_standalone_runs(scheme):
                                                  STATUS_DIVERGED]
 
 
-def test_sweep_raises_the_error_of_its_first_failing_cell():
-    # mid at tau = 1e4 stalls in step 2 at seed 7; the sweep still raises,
-    # with the error that cell's own run raises
+def _one_newton_iteration(monkeypatch):
+    """Give every scheme a Newton solver that may iterate once.
+
+    One Newton step solves a quadratic cost's mid step exactly, and at
+    tau = 1 its residual lands within the 1e-12 tolerance. At tau >= 1e4
+    the residual's rounding floor lies above the tolerance, and only a
+    second iteration could end the row by the correction test, so that
+    cell fails in its first step.
+    """
+    one = SolverSettings(max_iterations=1)
+    monkeypatch.setattr(integrators, "SolverSettings", lambda: one)
+
+
+def test_sweep_raises_the_error_of_its_first_failing_cell(monkeypatch):
+    # with one Newton iteration, mid at tau = 1e4 fails in step 1 at seed
+    # 7; the sweep still raises, with the error that cell's own run raises
+    _one_newton_iteration(monkeypatch)
     cfg = ExperimentConfig("cycle:10", "quadratic:3:42", "mid:tau=1",
                            steps=6, seed=7)
     with pytest.raises(MaxIterationsError) as alone:
@@ -143,6 +158,27 @@ def test_an_overflowing_step_ends_its_cell_as_diverged(scheme):
         table = tau_sweep(cfg, [1.0, 1e308], [scheme])
     assert [(row.tau, row.status) for row in table] == [
         (1.0, STATUS_MAX_STEPS), (1e308, STATUS_DIVERGED)]
+
+
+@pytest.mark.parametrize("cost", ["quadratic:3:42", "logistic:3:10:0.1:42:2.7"])
+def test_mid_completes_at_every_step_size(cost):
+    # "stable at any step size" in the solver: across 14 decades of tau
+    # every cell completes its steps and none diverges
+    cfg = ExperimentConfig("cycle:10", cost, "mid:tau=1", steps=20, seed=0)
+    taus = np.logspace(-6, 8, 29)
+    table = tau_sweep(cfg, taus, ["mid"])
+    assert [row.status for row in table] == [STATUS_MAX_STEPS] * taus.size
+    assert all(np.isfinite(row.final_error) for row in table)
+
+
+@pytest.mark.parametrize("scheme", ["euler", "gt"])
+def test_an_overflowing_run_ends_diverged_without_a_warning(scheme):
+    cfg = ExperimentConfig("cycle:6", "quadratic:3:1", f"{scheme}:tau=1e308",
+                           steps=3, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = run(cfg)
+    assert trace.status == STATUS_DIVERGED
 
 
 def test_dg_completes_at_a_huge_tau():
@@ -301,15 +337,17 @@ def test_a_dg_run_builds_its_dense_matrices_once(monkeypatch):
 
 
 def test_a_cut_mid_sweep_steps_its_survivors_as_their_own_runs(monkeypatch):
-    # mid at tau = 1e4 stalls in step 2 at seed 7: the batch goes on with
-    # the cells before it, each stepping bitwise as its own run does
+    # with one Newton iteration, mid at tau = 1e4 fails in step 1 at seed
+    # 7: the batch goes on with the cells before it, each stepping bitwise
+    # as its own run does
+    _one_newton_iteration(monkeypatch)
     states = _record_steps(monkeypatch, "mid")
     cfg = ExperimentConfig("cycle:10", "quadratic:3:42", "mid:tau=1",
                            steps=8, seed=7)
     with pytest.raises(MaxIterationsError):
         tau_sweep(cfg, [0.3, 1.0, 1e4, 2.0], ["mid"])
     batch = states[:]
-    assert [len(state.q) for state in batch] == [4] + [2] * 7
+    assert [len(state.q) for state in batch] == [2] * 8
     for t, tau in enumerate([0.3, 1.0]):
         states.clear()
         run(cfg.replaced(scheme_spec=f"mid:tau={tau!r}"))

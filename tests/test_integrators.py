@@ -215,8 +215,11 @@ def test_mid_iteration_reporting():
 
 
 def test_mid_reports_failing_agent():
-    g, ens, st = _network_problem(seed=12)
-    hopeless = SolverSettings(residual_tolerance=1e-300, max_iterations=3)
+    # one Newton iteration cannot solve a logistic cost's step
+    g = cycle(6)
+    ens = random_logistic_ensemble(6, 2, 10, 0.1, seed=12)
+    st = _network_problem(seed=12)[2]
+    hopeless = SolverSettings(max_iterations=1)
     with pytest.raises(MaxIterationsError) as info:
         mid_step(st, ens, g, 1.0, hopeless)
     assert "agent" in str(info.value)
@@ -298,21 +301,23 @@ def test_batched_steps_equal_single_cell_steps():
 
 
 def test_batched_mid_failure_names_the_first_failing_cell():
-    # mid at tau = 1e4 stalls in the second step of this run, dg at
-    # tau = 1e-4 in the first: the stack reports that cell and the very
-    # error its own step raises
+    # with one Newton iteration, mid at tau = 1e4 fails in the second step
+    # of this run and dg at tau = 1e-4 in the first: one exact Newton step
+    # leaves their residuals on a rounding floor above the tolerance. The
+    # stack reports that cell and the very error its own step raises
     g = cycle(10)
     ens = random_quadratic_ensemble(10, 3, seed=42)
     q0 = np.random.default_rng(7).standard_normal((10, 3))
     start = NetworkState(q0, np.zeros_like(q0))
+    once = SolverSettings(max_iterations=1)
     for step, stalls, tau in ((mid_step, mid_step(start, ens, g, 1e4).state, 1e4),
                               (dg_central_step, start, 1e-4)):
         with pytest.raises(MaxIterationsError) as alone:
-            step(stalls, ens, g, tau)
+            step(stalls, ens, g, tau, once)
         stack = NetworkState(np.stack([start.q, stalls.q, stalls.q]),
                              np.stack([start.p, stalls.p, stalls.p]))
         with pytest.raises(MaxIterationsError) as batched:
-            step(stack, ens, g, np.array([1.0, tau, tau]))
+            step(stack, ens, g, np.array([1.0, tau, tau]), once)
         assert batched.value.cell == 1
         assert str(batched.value) == str(alone.value)
         assert batched.value.residual_norm == alone.value.residual_norm
@@ -377,9 +382,11 @@ def test_plans_are_checked_against_their_step():
 
 
 def test_a_cut_mid_batch_keeps_its_survivors_bitwise():
-    # mid at tau = 1e4 stalls in the second step of this start; the batch
-    # drops that cell and every later one, plan and state alike, and the
-    # cells it keeps step on exactly as they do alone
+    # the first step runs with the default solver and the later ones with
+    # one Newton iteration, so mid at tau = 1e4 fails in the second step
+    # of this start (see test_batched_mid_failure_names_the_first_failing_cell);
+    # the batch drops that cell and every later one, plan and state alike,
+    # and the cells it keeps step on exactly as they do alone
     g = cycle(10)
     ens = random_quadratic_ensemble(10, 3, seed=42)
     q0 = np.random.default_rng(7).standard_normal((10, 3))
@@ -388,18 +395,20 @@ def test_a_cut_mid_batch_keeps_its_survivors_bitwise():
     plan = step_plan("mid", g, taus, state.q.shape)
     alone = [NetworkState(q0, np.zeros_like(q0)) for _ in taus[:2]]
     cuts = []
-    for _ in range(8):
+    for k in range(8):
+        solver = SolverSettings(max_iterations=1) if k else SolverSettings()
         try:
-            state = mid_step(state, ens, g, None, plan=plan).state
+            state = mid_step(state, ens, g, None, solver, plan=plan).state
         except MaxIterationsError as exc:
-            cuts.append(exc.cell)
+            cuts.append((k, exc.cell))
             state, plan = harness._keep(state, plan, slice(exc.cell))
-            state = mid_step(state, ens, g, None, plan=plan).state
-        alone = [mid_step(one, ens, g, tau).state for one, tau in zip(alone, taus)]
+            state = mid_step(state, ens, g, None, solver, plan=plan).state
+        alone = [mid_step(one, ens, g, tau, solver).state
+                 for one, tau in zip(alone, taus)]
         for t, one in enumerate(alone):
             assert np.array_equal(state.q[t], one.q)
             assert np.array_equal(state.p[t], one.p)
-    assert cuts == [2] and plan.shape == (2, 10, 3)
+    assert cuts == [(1, 2)] and plan.shape == (2, 10, 3)
 
 
 def test_metropolis_weights_doubly_stochastic():

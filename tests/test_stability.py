@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,137 @@ def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch):
     assert max(sizes) == 2 * g.n * m
 
 
+def _scalar_certificates(g, m, tau, mu):
+    """Certificates whose P12, P22 and U are each a multiple of I."""
+    nm = g.n * m
+    eye, zero = np.eye(nm), np.zeros((nm, nm))
+    return [
+        closed_form_certificate(g, m, tau, mu),
+        LmiCertificate(zero, eye, zero, u=1e-2 * mu / tau, epsilon=0.0),
+        LmiCertificate(zero, 1e3 * eye, zero, u=mu * min(1.0, 1.0 / tau),
+                       epsilon=0.0),
+        # nonzero P12 and U, with the Schur block [[0.5, 0.3], [0.3, 1]] PD
+        LmiCertificate(0.3 * eye, 2.0 * eye, 0.5 * eye, u=0.05, epsilon=0.7),
+    ]
+
+
+def _solve_slack(cert, g, m, tau):
+    """How far the lifted decrease margin may sit from the exact one
+    through its midpoint map alone.
+
+    The lifted check forms S by a dense solve with G(tau), which is
+    backward stable, so S carries an error of about
+    dim * eps * cond(G) * |S|, and X = P S + S' P twice that times |P|
+    (Frobenius norms, with a factor of 8 to spare, as in
+    `_rounding_slack`). The mode check divides by each G_j instead, so
+    its S carries no such term. At tau = 1000 on cycle:4, cond(G) = 4e6,
+    and the lifted margin of the P12 = 0.3 I certificate is off by
+    1.7e-7 in a 50-digit recomputation, while the mode margin agrees to
+    all 17 digits.
+    """
+    p = assemble_metric(cert, g, m, tau)
+    smap = midpoint_map_qr(g, m, tau)
+    gram = np.linalg.eigvalsh(step_gram(g, 1, tau))
+    smallest = max(gram[0], 1.0 / tau ** 2)  # G(tau) >= I / tau^2
+    dim = p.shape[0]
+    return (16.0 * dim * np.finfo(float).eps * gram[-1] / smallest
+            * np.linalg.norm(p) * np.linalg.norm(smap))
+
+
+def test_mode_check_matches_the_lifted_check():
+    mu, lipschitz, tol = 0.5, 2.0, 1e-9
+    checks = band = flips = undecided = 0
+    for kind in ("cycle", "complete"):
+        for n in range(3, 13):
+            g = graph_from_spec(f"{kind}:{n}")
+            for m in (1, 3):
+                for tau in np.logspace(-7, 9, 9):
+                    for cert in _scalar_certificates(g, m, tau, mu):
+                        args = (cert, g, m, tau, mu, lipschitz, tol)
+                        got = check_certificate(*args)
+                        try:
+                            want = lifted_check_certificate(*args)
+                        except np.linalg.LinAlgError:
+                            # G(tau) is numerically singular, so its
+                            # smallest mode, and the metric margin, lie
+                            # far below tol: the mode check still decides
+                            assert got.metric_margin < tol and not got.feasible
+                            undecided += 1
+                            continue
+                        slacks = _margin_slacks(cert, g, m, tau, mu, lipschitz)
+                        slacks = slacks[:2] + (
+                            slacks[2] + _solve_slack(cert, g, m, tau),)
+                        for a, b, slack in zip(got.margins, want.margins,
+                                               slacks):
+                            assert abs(a - b) <= slack, (kind, n, m, tau, a, b)
+                        checks += 1
+                        if all(abs(margin - t) > slack for margin, t, slack
+                               in zip(want.margins, (tol, -tol, -tol), slacks)):
+                            assert got.feasible == want.feasible, (kind, n, tau)
+                        else:
+                            band += 1
+                            flips += got.feasible != want.feasible
+    print(f"\n[mode check] {checks} checks against the lifted one, {band} "
+          f"with a margin within rounding of its threshold, {flips} of them "
+          f"with another verdict, {undecided} where the lifted check meets a "
+          "singular G(tau)")
+    # the closed form's decrease margin is 0, within rounding of -tol
+    # wherever the lifted slack exceeds tol; most verdicts still compare
+    assert band < checks // 2
+
+
+def test_closed_form_decrease_margin_is_exactly_zero():
+    # the conserved consensus mode makes the closed form's decrease margin
+    # 0 in exact arithmetic; mode by mode it reads exactly +0, not a
+    # rounding residue on either side of the tolerance
+    for spec in ("cycle:3", "cycle:80", "complete:12"):
+        g = graph_from_spec(spec)
+        for mu in (0.3, 0.5, 7.0):
+            for tau in np.logspace(-6, 9, 16):
+                cert = closed_form_certificate(g, 3, tau, mu)
+                margin = check_certificate(cert, g, 3, tau, mu, 3.0).decrease_margin
+                assert margin == 0.0 and math.copysign(1.0, margin) == 1.0, (
+                    spec, mu, tau, margin)
+
+
+def test_closed_form_verifies_at_a_tiny_step():
+    for spec in ("cycle:80", "complete:12"):
+        g = graph_from_spec(spec)
+        cert = closed_form_certificate(g, 3, 1e-6, 0.5)
+        verdict = check_certificate(cert, g, 3, 1e-6, 0.5, 3.0)
+        assert verdict.feasible, (spec, verdict.margins)
+
+
+def test_regular_graph_certificate_is_checked_mode_by_mode(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    m, tau = 3, 1000.0
+    for spec in ("cycle:80", "complete:12"):
+        g = graph_from_spec(spec)
+        sizes.clear()
+        check_certificate(closed_form_certificate(g, m, tau, 0.5), g, m, tau,
+                          0.5, 3.0)
+        assert max(sizes) == g.n
+    # a Kronecker certificate that is not a multiple of I, and the closed
+    # form on an irregular graph, keep the 2N x 2N check
+    g = cycle(12)
+    sizes.clear()
+    check_certificate(_kronecker_certificate(g.n, m, np.random.default_rng(3)),
+                      g, m, tau, 0.5, 3.0)
+    assert max(sizes) == 2 * g.n
+    g = star(12)
+    sizes.clear()
+    check_certificate(closed_form_certificate(g, m, tau, 0.5), g, m, tau,
+                      0.5, 3.0)
+    assert max(sizes) == 2 * g.n
+
+
 @pytest.mark.parametrize("m,size", [(1, 4), (2, 5), (2, 8)])
 def test_checks_reject_certificates_of_the_wrong_size(m, size):
     g = graph_from_spec("cycle:5")
@@ -460,15 +593,19 @@ def test_one_build_per_decision(monkeypatch):
     broken = LmiCertificate(cert.p12, p22, cert.u_cap, cert.u, cert.epsilon)
     hs = random_quadratic_ensemble(g.n, m, seed=3).hessian_blocks()
     hs4 = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
-    for decide in (lambda: check_certificate(cert, g, m, tau, 0.5, 3.0),
-                   lambda: check_certificate(broken, g, m, tau, 0.5, 3.0),
-                   lambda: check_certificate_quadratic(cert, g, m, tau, hs),
-                   lambda: search_certificate(star(4), 1, 50.0, hessians=hs4),
-                   lambda: search_certificate(graph_from_spec("er:20:0.3:1"),
-                                              3, 10.0, mu=0.5, lipschitz=3.0)):
+    # the closed form on a cycle is checked mode by mode, from the
+    # adjacency's spectrum: it forms no dense L or Q at all
+    for decide, builds in (
+            (lambda: check_certificate(cert, g, m, tau, 0.5, 3.0), 0),
+            (lambda: check_certificate(broken, g, m, tau, 0.5, 3.0), 1),
+            (lambda: check_certificate_quadratic(cert, g, m, tau, hs), 1),
+            (lambda: search_certificate(star(4), 1, 50.0, hessians=hs4), 1),
+            (lambda: search_certificate(graph_from_spec("er:20:0.3:1"),
+                                        3, 10.0, mu=0.5, lipschitz=3.0), 1)):
         calls.clear()
         decide()
-        assert calls == {"laplacian": 1, "q_matrix": 1}
+        assert calls == ({"laplacian": builds, "q_matrix": builds}
+                         if builds else {})
     assert search_certificate(star(4), 1, 50.0, hessians=hs4) is None
 
 
