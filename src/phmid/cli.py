@@ -155,12 +155,17 @@ def _cmd_certify(args):
         check = functools.partial(stability.check_certificate, mu=mu,
                                   lipschitz=lipschitz)
     try:
-        if args.search:
-            cert = stability.search_certificate(graph, m, args.tau,
-                                                **search_args)
-        else:
-            cert = stability.closed_form_certificate(graph, m, args.tau, mu)
-        verdict = None if cert is None else check(cert, graph, m, args.tau)
+        # at huge taus S holds tau L and some products pass the float range;
+        # they read as inf and the margins they enter as failing, which is
+        # the verdict, so the overflow is not worth a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.search:
+                cert = stability.search_certificate(graph, m, args.tau,
+                                                    **search_args)
+            else:
+                cert = stability.closed_form_certificate(graph, m, args.tau,
+                                                         mu)
+            verdict = None if cert is None else check(cert, graph, m, args.tau)
     except np.linalg.LinAlgError as exc:
         # G(tau) = I/tau^2 + Q/tau + Q^2 loses rank in floating point at
         # large tau when Q is singular, as on every bipartite graph

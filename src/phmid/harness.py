@@ -139,35 +139,43 @@ def run(config):
 
 
 def _stepper(kind, graph, ensemble, solver, taus, shape):
-    """`(step, plan)` for one scheme on a (T, N, m) stack: the per-run
-    `integrators.StepPlan` of the stack, built once, and
-    `step(state, plan) -> (state, newton_max_iters per cell)`."""
+    """`(step, plan, carried)` for one scheme on a (T, N, m) stack: the
+    per-run `integrators.StepPlan` of the stack, built once; what each step
+    hands to the next, a tuple of per-cell arrays (`mid`'s per-agent
+    inverse Jacobians, zero before the first step, and nothing for the
+    other schemes); and `step(state, plan, *carried) -> (state,
+    newton_max_iters per cell, carried)`."""
     plan = integrators.step_plan(kind, graph, taus, shape)
-    if kind in ("mid", "dg"):
-        kernel = (integrators.mid_step if kind == "mid"
-                  else integrators.dg_central_step)
-
+    if kind == "mid":
+        def step(state, plan, inverses):
+            report = integrators.mid_step(state, ensemble, graph, None, solver,
+                                          plan, inverses)
+            return (report.state, report.newton_iterations.max(axis=-1),
+                    (report.inverses,))
+        return step, plan, (np.zeros(shape + shape[-1:]),)
+    if kind == "dg":
         def step(state, plan):
-            report = kernel(state, ensemble, graph, None, solver, plan)
-            return report.state, report.newton_iterations.max(axis=-1)
+            report = integrators.dg_central_step(state, ensemble, graph, None,
+                                                 solver, plan)
+            return report.state, report.newton_iterations.max(axis=-1), ()
     else:
         kernel = (integrators.euler_step if kind == "euler"
                   else integrators.gradient_tracking_step)
 
         def step(state, plan):
             return (kernel(state, ensemble, graph, None, plan),
-                    np.zeros(plan.shape[0], dtype=int))
-    return step, plan
+                    np.zeros(plan.shape[0], dtype=int), ())
+    return step, plan, ()
 
 
-def _keep(state, plan, cells):
+def _keep(state, plan, cells, *carried):
     """The cells `cells` (an index or mask over the leading axis) of a
-    batched state and of its plan."""
+    batched state, of its plan and of the per-cell arrays `carried`."""
     if isinstance(state, integrators.GtState):
         state = integrators.GtState(state.q[cells], state.tracker[cells])
     else:
         state = NetworkState.stepped(state.q[cells], state.p[cells])
-    return state, plan.keep(cells)
+    return (state, plan.keep(cells)) + tuple(a[cells] for a in carried)
 
 
 def _simulate(config, schemes):
@@ -194,7 +202,8 @@ def _simulate(config, schemes):
     q0 = rng.standard_normal((graph.n, ensemble.dim))
     p0 = np.zeros_like(q0)
     q_stack = np.repeat(q0[None], cells, axis=0)
-    step, plan = _stepper(kind, graph, ensemble, solver, taus, q_stack.shape)
+    step, plan, carried = _stepper(kind, graph, ensemble, solver, taus,
+                                   q_stack.shape)
     if kind == "gt":
         state = integrators.gradient_tracking_init(q_stack, ensemble)
     else:
@@ -229,7 +238,7 @@ def _simulate(config, schemes):
             while True:
                 tic = time.perf_counter_ns()
                 try:
-                    new, iters = step(state, plan)
+                    new, iters, carried = step(state, plan, *carried)
                 except SOLVER_ERRORS as exc:
                     cut = getattr(exc, "cell", 0)
                     if cut == 0:
@@ -240,7 +249,8 @@ def _simulate(config, schemes):
                         raise
                     failure = exc
                     live = columns = live[:cut]
-                    state, plan = _keep(state, plan, slice(cut))
+                    state, plan, *carried = _keep(state, plan, slice(cut),
+                                                  *carried)
                     continue
                 toc = time.perf_counter_ns()
                 break
@@ -256,7 +266,7 @@ def _simulate(config, schemes):
                 live = columns = live[ok]
                 if not live.size:
                     break
-                new, plan = _keep(new, plan, ok)
+                new, plan, *carried = _keep(new, plan, ok, *carried)
                 iters = iters[ok]
 
             state = new

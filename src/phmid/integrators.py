@@ -26,6 +26,13 @@ The work a step would otherwise redo every time (validating its step
 sizes, and the arrays built from them and from the graph) is done once per
 run, in a `StepPlan` (`step_plan`). A run passes its plan to every step; a
 step called without one builds its own, so both go through the same code.
+
+A `mid` run also hands each agent's inverse Jacobian from one step to the
+next (`StepReport.inverses`), so that each local solve starts with a chord
+correction and needs a new Jacobian and factorization only where that is
+not enough. They change from step to step, so they are not in the plan. A step given none is the
+exact Newton solve; `dg` never carries any, because its Jacobian can be
+too ill-conditioned for an inverse-applied correction.
 """
 
 import copy
@@ -82,12 +89,17 @@ class StepReport:
     On success every Newton row met the solver's stop test, so
     `max_residual` is at or below its tolerance unless a row ended with a
     correction at rounding level (see `SolverSettings`).
+    `newton_iterations` counts each row's Newton corrections, a chord
+    correction with a carried inverse included. `inverses` holds the
+    per-agent inverse Jacobians a `mid` step hands to the next one when it
+    was given carried ones, and is None otherwise.
     """
 
-    def __init__(self, state, newton_iterations, max_residual):
+    def __init__(self, state, newton_iterations, max_residual, inverses=None):
         self.state = state
         self.newton_iterations = np.asarray(newton_iterations, dtype=int)
         self.max_residual = float(max_residual)
+        self.inverses = inverses
 
 
 class StepPlan:
@@ -260,7 +272,8 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, plan=None):
                       np.repeat(iters[..., None], n, -1), float(rnorm.max()))
 
 
-def mid_step(state, ensemble, graph, tau, solver=None, plan=None):
+def mid_step(state, ensemble, graph, tau, solver=None, plan=None,
+             inverses=None):
     """Mixed implicit step: per-agent local solves, one exchange per step.
 
     Eliminating p_i+ through its own update leaves, for each agent, the
@@ -285,11 +298,22 @@ def mid_step(state, ensemble, graph, tau, solver=None, plan=None):
     it; the error's `cell` is the first cell with a failing agent (0 for a
     single state). `plan` (a `MidPlan`, in place of `tau`) holds g_i, the
     neighbour scales and the g_i I part of the Jacobian.
+
+    `inverses`, one m x m inverse Jacobian per agent shaped like the
+    state plus a trailing m (the previous step's `StepReport.inverses`, or
+    zeros to start), makes each local solve begin with one chord
+    correction (see `numerics.newton_solve`) and returns the updated
+    inverses in the report. Without them the step is the exact Newton
+    solve and forms no inverse.
     """
     solver = solver or SolverSettings()
     q0, p0 = state.q, state.p
     plan = _plan_for("mid", graph, tau, q0, plan)
     gdiag, jac0 = plan.gdiag, plan.jac0
+    if inverses is not None and inverses.shape != q0.shape + q0.shape[-1:]:
+        raise DimensionMismatchError(
+            f"inverses of shape {inverses.shape} do not fit states of shape "
+            f"{q0.shape}")
     nbr_q, nbr_p = graph.neighbor_sum(np.array([q0, p0]))
     const = -q0 / plan.tau_entry - plan.nbr_scale * nbr_q + plan.deg * p0 - nbr_p
 
@@ -300,11 +324,16 @@ def mid_step(state, ensemble, graph, tau, solver=None, plan=None):
         return jac0 + 0.5 * ensemble.hessian_stack((qp + q0) / 2.0)
 
     try:
-        qp, iters, rnorm = newton_solve(residual, jacobian, q0, solver)
+        if inverses is None:
+            qp, iters, rnorm = newton_solve(residual, jacobian, q0, solver)
+        else:
+            qp, iters, rnorm, inverses = newton_solve(residual, jacobian, q0,
+                                                      solver, inverses)
     except SOLVER_ERRORS as exc:
         raise _cell_failure(exc, q0.shape[-2], "agent") from None
     pp = p0 + plan.tau_entry * (plan.deg * qp - nbr_q)
-    return StepReport(NetworkState.stepped(qp, pp), iters, float(rnorm.max()))
+    return StepReport(NetworkState.stepped(qp, pp), iters, float(rnorm.max()),
+                      inverses)
 
 
 def _cell_failure(exc, rows_per_cell, row_name=None):

@@ -84,6 +84,11 @@ class SolverSettings:
     finish at step sizes where the residual's rounding floor lies above
     the tolerance. Defaults keep the implicit-solve error far below the
     1e-6 accuracy band used by the experiment harness.
+
+    `max_iterations` bounds the exact Newton corrections of a solve, the
+    ones that evaluate and factor a Jacobian. A solve given carried
+    inverse Jacobians (see `newton_solve`) may take one chord correction
+    before them; the iteration counts it reports include that correction.
     """
 
     def __init__(self, residual_tolerance=1e-12, max_iterations=100,
@@ -104,7 +109,7 @@ class SolverSettings:
                 f"damping_shrink={self.damping_shrink})")
 
 
-def newton_solve(residual, jacobian, x0, settings=None):
+def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
     """Find a root of every row of an (..., k) iterate by damped Newton.
 
     `residual` maps the (..., k) iterate to its residuals and `jacobian`
@@ -118,10 +123,23 @@ def newton_solve(residual, jacobian, x0, settings=None):
     on the gradient maps of strongly convex functions used throughout this
     package. No row's iterates depend on another row.
 
+    `inverses`, an (..., k, k) stack of one inverse Jacobian per row
+    carried from an earlier solve, makes this a chord method (Deuflhard
+    2004, sec. 2.1; Hairer & Wanner, Solving ODEs II, sec. IV.8): the
+    first correction of every unconverged row is the chord correction
+    -inverse @ residual, kept by each row whose residual norm it lowers.
+    A row that keeps it counts it as one iteration; a row that does not
+    stays at x0. Every later correction is the exact one above. A zero
+    inverse carries nothing: its chord correction never lowers a residual.
+
     Returns the iterate, the Newton steps per row and the residual norm
     per row, which exceeds the tolerance on rows ended by the correction
-    test. Raises MaxIterationsError when a row's backtracking stalls
-    (60 halvings) or rows miss the tolerance after `max_iterations`, and
+    test. Given `inverses`, it also returns them updated, as a fourth
+    item: each row that took an exact correction gets the inverse of the
+    last Jacobian evaluated at it, and every other row keeps its carried
+    inverse. Without `inverses` no inverse is formed. Raises
+    MaxIterationsError when a row's backtracking stalls (60 halvings) or
+    rows miss the tolerance after `max_iterations` exact corrections, and
     SingularMatrixError when LAPACK reports a singular Jacobian. Both
     carry `reason`, the mask `failed` of the failing rows, the whole
     `iterate` and the per-row `residual_norm`.
@@ -133,13 +151,24 @@ def newton_solve(residual, jacobian, x0, settings=None):
         raise ValueError("the residual at the start point is not finite")
     rnorm = np.linalg.norm(r, axis=-1)
     iters = np.zeros(rnorm.shape, dtype=int)
+    if inverses is not None:
+        x, r, rnorm, iters = _chord(residual, inverses, x, r, rnorm,
+                                    settings.residual_tolerance)
     settled = None  # the rows ended by the correction test, once there are any
     for iteration in range(settings.max_iterations + 1):
         active = rnorm > settings.residual_tolerance
         if settled is not None:
             active &= ~settled
         if not active.any():
-            return x, iters, rnorm
+            if inverses is None:
+                return x, iters, rnorm
+            if iteration:  # the rows of `fresh` took exact steps
+                if fresh.all():
+                    inverses = np.linalg.inv(last_jac)
+                else:
+                    inverses = inverses.copy()
+                    inverses[fresh] = np.linalg.inv(last_jac[fresh])
+            return x, iters, rnorm, inverses
         if iteration == settings.max_iterations:
             raise _failure(MaxIterationsError, f"no convergence in {iteration} "
                            "iterations", active, x, rnorm)
@@ -150,6 +179,13 @@ def newton_solve(residual, jacobian, x0, settings=None):
             # the rows whose LU factors have an exact zero pivot
             raise _failure(SingularMatrixError, "singular Jacobian",
                            np.linalg.slogdet(jac)[0] == 0, x, rnorm) from None
+        if inverses is not None:
+            # each row's own last Jacobian, so that no row's inverse depends
+            # on how long the other rows iterate; rows only ever leave `active`
+            if iteration == 0:
+                fresh, last_jac = active, jac
+            else:
+                last_jac = np.where(active[..., None, None], jac, last_jac)
         alpha = np.ones(rnorm.shape)
         pending = active
         step = delta  # alpha = 1 on every row
@@ -182,6 +218,23 @@ def newton_solve(residual, jacobian, x0, settings=None):
             raise _failure(MaxIterationsError, "backtracking stalled", pending,
                            x, rnorm)
         iters += active
+
+
+def _chord(residual, inverses, x, r, rnorm, tolerance):
+    """`(x, r, rnorm, iters)` after one chord correction -inverse @ r,
+    taken by each unconverged row whose residual norm it lowers."""
+    iters = np.zeros(rnorm.shape, dtype=int)
+    todo = rnorm > tolerance
+    if not todo.any():
+        return x, r, rnorm, iters
+    cand = x - np.einsum("...ij,...j->...i", inverses, r)
+    cres = residual(cand)
+    cnorm = np.linalg.norm(cres, axis=-1)
+    ok = todo & (cnorm < rnorm)  # a NaN or inf candidate never passes
+    if ok.all():
+        return cand, cres, cnorm, ok.astype(int)
+    return (np.where(ok[..., None], cand, x), np.where(ok[..., None], cres, r),
+            np.where(ok, cnorm, rnorm), ok.astype(int))
 
 
 def _failure(kind, reason, failed, x, rnorm):

@@ -64,12 +64,21 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
+def _squared(tau):
+    """tau ** 2, or inf where that overflows: a Python float above about
+    1.3e154 raises OverflowError on `**` instead of rounding to inf."""
+    try:
+        return tau ** 2
+    except OverflowError:
+        return np.inf
+
+
 def _step_matrices(graph, tau):
     """N-level G(tau) and S: the one build of every check and search."""
     _require_positive("tau", tau)
     lap = graph.laplacian()
     qmat = graph.q_matrix()
-    gram = np.eye(graph.n) / tau ** 2 + qmat / tau + qmat @ qmat
+    gram = np.eye(graph.n) / _squared(tau) + qmat / tau + qmat @ qmat
     gram = (gram + gram.T) / 2.0
     a11 = -np.linalg.solve(gram, lap / tau + qmat @ lap + lap @ qmat)
     a12 = -np.linalg.solve(gram, lap) / tau
@@ -117,7 +126,7 @@ def _step_modes(graph, tau):
     adj = np.clip(np.linalg.eigvalsh(graph.adjacency()), -d, d)
     adj[-1] = d
     q, lap = (d + adj) / 2.0, d - adj
-    gram = 1.0 / tau ** 2 + q / tau + q * q
+    gram = 1.0 / _squared(tau) + q / tau + q * q
     if not (gram > 0).all():
         raise np.linalg.LinAlgError("G(tau) is numerically singular")
     return gram, (-(lap / tau + 2.0 * q * lap) / gram, -lap / gram / tau,
@@ -306,7 +315,7 @@ def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz, tol):
     # for the closed form's c22 = 1/tau^2 and c12 = 0.
     ps11 = gram * s11 + c12 * s21
     x11 = (ps11 + ps11 + top) + cert.u
-    x12 = s21 * (c22 - 1.0 / tau ** 2) + c12 * s11
+    x12 = s21 * (c22 - 1.0 / _squared(tau)) + c12 * s11
     x22 = 2.0 * c12 * s12 + bottom
     decrease_margin = _min_eig2(-x11, -x12, -x22).min()
     feasible = (metric_margin >= tol and decrease_margin >= -tol
@@ -412,7 +421,7 @@ def closed_form_certificate(graph, m, tau, mu):
     _require_positive("mu", mu)
     nm = graph.n * m
     zero = np.zeros((nm, nm))
-    return LmiCertificate(p12=zero, p22=np.eye(nm) / tau ** 2, u_cap=zero,
+    return LmiCertificate(p12=zero, p22=np.eye(nm) / _squared(tau), u_cap=zero,
                           u=mu / max(1.0, tau), epsilon=0.0)
 
 
@@ -460,7 +469,7 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
         raise ValueError("mu is required without Hessians")
     _require_positive("mu", mu)
     gram_n, smap_n = _step_matrices(graph, tau)
-    alphas = [1.0 / tau ** 2] + list(np.logspace(-4, 4, 17))
+    alphas = [1.0 / _squared(tau)] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
     smallest = min((b for b in betas if b > 0), default=None)
@@ -514,7 +523,10 @@ def _rounding_slack(p, smap, bound):
     exact margin
     only falls as u grows, so if the screen reads below -tol - 2 delta at
     some u, the public check reads below -tol at that u and at every
-    larger one. The slack is 2 delta with a factor of 4 to spare.
+    larger one. The slack is 2 delta with a factor of 4 to spare. Where
+    the norms overflow (S holds tau L, whose squares pass the float range
+    above tau of about 1e154), the slack is inf and the screen rejects
+    nothing, leaving the verdict to the public check.
     """
     dim = p.shape[0]
     scale = 2.0 * np.linalg.norm(p) * np.linalg.norm(smap) + np.linalg.norm(bound)

@@ -132,6 +132,31 @@ def test_certify_rejects_bad_inputs(flag, value, graph, search, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("graph", ["star:6", "cycle:6", "cycle:5"])
+@pytest.mark.parametrize("tau", ["1e155", "1e200"])
+def test_certify_decides_where_tau_squared_overflows(graph, tau, capsys):
+    # tau^2 overflows a float above about 1.3e154: the closed form's
+    # P22 = I/tau^2 then rounds to 0, and certify prints a verdict (here
+    # infeasible, as the check already is at tau = 1e150) or one line,
+    # without a traceback or a numpy warning
+    argv = ["certify", "--graph", graph, "--tau", tau, "--mu", "1"]
+    assert main(argv) == 1
+    header, row = capsys.readouterr().out.splitlines()
+    assert header == "feasible,metric_margin,schur_margin,decrease_margin"
+    assert row.startswith("false,")
+    for extra in (["--lipschitz", "3", "--search"],
+                  ["--quadratic", "--cost", "quadratic:3:42"]):
+        flags = argv[:5] + extra if "--quadratic" in extra else argv + extra
+        try:
+            code = main(flags)
+        except SystemExit as exc:  # no verdict: one line naming the tau
+            assert str(exc.code).startswith(f"--tau {float(tau):g}")
+        else:
+            assert code == 1
+        capsys.readouterr()
+
+
 @pytest.mark.parametrize("cost", ["logistic:3:10:0.1:42", "quadratic:3"],
                          ids=["not-quadratic", "malformed"])
 def test_certify_rejects_bad_cost(cost, capsys):

@@ -214,6 +214,56 @@ def test_mid_iteration_reporting():
     assert rep.max_residual <= SolverSettings().residual_tolerance
 
 
+def test_a_one_off_mid_step_reports_the_exact_newton_counts():
+    # a step given no inverses solves exactly and forms none; its Newton
+    # counts are those of the exact solver (recorded before the chord
+    # correction existed). A step given zero inverses takes no chord
+    # correction, so it is the same step, bitwise, and hands on inverses
+    g = cycle(6)
+    rng = np.random.default_rng(3)
+    st = NetworkState(*rng.standard_normal((2, 6, 2)))
+    ens = random_logistic_ensemble(6, 2, 10, 0.1, seed=12)
+    counts = {1e-6: [2, 1, 1, 1, 1, 2], 0.3: [4, 3, 3, 3, 4, 3],
+              30.0: [3, 3, 3, 3, 3, 3], 1e6: [3, 3, 2, 3, 2, 2]}
+    for tau, expected in counts.items():
+        rep = mid_step(st, ens, g, tau)
+        assert rep.newton_iterations.tolist() == expected
+        assert rep.inverses is None
+        zero = mid_step(st, ens, g, tau, inverses=np.zeros((6, 2, 2)))
+        assert np.array_equal(zero.state.q, rep.state.q)
+        assert np.array_equal(zero.state.p, rep.state.p)
+        assert np.array_equal(zero.newton_iterations, rep.newton_iterations)
+        assert zero.inverses.shape == (6, 2, 2)
+        assert np.isfinite(zero.inverses).all()
+    with pytest.raises(DimensionMismatchError):
+        mid_step(st, ens, g, 1.0, inverses=np.zeros((6, 2)))
+
+
+@pytest.mark.parametrize("carried", ["zero", "far-off"])
+def test_a_mid_step_with_a_wrong_carried_inverse_meets_the_stop_test(carried):
+    # inverses that do not fit the step (zeros, or those of a step from a
+    # far-off state at another tau) still end every agent at the stop
+    # test, at the exact step's answer within the tolerance. The residual
+    # is at most the tolerance, or on its rounding floor, eps g |state|
+    # (above the tolerance at tau = 1e6, where g = 1/tau + 2 + 4 tau)
+    g = cycle(6)
+    rng = np.random.default_rng(4)
+    st = NetworkState(*rng.standard_normal((2, 6, 2)))
+    ens = random_logistic_ensemble(6, 2, 10, 0.1, seed=12)
+    far = NetworkState(st.q + 40.0, st.p)
+    inverses = (np.zeros((6, 2, 2)) if carried == "zero" else
+                mid_step(far, ens, g, 1e-3, inverses=np.zeros((6, 2, 2))).inverses)
+    for tau in (1e-6, 0.3, 30.0, 1e6):
+        exact = mid_step(st, ens, g, tau)
+        rep = mid_step(st, ens, g, tau, inverses=inverses)
+        scale = max(np.abs(st.q).max(), np.abs(exact.state.q).max())
+        floor = 16 * np.finfo(float).eps * (1 / tau + 2 + 4 * tau) * scale
+        assert rep.max_residual <= max(SolverSettings().residual_tolerance,
+                                       floor)
+        assert np.abs(rep.state.q - exact.state.q).max() <= 1e-12
+        assert np.abs(rep.state.p - exact.state.p).max() <= 1e-12 * max(1.0, tau)
+
+
 def test_mid_reports_failing_agent():
     # one Newton iteration cannot solve a logistic cost's step
     g = cycle(6)

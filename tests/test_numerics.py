@@ -194,6 +194,91 @@ def test_newton_rows_that_halve_and_rows_that_do_not_match_their_own_solves():
     assert iters[2] == 0
 
 
+def _linear_rows(a, b, jacobians):
+    """Rows a_i x_i = b_i; `jacobians` counts Jacobian evaluations."""
+    def residual(x):
+        return np.einsum("...ij,...j->...i", a, x) - b
+
+    def jacobian(x):
+        jacobians.append(1)
+        return a
+
+    return residual, jacobian
+
+
+def test_a_carried_exact_inverse_solves_in_one_chord_correction():
+    # linear rows: the chord correction with the exact inverse is a Newton
+    # step, so no Jacobian is evaluated and every row keeps its inverse
+    rng = np.random.default_rng(8)
+    b_mat = rng.standard_normal((5, 3, 3))
+    a = b_mat @ b_mat.transpose(0, 2, 1) + np.eye(3)
+    b = rng.standard_normal((5, 3))
+    x0 = rng.standard_normal((5, 3))
+    inverses = np.linalg.inv(a)
+    jacobians = []
+    x, iters, rnorm, kept = newton_solve(*_linear_rows(a, b, jacobians), x0,
+                                         inverses=inverses)
+    assert jacobians == [] and kept is inverses
+    assert np.all(iters == 1) and np.all(rnorm <= 1e-12)
+    assert np.abs(x - np.linalg.solve(a, b[..., None])[..., 0]).max() <= 1e-14
+
+
+def test_a_zero_inverse_carries_nothing():
+    # no chord correction is taken with a zero inverse: the solve is the
+    # exact one, bitwise and with the same Newton counts, and every row
+    # that took an exact step gets the inverse of its last Jacobian
+    rng = np.random.default_rng(9)
+    c = rng.standard_normal((6, 2))
+    x0 = c + 0.3 * rng.standard_normal((6, 2))
+    x0[[1, 4]] += 6.0  # rows that halve
+    x0[2] = c[2]  # a row done at x0: it keeps its carried inverse
+    x, iters, rnorm = newton_solve(*_arctan_problem(c, []), x0)
+    carried = np.zeros((6, 2, 2))
+    xc, itc, rnc, out = newton_solve(*_arctan_problem(c, []), x0,
+                                     inverses=carried)
+    assert np.array_equal(x, xc) and np.array_equal(iters, itc)
+    assert np.array_equal(rnorm, rnc)
+    assert np.array_equal(out[2], carried[2])
+    for i in (0, 1, 3, 4, 5):
+        # a row solved alone evaluates its last Jacobian where the batch does
+        jacs = []
+        res, jac = _arctan_problem(c[i], [])
+        newton_solve(res, lambda z: jacs.append(jac(z)) or jacs[-1], x0[i])
+        assert np.array_equal(out[i], np.linalg.inv(jacs[-1]))
+
+
+@pytest.mark.parametrize("far", [0.0, 1.0], ids=["zero", "far-off"])
+def test_a_wrong_carried_inverse_still_ends_at_the_stop_test(far):
+    # a zero inverse, or the inverse of the Jacobian at a far-off point,
+    # on rows that start near and far from their roots: every row ends at
+    # the stop test with the exact solve's answer, takes the chord
+    # correction only where it lowered its residual, and leaves with the
+    # inverse of its own last Jacobian
+    rng = np.random.default_rng(10)
+    c = rng.standard_normal((8, 2))
+    x0 = c + 0.5 * rng.standard_normal((8, 2))
+    x0[::3] += 4.0
+    res, jac = _arctan_problem(c, [])
+    carried = far * np.linalg.inv(jac(c + 2.0))
+    x, iters, rnorm = newton_solve(res, jac, x0)
+    xc, itc, rnc, out = newton_solve(res, jac, x0, inverses=carried)
+    assert np.all(rnc <= 1e-12)
+    assert np.abs(xc - x).max() <= 1e-12
+    chord = x0 - np.einsum("...ij,...j->...i", carried, res(x0))
+    lowered = (np.linalg.norm(res(chord), axis=-1)
+               < np.linalg.norm(res(x0), axis=-1))
+    assert lowered.any() == bool(far) and not lowered.all()
+    for i in range(len(c)):
+        # the same solve row by row: the chord is kept where it lowered
+        # the residual, and the row's iterate, count and inverse are its own
+        xi, it, ri, inv_i = newton_solve(*_arctan_problem(c[i], []), x0[i],
+                                         inverses=carried[i])
+        assert np.array_equal(xc[i], xi) and itc[i] == it and rnc[i] == ri
+        assert np.array_equal(out[i], inv_i)
+        if not lowered[i]:
+            assert it == iters[i] and np.array_equal(xi, x[i])
+
+
 def test_newton_max_iterations_carries_state():
     settings = SolverSettings(residual_tolerance=1e-16, max_iterations=2)
     with pytest.raises(MaxIterationsError) as info:

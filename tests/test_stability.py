@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from phmid import harness
 from phmid.costs import NonQuadraticCostError, random_quadratic_ensemble
+from phmid.costs import from_spec as cost_from_spec
 from phmid.dynamics import NetworkState, equilibrium_state
 from phmid.graphs import Graph, complete, cycle, erdos_renyi, star
 from phmid.graphs import from_spec as graph_from_spec
-from phmid.integrators import euler_step, mid_step
+from phmid.integrators import SchemeConfig, euler_step, mid_step
 from phmid.numerics import DimensionMismatchError
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
@@ -687,6 +689,35 @@ def test_audit_certified_run_decreases():
                           - (eq.p - tau * (g.q_matrix() @ eq.q))).ravel()])
     v0 = 0.5 * e0 @ (assemble_metric(cert, g, 2, tau) @ e0)
     assert violation <= 1e-8 * (1.0 + v0)
+
+
+def test_closed_form_audit_of_carrying_mid_runs_at_every_step_size():
+    # runs that carry each agent's inverse Jacobian from step to step (the
+    # harness path) decrease the closed-form certificate's Lyapunov function
+    # at every step size: its largest per-step rise stays within rounding
+    # of the initial value, 16 eps v0 (measured: at most 2.3e-27 v0, at
+    # tau = 1 and 10, where the runs end within rounding of the optimum).
+    # The closed form holds on cycles at every tau (D^2 - A^2 is PSD); its
+    # check rejects tau >= 1e5 only by the absolute tolerance, which is why
+    # the audit, not the check, is asserted here
+    g = cycle(10)
+    taus = [float(t) for t in np.logspace(-6, 8, 15)]
+    cfg = harness.ExperimentConfig("cycle:10", "quadratic:3:42", "mid:tau=1",
+                                   steps=1000, seed=7, record_lyapunov=True)
+    traces = harness._simulate(cfg, [SchemeConfig("mid", t) for t in taus])
+    ens = cost_from_spec("quadratic:3:42", 10)
+    qmat = g.q_matrix()
+    for tau, trace in zip(taus, traces):
+        assert trace.status == harness.STATUS_MAX_STEPS
+        start = NetworkState(trace.q_history[0], trace.p_history[0])
+        eq = equilibrium_state(ens, g, initial=start, mid_tau=tau)
+        cert = closed_form_certificate(g, 3, tau, ens.mu)
+        e0 = np.concatenate([(start.q - eq.q).ravel(),
+                             ((start.p - tau * (qmat @ start.q))
+                              - (eq.p - tau * (qmat @ eq.q))).ravel()])
+        v0 = 0.5 * e0 @ (assemble_metric(cert, g, 3, tau) @ e0)
+        violation = audit_lyapunov(trace, cert, eq, g, tau)
+        assert violation <= 16 * np.finfo(float).eps * v0, (tau, violation, v0)
 
 
 def test_audit_flags_divergent_euler_trace():
