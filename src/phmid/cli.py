@@ -118,7 +118,8 @@ def _require_positive(flag, value):
 
 def _cmd_certify(args):
     # each family takes its constants from its own flags: quadratic ones
-    # from --cost, the (mu, L) family from --m, --mu and --lipschitz
+    # from --cost, the (mu, L) family from --mu and --lipschitz (--m is
+    # checked, but a (mu, L) verdict is the same for every m)
     if args.quadratic:
         for flag, value in (("--m", args.m), ("--mu", args.mu),
                             ("--lipschitz", args.lipschitz)):
@@ -142,14 +143,14 @@ def _cmd_certify(args):
             hessians = ensemble.hessian_blocks()
         except (ValueError, costs_mod.NonQuadraticCostError) as exc:
             raise SystemExit(f"--cost {args.cost}: {exc}") from None
-        m, mu = ensemble.dim, ensemble.mu
+        mu = ensemble.mu
         search_args = {"hessians": hessians}
         check = functools.partial(stability.check_certificate_quadratic,
                                   hessians=hessians)
     else:
         if args.mu is None:
             raise SystemExit("--mu is required without --quadratic")
-        m, mu = 1 if args.m is None else args.m, args.mu
+        mu = args.mu
         lipschitz = args.lipschitz if args.lipschitz is not None else mu
         search_args = {"mu": mu, "lipschitz": lipschitz}
         check = functools.partial(stability.check_certificate, mu=mu,
@@ -160,12 +161,13 @@ def _cmd_certify(args):
         # the verdict, so the overflow is not worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
             if args.search:
-                cert = stability.search_certificate(graph, m, args.tau,
+                cert = stability.search_certificate(graph, args.tau,
                                                     **search_args)
             else:
-                cert = stability.closed_form_certificate(graph, m, args.tau,
-                                                         mu)
-            verdict = None if cert is None else check(cert, graph, m, args.tau)
+                cert = stability.closed_form_certificate(graph, args.tau, mu)
+            verdict = None if cert is None else check(cert, graph, args.tau)
+    except OverflowError as exc:
+        raise SystemExit(f"--tau {args.tau:g}: {exc}; no verdict") from None
     except np.linalg.LinAlgError as exc:
         # G(tau) = I/tau^2 + Q/tau + Q^2 loses rank in floating point at
         # large tau when Q is singular, as on every bipartite graph
@@ -181,6 +183,7 @@ def _cmd_certify(args):
     return 0 if verdict.feasible else 1
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="phmid",
@@ -215,7 +218,8 @@ def build_parser():
     p_cert.add_argument("--lipschitz", type=float,
                         help="gradient Lipschitz constant (defaults to mu)")
     p_cert.add_argument("--m", type=int,
-                        help="per-agent dimension (default 1)")
+                        help="per-agent dimension (default 1); a (mu, L) "
+                             "verdict is the same for every m")
     p_cert.add_argument("--quadratic", action="store_true",
                         help="use the exact quadratic-cost check; needs --cost")
     p_cert.add_argument("--cost", help="cost spec for --quadratic")

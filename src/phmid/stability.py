@@ -24,20 +24,21 @@ holds, where B bounds the gradient feedback term: Young's inequality with
 the certified mu and Lipschitz constants for general strongly convex
 costs, or the exact per-agent Hessians for quadratic costs. All
 inequalities are verified by symmetric eigenvalue computations; no
-semidefinite programming is involved. Each check and each search builds
-G(tau) and S once, at N level. They and the (mu, L) bound are all
-X (x) I_m for an N x N X, so when P12, P22 and U are too,
-`check_certificate` decides on the 2N x 2N factors; the quadratic check,
-whose Hessians break that structure, runs at 2Nm. On a regular graph,
-where every one of these matrices is a polynomial in the adjacency, a
-certificate whose blocks are multiples of I is decided mode by mode, on
-N 2 x 2 blocks. A closed-form
-certificate covers every graph with D^2 - A^2 PSD (cycles, complete
-graphs) at every step size, and small enough step sizes on any connected
-graph.
+semidefinite programming is involved. A certificate holds N x N blocks
+X, standing for X (x) I_m at every per-agent dimension m. G(tau), S and
+the (mu, L) bound are X (x) I_m too, so the (mu, L) check decides on the
+2N x 2N factors, built once per check and once per search, and its
+verdict is the same for every m. The quadratic check, whose per-agent
+Hessians break that structure, lifts the blocks once and runs at 2Nm.
+On a regular graph, where every one of these matrices is a polynomial in
+the adjacency, a certificate whose blocks are multiples of I is decided
+mode by mode, on N 2 x 2 blocks. A closed-form certificate covers every
+graph with D^2 - A^2 PSD (cycles, complete graphs) at every step size,
+and small enough step sizes on any connected graph.
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -64,21 +65,32 @@ def _require_positive(name, value):
         raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
 
 
-def _squared(tau):
-    """tau ** 2, or inf where that overflows: a Python float above about
-    1.3e154 raises OverflowError on `**` instead of rounding to inf."""
+def _inverse_square(graph, tau):
+    """1/tau^2, or 0 where tau^2 overflows (a Python float raises
+    OverflowError on `**` above about 1.3e154 instead of rounding to inf).
+
+    Raises OverflowError where G(tau) or S would hold non-finite entries:
+    1/tau^2 overflows below tau of about 7.5e-155, and tau L above about
+    1.8e308 over the largest degree.
+    """
+    _require_positive("tau", tau)
+    if math.isinf(float(tau) * float(graph.degrees.max())):
+        raise OverflowError("tau L overflows")
     try:
-        return tau ** 2
+        square = float(tau) ** 2
     except OverflowError:
-        return np.inf
+        return 0.0
+    if square == 0.0 or math.isinf(1.0 / square):
+        raise OverflowError("1/tau^2 overflows")
+    return 1.0 / square
 
 
 def _step_matrices(graph, tau):
     """N-level G(tau) and S: the one build of every check and search."""
-    _require_positive("tau", tau)
+    inverse_square = _inverse_square(graph, tau)
     lap = graph.laplacian()
     qmat = graph.q_matrix()
-    gram = np.eye(graph.n) / _squared(tau) + qmat / tau + qmat @ qmat
+    gram = np.eye(graph.n) * inverse_square + qmat / tau + qmat @ qmat
     gram = (gram + gram.T) / 2.0
     a11 = -np.linalg.solve(gram, lap / tau + qmat @ lap + lap @ qmat)
     a12 = -np.linalg.solve(gram, lap) / tau
@@ -121,12 +133,12 @@ def _step_modes(graph, tau):
     l = 0 and S_j = 0 without rounding. Raises LinAlgError, as the dense
     solve does, when some G_j rounds to 0.
     """
-    _require_positive("tau", tau)
+    inverse_square = _inverse_square(graph, tau)
     d = graph.degrees[0]
     adj = np.clip(np.linalg.eigvalsh(graph.adjacency()), -d, d)
     adj[-1] = d
     q, lap = (d + adj) / 2.0, d - adj
-    gram = 1.0 / _squared(tau) + q / tau + q * q
+    gram = inverse_square + q / tau + q * q
     if not (gram > 0).all():
         raise np.linalg.LinAlgError("G(tau) is numerically singular")
     return gram, (-(lap / tau + 2.0 * q * lap) / gram, -lap / gram / tau,
@@ -148,25 +160,25 @@ def _gain_terms(gram_max, tau, epsilon, mu, lipschitz, u_cap):
     return gamma * epsilon / 2.0 - mu / tau, bottom
 
 
-def _gain_block(gram_n, k, tau, epsilon, mu, lipschitz, u_cap):
-    """The (mu, L) bound of `_gain_terms` as a matrix at level k, with
-    lambda_max(G) read off the N-level G."""
-    top, bottom = _gain_terms(float(np.linalg.eigvalsh(gram_n)[-1]), tau,
+def _gain_block(gram, tau, epsilon, mu, lipschitz, u_cap):
+    """The (mu, L) bound of `_gain_terms` as a 2N x 2N matrix."""
+    top, bottom = _gain_terms(float(np.linalg.eigvalsh(gram)[-1]), tau,
                               epsilon, mu, lipschitz, u_cap)
-    size = gram_n.shape[0] * k
+    size = gram.shape[0]
     out = np.zeros((2 * size, 2 * size))
     out[:size, :size] = top * np.eye(size)
     out[size:, size:] = bottom
     return out
 
 
-def _hessian_block_diag(hessians, n, m):
-    """Block diagonal of a per-agent (n, m, m) Hessian stack."""
+def _hessian_block_diag(hessians, n):
+    """Block diagonal of a per-agent (n, m, m) Hessian stack, m >= 1."""
     hessians = np.asarray(hessians, dtype=float)
-    if hessians.shape != (n, m, m):
+    m = hessians.shape[-1] if hessians.ndim == 3 else 0
+    if m < 1 or hessians.shape != (n, m, m):
         raise NonQuadraticCostError(
-            f"expected per-agent Hessian stack of shape {(n, m, m)}, "
-            f"got {hessians.shape}")
+            f"expected per-agent Hessian stack of shape ({n}, m, m) with "
+            f"m >= 1, got {hessians.shape}")
     hbd = np.zeros((n, m, n, m))
     agents = np.arange(n)
     hbd[agents, :, agents, :] = hessians
@@ -185,7 +197,8 @@ def _hessian_block(hbd, p12, gram, tau):
 class LmiCertificate:
     """Decision variables of a stability certificate.
 
-    P12, P22 and U are Nm x Nm matrices (P22 and U symmetric), u the
+    P12, P22 and U are N x N matrices X (P22 and U symmetric), each
+    standing for X (x) I_m at every per-agent dimension m; u is the
     claimed per-step decrease coefficient, epsilon the Young-inequality
     split (0 allowed only with U = P12 = 0).
     """
@@ -199,7 +212,7 @@ class LmiCertificate:
         if self.epsilon < 0:
             raise InvalidCertificateError("epsilon must be >= 0")
         if self.p12.shape != self.p22.shape or self.p12.shape != self.u_cap.shape:
-            raise ValueError("P12, P22 and U must share their (Nm, Nm) shape")
+            raise ValueError("P12, P22 and U must share their (N, N) shape")
 
     def __repr__(self):
         return (f"LmiCertificate(size={self.p12.shape[0]}, u={self.u}, "
@@ -274,12 +287,12 @@ def _decrease_margin(x, u):
     return _min_eig(-(x + target))
 
 
-def _require_checkable(cert, graph, m):
-    size, nm = cert.p12.shape[0], graph.n * m
-    if size != nm:
+def _require_checkable(cert, graph):
+    size, n = cert.p12.shape[0], graph.n
+    if size != n:
         raise DimensionMismatchError(
-            f"certificate blocks are {size}x{size}, but {graph.n} agents "
-            f"with m = {m} need {nm}x{nm}")
+            f"certificate blocks are {size}x{size}, but {n} agents need "
+            f"{n}x{n}")
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
 
@@ -315,7 +328,7 @@ def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz, tol):
     # for the closed form's c22 = 1/tau^2 and c12 = 0.
     ps11 = gram * s11 + c12 * s21
     x11 = (ps11 + ps11 + top) + cert.u
-    x12 = s21 * (c22 - 1.0 / _squared(tau)) + c12 * s11
+    x12 = s21 * (c22 - _inverse_square(graph, tau)) + c12 * s11
     x22 = 2.0 * c12 * s12 + bottom
     decrease_margin = _min_eig2(-x11, -x12, -x22).min()
     feasible = (metric_margin >= tol and decrease_margin >= -tol
@@ -324,86 +337,68 @@ def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz, tol):
                                          decrease_margin))
 
 
-def _kronecker_factor(cert, m):
-    """(k, blocks) with P12, P22 and U of `blocks` each Nk x Nk.
-
-    k = 1 with the N x N factors when the three blocks are each exactly
-    X (x) I_m (every certificate that `closed_form_certificate` and
-    `search_certificate` return), else k = m with the certificate itself.
-    """
-    if m == 1:
-        return 1, cert
-    blocks = (cert.p12, cert.p22, cert.u_cap)
-    factors = [block[::m, ::m] for block in blocks]
-    if all(np.array_equal(block, _lifted(x, m))
-           for block, x in zip(blocks, factors)):
-        return 1, LmiCertificate(*factors, cert.u, cert.epsilon)
-    return m, cert
-
-
-def _check(cert, graph, k, tau, bound, tol, schur_required):
-    """Verdict on a certificate whose blocks are Nk x Nk.
-
-    `bound(gram_n, gram)` is the feedback block from the N-level and the
-    lifted G(tau).
-    """
-    gram_n, smap_n = _step_matrices(graph, tau)
-    gram = _lifted(gram_n, k)
-    p = _metric(gram, cert.p12, cert.p22)
+def _check(blocks, u, gram, smap, bound, tol, schur_required):
+    """Verdict on `blocks` (P12, P22, U) and u, from G(tau), S and the
+    feedback block `bound`, all at one level (N, or Nm when lifted)."""
+    p12, p22, u_cap = blocks
+    p = _metric(gram, p12, p22)
     metric_margin = _min_eig(p)
-    schur = np.block([[cert.u_cap, cert.p12],
-                      [cert.p12.T, np.eye(graph.n * k)]])
+    schur = np.block([[u_cap, p12], [p12.T, np.eye(p12.shape[0])]])
     schur_margin = _min_eig(schur)
-    x = _decrease_lhs(p, _lifted(smap_n, k), bound(gram_n, gram))
-    decrease_margin = _decrease_margin(x, cert.u)
+    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), u)
     feasible = (metric_margin >= tol and decrease_margin >= -tol
                 and (schur_margin >= -tol or not schur_required))
     return CertificateVerdict(feasible, (metric_margin, schur_margin,
                                          decrease_margin))
 
 
-def check_certificate(cert, graph, m, tau, mu, lipschitz, tol=_EIG_TOL):
+def check_certificate(cert, graph, tau, mu, lipschitz, tol=_EIG_TOL):
     """Verify a certificate for strongly convex costs with constants (mu, L).
 
     Returns a CertificateVerdict; raises DimensionMismatchError when the
-    blocks are not Nm x Nm and InvalidCertificateError when the claimed
+    blocks are not N x N and InvalidCertificateError when the claimed
     decrease coefficient u is not positive. Every matrix of this check is
-    X (x) I_m when P12, P22 and U are, and the check then runs on the
-    2N x 2N factors instead of the 2Nm x 2Nm matrices: their eigenvalues
-    are the same, each repeated m times, so the margins are the lifted
-    ones up to rounding. On a regular graph with P12, P22 and U each a
+    X (x) I_m, so it runs on the 2N x 2N factors: the 2Nm x 2Nm matrices
+    have the same eigenvalues, each repeated m times, and the verdict is
+    the same for every m. On a regular graph with P12, P22 and U each a
     multiple of I (the closed form and every search result), it runs
     mode by mode instead: one N x N eigen-solve of A and N 2 x 2 blocks,
     in which the conserved consensus mode reads exactly 0.
     """
-    _require_checkable(cert, graph, m)
+    _require_checkable(cert, graph)
+    blocks = (cert.p12, cert.p22, cert.u_cap)
     degrees = graph.degrees
     if (degrees == degrees[0]).all():
-        scalars = [_scalar(block) for block in (cert.p12, cert.p22, cert.u_cap)]
+        scalars = [_scalar(block) for block in blocks]
         if None not in scalars:
             return _check_modes(*scalars, cert, graph, tau, mu, lipschitz, tol)
-    k, blocks = _kronecker_factor(cert, m)
-    return _check(blocks, graph, k, tau, lambda gram_n, gram: _gain_block(
-        gram_n, k, tau, blocks.epsilon, mu, lipschitz, blocks.u_cap),
-        tol, schur_required=True)
+    gram, smap = _step_matrices(graph, tau)
+    bound = _gain_block(gram, tau, cert.epsilon, mu, lipschitz, cert.u_cap)
+    return _check(blocks, cert.u, gram, smap, bound, tol, schur_required=True)
 
 
-def check_certificate_quadratic(cert, graph, m, tau, hessians, tol=_EIG_TOL):
+def check_certificate_quadratic(cert, graph, tau, hessians, tol=_EIG_TOL):
     """Verify a certificate against the exact quadratic-cost feedback term.
 
     Tests metric positivity, u > 0 and the decrease inequality with the
-    per-agent Hessians in place of the (mu, L) bound; the Schur condition
-    is not required in the quadratic variant (its margin is still
-    reported for diagnostics). Per-agent Hessians break the Kronecker
-    structure, so this check always runs on 2Nm x 2Nm matrices.
+    per-agent Hessians, an (N, m, m) stack, in place of the (mu, L)
+    bound; the Schur condition is not required in the quadratic variant
+    (its margin is still reported for diagnostics). Per-agent Hessians
+    break the Kronecker structure, so this check lifts the N x N blocks
+    by (x) I_m once and runs on 2Nm x 2Nm matrices.
     """
-    _require_checkable(cert, graph, m)
-    return _check(cert, graph, m, tau, lambda gram_n, gram: _hessian_block(
-        _hessian_block_diag(hessians, graph.n, m), cert.p12, gram, tau),
-        tol, schur_required=False)
+    _require_checkable(cert, graph)
+    gram_n, smap_n = _step_matrices(graph, tau)
+    hbd = _hessian_block_diag(hessians, graph.n)
+    m = hbd.shape[0] // graph.n
+    blocks = tuple(_lifted(x, m) for x in (cert.p12, cert.p22, cert.u_cap))
+    gram = _lifted(gram_n, m)
+    bound = _hessian_block(hbd, blocks[0], gram, tau)
+    return _check(blocks, cert.u, gram, _lifted(smap_n, m), bound, tol,
+                  schur_required=False)
 
 
-def closed_form_certificate(graph, m, tau, mu):
+def closed_form_certificate(graph, tau, mu):
     """The certificate that needs no search.
 
     P12 = 0, U = 0, P22 = I/tau^2, u = mu * min(1, 1/tau), epsilon = 0;
@@ -411,21 +406,20 @@ def closed_form_certificate(graph, m, tau, mu):
     it equals the bound's mu/tau bit for bit.
     With these choices the decrease inequality reduces to the positive
     semidefiniteness of L/tau + Q L + L Q (note Q L + L Q equals
-    (D^2 - A^2) (x) I_m exactly), so the certificate verifies on every
-    graph with D^2 - A^2 PSD at every step size, and on any connected
-    graph for small enough steps. The decrease coefficient is capped at
-    mu / tau, the rate actually guaranteed per step, so certified runs
-    pass the trajectory audit.
+    D^2 - A^2 exactly), so the certificate verifies on every graph with
+    D^2 - A^2 PSD at every step size, and on any connected graph for
+    small enough steps. The decrease coefficient is capped at mu / tau,
+    the rate actually guaranteed per step, so certified runs pass the
+    trajectory audit.
     """
-    _require_positive("tau", tau)
+    inverse_square = _inverse_square(graph, tau)
     _require_positive("mu", mu)
-    nm = graph.n * m
-    zero = np.zeros((nm, nm))
-    return LmiCertificate(p12=zero, p22=np.eye(nm) / _squared(tau), u_cap=zero,
-                          u=mu / max(1.0, tau), epsilon=0.0)
+    zero = np.zeros((graph.n, graph.n))
+    return LmiCertificate(p12=zero, p22=np.eye(graph.n) * inverse_square,
+                          u_cap=zero, u=mu / max(1.0, tau), epsilon=0.0)
 
 
-def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
+def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None,
                        tol=_EIG_TOL):
     """Scan a one-parameter certificate family; no semidefinite programming.
 
@@ -439,49 +433,48 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
 
     The scan builds G(tau) and S once per call and screens, with the
     check's metric and feedback block, at the level the public check uses:
-    2N x 2N for the (mu, lipschitz) family, whose blocks are X (x) I_m,
-    and 2Nm x 2Nm with Hessians. Within the family the metric and Schur
+    2N x 2N for the (mu, lipschitz) family, and 2Nm x 2Nm with an
+    (N, m, m) Hessian stack. Within the family the metric and Schur
     margins do not depend on beta, and the decrease margin only falls as
     beta grows, so an alpha that fails at the smallest beta has no
-    verifying beta and is skipped. These screens reject only margins that
-    fail by more than their rounding error, and a candidate that passes
-    them is returned only once the public check (`check_certificate` or
+    verifying beta and is skipped, as is an alpha whose decrease matrix X
+    has a symmetric part beyond the float range (alpha tau L near 1e308),
+    which no check can verify. These screens reject only margins that fail by
+    more than their rounding error, and a candidate that passes them is
+    returned only once the public check (`check_certificate` or
     `check_certificate_quadratic`) accepts it, so the result is the first
     candidate of the scan order that the public check accepts.
     """
-    # the (mu, lipschitz) family's blocks are X (x) I_m, so its screen runs
-    # at N level, as `check_certificate` does; Hessians break that structure
     if hessians is None:
         if lipschitz is None:
             raise ValueError("lipschitz is required without Hessians")
         _require_positive("lipschitz", lipschitz)
-        level = 1
         check = functools.partial(check_certificate, mu=mu,
                                   lipschitz=lipschitz, tol=tol)
     else:
         hessians = np.asarray(hessians, dtype=float)
         if mu is None:
             mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
-        level = m
         check = functools.partial(check_certificate_quadratic,
                                   hessians=hessians, tol=tol)
     if mu is None:
         raise ValueError("mu is required without Hessians")
     _require_positive("mu", mu)
-    gram_n, smap_n = _step_matrices(graph, tau)
-    alphas = [1.0 / _squared(tau)] + list(np.logspace(-4, 4, 17))
+    gram, smap = _step_matrices(graph, tau)
+    gram_min = float(np.linalg.eigvalsh(gram)[0])
+    alphas = [_inverse_square(graph, tau)] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
     smallest = min((b for b in betas if b > 0), default=None)
-    size, nm = graph.n * level, graph.n * m
-    gram, smap = _lifted(gram_n, level), _lifted(smap_n, level)
-    zero, zero_nm = np.zeros((size, size)), np.zeros((nm, nm))
+    zero_n = np.zeros((graph.n, graph.n))
     if hessians is None:
-        bound = _gain_block(gram_n, level, tau, 0.0, mu, lipschitz, zero)
+        bound = _gain_block(gram, tau, 0.0, mu, lipschitz, zero_n)
     else:
-        hbd = _hessian_block_diag(hessians, graph.n, m)
-        bound = _hessian_block(hbd, zero, gram, tau)
-    gram_min = float(np.linalg.eigvalsh(gram_n)[0])
+        hbd = _hessian_block_diag(hessians, graph.n)
+        m = hbd.shape[0] // graph.n
+        gram, smap = _lifted(gram, m), _lifted(smap, m)
+        bound = _hessian_block(hbd, np.zeros_like(hbd), gram, tau)
+    zero, size = np.zeros_like(gram), gram.shape[0]
     beta_keys = [round(float(beta), 18) for beta in betas]
     seen = set()
     for alpha in alphas:
@@ -499,15 +492,17 @@ def search_certificate(graph, m, tau, mu=None, lipschitz=None, hessians=None,
             continue
         p = _metric(gram, zero, alpha * np.eye(size))
         x = _decrease_lhs(p, smap, bound)
+        if not np.isfinite(x + x.T).all():  # no eigen-solve of X can verify
+            continue
         slack = _rounding_slack(p, smap, bound)
         if _decrease_margin(x, smallest) < -tol - slack(smallest):
             continue
         for beta in candidates:
             if _decrease_margin(x, beta) < -tol - slack(beta):
                 continue
-            cert = LmiCertificate(p12=zero_nm, p22=alpha * np.eye(nm),
-                                  u_cap=zero_nm, u=beta, epsilon=0.0)
-            if check(cert, graph, m, tau).feasible:
+            cert = LmiCertificate(p12=zero_n, p22=alpha * np.eye(graph.n),
+                                  u_cap=zero_n, u=beta, epsilon=0.0)
+            if check(cert, graph, tau).feasible:
                 return cert
     return None
 

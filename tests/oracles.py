@@ -25,13 +25,14 @@ Reference code that only the tests use.
 - `reference_search` is the certificate search as a plain in-order scan
   over the public checks, the behaviour `search_certificate` must keep.
 - `lifted_check_certificate` and `lifted_check_certificate_quadratic` are
-  the certificate checks written out on the 2Nm x 2Nm matrices, with no
-  Kronecker reduction and with G(tau) and the (q, r) midpoint map formed
-  here from L and Q alone: the reference for `check_certificate`, which
-  decides a certificate whose blocks are X (x) I_m on its 2N x 2N
-  factors. `hessian_block_diag` is the per-agent loop the vectorised
-  `_hessian_block_diag` must match bitwise, and `quadratic_gradient_block`
-  the exact quadratic feedback term as one matrix.
+  the certificate checks written out on the 2Nm x 2Nm matrices: they lift
+  a certificate's N x N blocks X to X (x) I_m themselves, and form G(tau)
+  and the (q, r) midpoint map here from L and Q alone. They are the
+  reference for `check_certificate`, which decides on the 2N x 2N
+  factors, and for the quadratic check. `hessian_block_diag` is the
+  per-agent loop the vectorised `_hessian_block_diag` must match bitwise,
+  and `quadratic_gradient_block` the exact quadratic feedback term as one
+  matrix.
 - `gradient_feedback_gain` and `gradient_bound_block` are the (mu, L)
   feedback bound built from the graph, the reference for the block the
   package forms from the G(tau) it decides on; `assemble_metric` is the
@@ -469,10 +470,15 @@ def gradient_bound_block(graph, m, tau, epsilon, mu, lipschitz, u_cap):
     return out
 
 
+def _lift(block, m):
+    return kron(block, np.eye(m))
+
+
 def assemble_metric(cert, graph, m, tau):
-    """Lyapunov metric P = [[G(tau), P12], [P12', P22]]."""
-    p = np.block([[_step_gram(graph, m, tau), cert.p12],
-                  [cert.p12.T, cert.p22]])
+    """Lyapunov metric P = [[G(tau), P12], [P12', P22]], lifted by (x) I_m."""
+    p12 = _lift(cert.p12, m)
+    p = np.block([[_step_gram(graph, m, tau), p12],
+                  [p12.T, _lift(cert.p22, m)]])
     return (p + p.T) / 2.0
 
 
@@ -483,8 +489,10 @@ def _min_eig(mat):
 def _lifted_verdict(cert, p, smap, bound, tol, schur_required):
     """Verdict from the metric, midpoint map and feedback block, all 2Nm."""
     nm = p.shape[0] // 2
+    m = nm // cert.p12.shape[0]
     metric_margin = _min_eig(p)
-    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
+    p12 = _lift(cert.p12, m)
+    schur = np.block([[_lift(cert.u_cap, m), p12], [p12.T, np.eye(nm)]])
     schur_margin = _min_eig(schur)
     target = np.zeros_like(p)
     target[:nm, :nm] = cert.u * np.eye(nm)
@@ -501,7 +509,7 @@ def lifted_check_certificate(cert, graph, m, tau, mu, lipschitz, tol=1e-9):
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
     bound = gradient_bound_block(graph, m, tau, cert.epsilon, mu, lipschitz,
-                                 cert.u_cap)
+                                 _lift(cert.u_cap, m))
     return _lifted_verdict(cert, assemble_metric(cert, graph, m, tau),
                            _midpoint_map_qr(graph, m, tau), bound, tol,
                            schur_required=True)
@@ -512,14 +520,15 @@ def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
     """`check_certificate_quadratic` written out on its own."""
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
-    bound = quadratic_gradient_block(graph, m, tau, hessians, cert.p12)
+    bound = quadratic_gradient_block(graph, m, tau, hessians,
+                                     _lift(cert.p12, m))
     bound = (bound + bound.T) / 2.0
     return _lifted_verdict(cert, assemble_metric(cert, graph, m, tau),
                            _midpoint_map_qr(graph, m, tau), bound, tol,
                            schur_required=False)
 
 
-def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
+def reference_search(graph, tau, mu=None, lipschitz=None, hessians=None,
                      tol=1e-9):
     """Every (alpha, beta) of the family through the public check, in order."""
     if hessians is not None:
@@ -528,8 +537,7 @@ def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
             mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
     if mu is None or not mu > 0:
         raise ValueError("a positive mu is required (given or from Hessians)")
-    nm = graph.n * m
-    zero = np.zeros((nm, nm))
+    zero = np.zeros((graph.n, graph.n))
     alphas = [1.0 / tau ** 2] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
@@ -540,14 +548,14 @@ def reference_search(graph, m, tau, mu=None, lipschitz=None, hessians=None,
             if key in seen or beta <= 0:
                 continue
             seen.add(key)
-            cert = LmiCertificate(p12=zero, p22=alpha * np.eye(nm),
+            cert = LmiCertificate(p12=zero, p22=alpha * np.eye(graph.n),
                                   u_cap=zero, u=beta, epsilon=0.0)
             if hessians is not None:
-                verdict = check_certificate_quadratic(cert, graph, m, tau,
+                verdict = check_certificate_quadratic(cert, graph, tau,
                                                       hessians, tol)
             else:
-                verdict = check_certificate(cert, graph, m, tau, mu,
-                                            lipschitz, tol)
+                verdict = check_certificate(cert, graph, tau, mu, lipschitz,
+                                            tol)
             if verdict.feasible:
                 return cert
     return None

@@ -138,27 +138,27 @@ def test_criterion_4_certificate_suite(desk_ensemble):
         for n in range(3, 13):
             g = builder(n)
             for tau in (0.01, 1.0, 100.0):
-                cert = closed_form_certificate(g, 1, tau, mu=1.0)
-                verdict = check_certificate(cert, g, 1, tau, mu=1.0,
+                cert = closed_form_certificate(g, tau, mu=1.0)
+                verdict = check_certificate(cert, g, tau, mu=1.0,
                                             lipschitz=1.0, tol=1e-9)
                 assert verdict.feasible, (builder.__name__, n, tau,
                                           verdict.margins)
 
     # (b) star(4) with mu = 0.01: feasible below the step bound, not at 1
     g = star(4)
-    cert = closed_form_certificate(g, 1, 0.0009, mu=0.01)
-    assert check_certificate(cert, g, 1, 0.0009, mu=0.01, lipschitz=0.05,
+    cert = closed_form_certificate(g, 0.0009, mu=0.01)
+    assert check_certificate(cert, g, 0.0009, mu=0.01, lipschitz=0.05,
                              tol=1e-9).feasible
-    cert1 = closed_form_certificate(g, 1, 1.0, mu=0.01)
-    assert not check_certificate(cert1, g, 1, 1.0, mu=0.01, lipschitz=0.05,
+    cert1 = closed_form_certificate(g, 1.0, mu=0.01)
+    assert not check_certificate(cert1, g, 1.0, mu=0.01, lipschitz=0.05,
                                  tol=1e-9).feasible
 
     # (c) quadratic-cost inequality on the criterion-1 problem
     g10 = graph_from_spec(DESK_GRAPH)
     hessians = desk_ensemble.hessian_blocks()
     for tau in (3.78, 10.0):
-        cert = closed_form_certificate(g10, 3, tau, desk_ensemble.mu)
-        verdict = check_certificate_quadratic(cert, g10, 3, tau, hessians,
+        cert = closed_form_certificate(g10, tau, desk_ensemble.mu)
+        verdict = check_certificate_quadratic(cert, g10, tau, hessians,
                                               tol=1e-9)
         assert verdict.feasible, (tau, verdict.margins)
     print("[criterion 4] PASS: certificates feasible on cycle/complete "
@@ -173,8 +173,8 @@ def test_criterion_5_lyapunov_decrease_audit(mid_desk_traces, desk_ensemble):
     traces = dict(mid_desk_traces)
     traces[3.78] = run(_desk_config("mid:tau=3.78", steps=1500, record=True))
     for tau, trace in traces.items():
-        cert = closed_form_certificate(g, 3, tau, desk_ensemble.mu)
-        assert check_certificate_quadratic(cert, g, 3, tau, hessians).feasible
+        cert = closed_form_certificate(g, tau, desk_ensemble.mu)
+        assert check_certificate_quadratic(cert, g, tau, hessians).feasible
         init = NetworkState(trace.q_history[0], trace.p_history[0])
         equilibrium = equilibrium_state(desk_ensemble, g, initial=init,
                                         mid_tau=tau)
@@ -373,8 +373,8 @@ def test_criterion_10_determinism(tmp_path, mid_desk_traces, desk_sweep,
     g = graph_from_spec(DESK_GRAPH)
     rows = []
     for _ in range(2):
-        cert = closed_form_certificate(g, 1, 10.0, mu=1.0)
-        verdict = check_certificate(cert, g, 1, 10.0, mu=1.0, lipschitz=3.0)
+        cert = closed_form_certificate(g, 10.0, mu=1.0)
+        verdict = check_certificate(cert, g, 10.0, mu=1.0, lipschitz=3.0)
         rows.append(",".join(format(x, ".17g") for x in verdict.margins))
     assert rows[0] == rows[1]
     print("[criterion 10] PASS: reruns reproduce traces, sweep tables and "

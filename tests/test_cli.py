@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +157,69 @@ def test_certify_decides_where_tau_squared_overflows(graph, tau, capsys):
         else:
             assert code == 1
         capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("graph,tau,extra,cause", [
+    ("cycle:5", "1e-200", [], "1/tau^2 overflows"),
+    ("cycle:5", "1e-200", ["--search"], "1/tau^2 overflows"),
+    ("cycle:5", "1e308", [], "tau L overflows"),
+    ("star:6", "1e308", [], "tau L overflows"),
+    ("cycle:5", "1e308", ["--search"], "tau L overflows"),
+    ("cycle:5", "1e307", ["--search"], None),
+    ("star:6", "1e307", [], None),
+])
+def test_certify_at_the_ends_of_the_float_range(graph, tau, extra, cause,
+                                                 capsys):
+    # where G(tau) or the midpoint map would hold non-finite entries,
+    # certify names --tau and the overflow in one line; just inside the
+    # range it prints a verdict with finite margins, or NotFound
+    argv = ["certify", "--graph", graph, "--tau", tau, "--mu", "1",
+            "--lipschitz", "3"] + extra
+    if cause is not None:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code) == f"--tau {float(tau):g}: {cause}; no verdict"
+        assert capsys.readouterr().out == ""
+        return
+    assert main(argv) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    if "--search" in extra:
+        assert "NotFound" in last
+    else:
+        assert all(math.isfinite(float(x)) for x in last.split(",")[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--graph", "cycle:80", "--tau", "1000", "--mu", "0.5", "--lipschitz", "3"],
+    ["--graph", "star:6", "--tau", "0.5", "--mu", "0.5", "--lipschitz", "3"],
+    ["--graph", "er:20:0.3:1", "--tau", "10", "--mu", "0.5", "--lipschitz",
+     "3", "--search"],
+], ids=["closed-form-modes", "closed-form-dense", "search"])
+def test_certify_prints_the_same_for_every_m(argv, capsys):
+    # a certificate stands for X (x) I_m, so a (mu, L) verdict is the same
+    # at every m: the mode path (cycle), the dense N-level path (star) and
+    # a search
+    runs = []
+    for m in ("1", "3"):
+        code = main(["certify", "--m", m] + argv)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+
+
+def test_main_reuses_one_parser(monkeypatch, capsys):
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+    argv = ["certify", "--graph", "cycle:6", "--tau", "10", "--mu", "1"]
+    assert main(argv) == main(argv) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("cost", ["logistic:3:10:0.1:42", "quadratic:3"],

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phmid import harness
+from phmid import harness, stability
+from phmid.cli import main
 from phmid.costs import NonQuadraticCostError, random_quadratic_ensemble
 from phmid.costs import from_spec as cost_from_spec
 from phmid.dynamics import NetworkState, equilibrium_state
@@ -170,7 +171,7 @@ def test_quadratic_gradient_block_structure():
 def test_closed_form_certificate_metric():
     for g in (cycle(5), star(4), erdos_renyi(7, 0.5, seed=5)):
         for tau in (0.01, 1.0, 100.0):
-            cert = closed_form_certificate(g, 2, tau, mu=0.7)
+            cert = closed_form_certificate(g, tau, mu=0.7)
             metric = assemble_metric(cert, g, 2, tau)
             assert np.linalg.eigvalsh(metric).min() > 0.0
 
@@ -178,8 +179,8 @@ def test_closed_form_certificate_metric():
 def test_check_certificate_cycle_all_step_sizes():
     g = cycle(6)
     for tau in (0.1, 1.0, 10.0, 1000.0):
-        cert = closed_form_certificate(g, 1, tau, mu=1.0)
-        verdict = check_certificate(cert, g, 1, tau, mu=1.0, lipschitz=3.0)
+        cert = closed_form_certificate(g, tau, mu=1.0)
+        verdict = check_certificate(cert, g, tau, mu=1.0, lipschitz=3.0)
         assert verdict.feasible, (tau, verdict.margins)
 
 
@@ -188,15 +189,15 @@ def test_check_certificate_parameter_free_family():
     for g in (cycle(8), complete(5)):
         for k in range(-2, 4):
             tau = 10.0 ** k
-            cert = closed_form_certificate(g, 1, tau, mu=0.3)
-            verdict = check_certificate(cert, g, 1, tau, mu=0.3, lipschitz=1.0)
+            cert = closed_form_certificate(g, tau, mu=0.3)
+            verdict = check_certificate(cert, g, tau, mu=0.3, lipschitz=1.0)
             assert verdict.feasible, (g.n, tau, verdict.margins)
 
 
 def test_check_certificate_star_infeasible_large_tau():
     g = star(4)
-    cert = closed_form_certificate(g, 1, 10.0, mu=0.01)
-    verdict = check_certificate(cert, g, 1, 10.0, mu=0.01, lipschitz=0.05)
+    cert = closed_form_certificate(g, 10.0, mu=0.01)
+    verdict = check_certificate(cert, g, 10.0, mu=0.01, lipschitz=0.05)
     assert not verdict.feasible
     assert verdict.decrease_margin < -1e-6
 
@@ -204,12 +205,12 @@ def test_check_certificate_star_infeasible_large_tau():
 def test_check_certificate_star_small_tau_feasible():
     g = star(4)
     tau = 0.0009  # below mu / ||D^2 - A^2|| = 0.01 / 6
-    cert = closed_form_certificate(g, 1, tau, mu=0.01)
-    verdict = check_certificate(cert, g, 1, tau, mu=0.01, lipschitz=0.05)
+    cert = closed_form_certificate(g, tau, mu=0.01)
+    verdict = check_certificate(cert, g, tau, mu=0.01, lipschitz=0.05)
     assert verdict.feasible, verdict.margins
     # and the same certificate shape fails at tau = 1
-    cert1 = closed_form_certificate(g, 1, 1.0, mu=0.01)
-    assert not check_certificate(cert1, g, 1, 1.0, mu=0.01, lipschitz=0.05).feasible
+    cert1 = closed_form_certificate(g, 1.0, mu=0.01)
+    assert not check_certificate(cert1, g, 1.0, mu=0.01, lipschitz=0.05).feasible
 
 
 def test_check_certificate_rejects_nonpositive_u():
@@ -217,14 +218,14 @@ def test_check_certificate_rejects_nonpositive_u():
     cert = LmiCertificate(np.zeros((4, 4)), np.eye(4), np.zeros((4, 4)),
                           u=-1.0, epsilon=0.0)
     with pytest.raises(InvalidCertificateError):
-        check_certificate(cert, g, 1, 1.0, mu=1.0, lipschitz=1.0)
+        check_certificate(cert, g, 1.0, mu=1.0, lipschitz=1.0)
 
 
 def test_quadratic_check_identity_hessians():
     g = cycle(6)
     hs = np.repeat(np.eye(2)[None], 6, axis=0)
-    cert = closed_form_certificate(g, 2, 10.0, mu=1.0)
-    verdict = check_certificate_quadratic(cert, g, 2, 10.0, hs)
+    cert = closed_form_certificate(g, 10.0, mu=1.0)
+    verdict = check_certificate_quadratic(cert, g, 10.0, hs)
     assert verdict.feasible, verdict.margins
 
 
@@ -236,7 +237,7 @@ def test_quadratic_check_er_graph_is_out_of_family():
     g = erdos_renyi(10, 0.4, seed=42)
     ens = random_quadratic_ensemble(10, 3, seed=42)
     hs = ens.hessian_blocks()
-    assert search_certificate(g, 3, 10.0, hessians=hs) is None
+    assert search_certificate(g, 10.0, hessians=hs) is None
     theta = ens.centralized_optimum()
     rng = np.random.default_rng(0)
     st = NetworkState(rng.standard_normal((10, 3)), np.zeros((10, 3)))
@@ -250,8 +251,8 @@ def test_quadratic_check_robust_to_huge_scaling():
     # the sign of the outcome
     g = cycle(4)
     hs = 1e6 * np.repeat(np.eye(1)[None], 4, axis=0)
-    cert = closed_form_certificate(g, 1, 1000.0, mu=1e6)
-    verdict = check_certificate_quadratic(cert, g, 1, 1000.0, hs)
+    cert = closed_form_certificate(g, 1000.0, mu=1e6)
+    verdict = check_certificate_quadratic(cert, g, 1000.0, hs)
     assert all(np.isfinite(m) for m in verdict.margins)
     assert isinstance(verdict, CertificateVerdict)
 
@@ -267,10 +268,10 @@ def test_quadratic_feasible_whenever_general_feasible():
         m = int(rng.integers(1, 3))
         ens = random_quadratic_ensemble(g.n, m, seed=int(rng.integers(10000)))
         tau = float(10 ** rng.uniform(-2, 2))
-        cert = closed_form_certificate(g, m, tau, ens.mu)
-        general = check_certificate(cert, g, m, tau, ens.mu, ens.lipschitz)
+        cert = closed_form_certificate(g, tau, ens.mu)
+        general = check_certificate(cert, g, tau, ens.mu, ens.lipschitz)
         if general.feasible:
-            quad = check_certificate_quadratic(cert, g, m, tau,
+            quad = check_certificate_quadratic(cert, g, tau,
                                                ens.hessian_blocks())
             assert quad.feasible, (g.n, tau, quad.margins)
             checked += 1
@@ -279,20 +280,20 @@ def test_quadratic_feasible_whenever_general_feasible():
 
 def test_search_finds_closed_form_on_cycle():
     g = cycle(6)
-    cert = search_certificate(g, 1, 1.0, mu=1.0, lipschitz=2.0)
+    cert = search_certificate(g, 1.0, mu=1.0, lipschitz=2.0)
     assert cert is not None
     assert cert.u == pytest.approx(1.0, abs=0)
     assert np.allclose(cert.p22, np.eye(6), atol=0)
     # wherever the closed form verifies, the search cannot fail
     for g2 in (cycle(4), complete(4)):
         for tau in (0.5, 20.0):
-            assert search_certificate(g2, 1, tau, mu=0.4, lipschitz=1.0) is not None
+            assert search_certificate(g2, tau, mu=0.4, lipschitz=1.0) is not None
 
 
 def test_search_not_found_for_star_large_tau():
     g = star(4)
     hs = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
-    assert search_certificate(g, 1, 50.0, hessians=hs) is None
+    assert search_certificate(g, 50.0, hessians=hs) is None
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "star:5", "complete:4",
@@ -305,27 +306,26 @@ def test_search_matches_the_in_order_scan(spec):
         hs = random_quadratic_ensemble(g.n, m, seed=5).hessian_blocks()
         for tau in np.logspace(-7, 2, 10):
             for kwargs in ({"mu": 0.5, "lipschitz": 2.0}, {"hessians": hs}):
-                want = reference_search(g, m, tau, **kwargs)
-                got = search_certificate(g, m, tau, **kwargs)
+                want = reference_search(g, tau, **kwargs)
+                got = search_certificate(g, tau, **kwargs)
                 assert (got is None) == (want is None), (m, tau, kwargs.keys())
                 if got is None:
                     continue
                 assert (got.p22[0, 0], got.u) == (want.p22[0, 0], want.u)
                 if "hessians" in kwargs:
-                    verdict = check_certificate_quadratic(got, g, m, tau, hs)
+                    verdict = check_certificate_quadratic(got, g, tau, hs)
                 else:
-                    verdict = check_certificate(got, g, m, tau, 0.5, 2.0)
+                    verdict = check_certificate(got, g, tau, 0.5, 2.0)
                 assert verdict.feasible
 
 
-def _kronecker_certificate(n, m, rng):
-    # nonzero P12 and U with the Schur block PSD, epsilon > 0
+def _dense_certificate(n, rng):
+    # dense N x N blocks, standing for X (x) I_m: nonzero P12 and U with
+    # the Schur block PSD, epsilon > 0
     x12 = 0.3 * rng.standard_normal((n, n))
     x22 = rng.standard_normal((n, n))
-    eye = np.eye(m)
-    return LmiCertificate(kron(x12, eye), kron(x22 @ x22.T + np.eye(n), eye),
-                          kron(x12 @ x12.T + 0.1 * np.eye(n), eye), u=0.05,
-                          epsilon=0.7)
+    return LmiCertificate(x12, x22 @ x22.T + np.eye(n),
+                          x12 @ x12.T + 0.1 * np.eye(n), u=0.05, epsilon=0.7)
 
 
 def _eig_slack(mat):
@@ -336,11 +336,12 @@ def _eig_slack(mat):
 
 def _margin_slacks(cert, g, m, tau, mu, lipschitz):
     """Rounding bounds of the three margins, from the 2Nm x 2Nm matrices."""
-    nm = g.n * m
+    eye = np.eye(m)
     p = assemble_metric(cert, g, m, tau)
-    schur = np.block([[cert.u_cap, cert.p12], [cert.p12.T, np.eye(nm)]])
+    p12, u_cap = kron(cert.p12, eye), kron(cert.u_cap, eye)
+    schur = np.block([[u_cap, p12], [p12.T, np.eye(g.n * m)]])
     bound = gradient_bound_block(g, m, tau, cert.epsilon, mu, lipschitz,
-                                 cert.u_cap)
+                                 u_cap)
     smap = midpoint_map_qr(g, m, tau)
     return (_eig_slack(p), _eig_slack(schur),
             _rounding_slack(p, smap, bound)(cert.u))
@@ -355,31 +356,25 @@ def test_reduced_check_matches_the_lifted_check():
         g = graph_from_spec(spec)
         for m in (1, 2, 3):
             for tau in np.logspace(-7, 9, 17):
-                nm = g.n * m
-                zero = np.zeros((nm, nm))
-                kron_cert = _kronecker_certificate(g.n, m, rng)
-                p22 = kron_cert.p22.copy()
-                p22[0, 0] += 1.0  # breaks X (x) I_m unless m = 1
+                zero = np.zeros((g.n, g.n))
                 certs = [
-                    closed_form_certificate(g, m, tau, mu),
-                    LmiCertificate(zero, np.eye(nm), zero,
+                    closed_form_certificate(g, tau, mu),
+                    LmiCertificate(zero, np.eye(g.n), zero,
                                    u=1e-2 * mu / tau, epsilon=0.0),
-                    LmiCertificate(zero, 1e3 * np.eye(nm), zero,
+                    LmiCertificate(zero, 1e3 * np.eye(g.n), zero,
                                    u=mu * min(1.0, 1.0 / tau), epsilon=0.0),
-                    kron_cert,
-                    LmiCertificate(kron_cert.p12, p22, kron_cert.u_cap,
-                                   kron_cert.u, kron_cert.epsilon),
+                    _dense_certificate(g.n, rng),
                 ]
                 for cert in certs:
-                    args = (cert, g, m, tau, mu, lipschitz, tol)
+                    args = (mu, lipschitz, tol)
                     try:
-                        want = lifted_check_certificate(*args)
+                        want = lifted_check_certificate(cert, g, m, tau, *args)
                     except np.linalg.LinAlgError:
                         # G(tau) numerically singular: no verdict either way
                         with pytest.raises(np.linalg.LinAlgError):
-                            check_certificate(*args)
+                            check_certificate(cert, g, tau, *args)
                         continue
-                    got = check_certificate(*args)
+                    got = check_certificate(cert, g, tau, *args)
                     slacks = _margin_slacks(cert, g, m, tau, mu, lipschitz)
                     for a, b, slack in zip(got.margins, want.margins, slacks):
                         assert abs(a - b) <= slack, (spec, m, tau, a, b, slack)
@@ -404,16 +399,16 @@ def test_quadratic_check_matches_the_lifted_check():
         for m in (1, 3):
             hs = random_quadratic_ensemble(g.n, m, seed=2).hessian_blocks()
             for tau in np.logspace(-3, 3, 4):
-                for cert in (closed_form_certificate(g, m, tau, 0.5),
-                             _kronecker_certificate(g.n, m, rng)):
-                    got = check_certificate_quadratic(cert, g, m, tau, hs)
+                for cert in (closed_form_certificate(g, tau, 0.5),
+                             _dense_certificate(g.n, rng)):
+                    got = check_certificate_quadratic(cert, g, tau, hs)
                     want = lifted_check_certificate_quadratic(cert, g, m, tau,
                                                               hs)
                     assert got.margins == want.margins
                     assert got.feasible == want.feasible
 
 
-def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch):
+def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch, capsys):
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -422,24 +417,28 @@ def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    g, m, tau = cycle(80), 3, 1000.0
-    cert = closed_form_certificate(g, m, tau, 0.5)
-    check_certificate(cert, g, m, tau, 0.5, 3.0)
-    assert sizes and max(sizes) <= 2 * g.n
-    sizes.clear()
-    p22 = cert.p22.copy()
-    p22[1, 1] *= 2.0
-    broken = LmiCertificate(cert.p12, p22, cert.u_cap, cert.u, cert.epsilon)
-    check_certificate(broken, g, m, tau, 0.5, 3.0)
-    assert max(sizes) == 2 * g.n * m
+    lifts = []
+    lifted = stability._lifted
+    monkeypatch.setattr(stability, "_lifted",
+                        lambda x, m: lifts.append(m) or lifted(x, m))
+    # the benchmark's closed-form check and a search, through certify at
+    # m = 3: N x N blocks, no lifted matrix and no eigen-solve above 2N
+    g = cycle(80)
+    cert = closed_form_certificate(g, 1000.0, 0.5)
+    assert cert.p12.shape == cert.p22.shape == cert.u_cap.shape == (g.n, g.n)
+    for search in ([], ["--search"]):
+        sizes.clear()
+        main(["certify", "--graph", "cycle:80", "--tau", "1000", "--m", "3",
+              "--mu", "0.5", "--lipschitz", "3"] + search)
+        assert sizes and max(sizes) <= 2 * g.n
+    assert not lifts
 
 
-def _scalar_certificates(g, m, tau, mu):
+def _scalar_certificates(g, tau, mu):
     """Certificates whose P12, P22 and U are each a multiple of I."""
-    nm = g.n * m
-    eye, zero = np.eye(nm), np.zeros((nm, nm))
+    eye, zero = np.eye(g.n), np.zeros((g.n, g.n))
     return [
-        closed_form_certificate(g, m, tau, mu),
+        closed_form_certificate(g, tau, mu),
         LmiCertificate(zero, eye, zero, u=1e-2 * mu / tau, epsilon=0.0),
         LmiCertificate(zero, 1e3 * eye, zero, u=mu * min(1.0, 1.0 / tau),
                        epsilon=0.0),
@@ -479,11 +478,12 @@ def test_mode_check_matches_the_lifted_check():
             g = graph_from_spec(f"{kind}:{n}")
             for m in (1, 3):
                 for tau in np.logspace(-7, 9, 9):
-                    for cert in _scalar_certificates(g, m, tau, mu):
-                        args = (cert, g, m, tau, mu, lipschitz, tol)
-                        got = check_certificate(*args)
+                    for cert in _scalar_certificates(g, tau, mu):
+                        args = (mu, lipschitz, tol)
+                        got = check_certificate(cert, g, tau, *args)
                         try:
-                            want = lifted_check_certificate(*args)
+                            want = lifted_check_certificate(cert, g, m, tau,
+                                                            *args)
                         except np.linalg.LinAlgError:
                             # G(tau) is numerically singular, so its
                             # smallest mode, and the metric margin, lie
@@ -521,8 +521,8 @@ def test_closed_form_decrease_margin_is_exactly_zero():
         g = graph_from_spec(spec)
         for mu in (0.3, 0.5, 7.0):
             for tau in np.logspace(-6, 9, 16):
-                cert = closed_form_certificate(g, 3, tau, mu)
-                margin = check_certificate(cert, g, 3, tau, mu, 3.0).decrease_margin
+                cert = closed_form_certificate(g, tau, mu)
+                margin = check_certificate(cert, g, tau, mu, 3.0).decrease_margin
                 assert margin == 0.0 and math.copysign(1.0, margin) == 1.0, (
                     spec, mu, tau, margin)
 
@@ -530,8 +530,8 @@ def test_closed_form_decrease_margin_is_exactly_zero():
 def test_closed_form_verifies_at_a_tiny_step():
     for spec in ("cycle:80", "complete:12"):
         g = graph_from_spec(spec)
-        cert = closed_form_certificate(g, 3, 1e-6, 0.5)
-        verdict = check_certificate(cert, g, 3, 1e-6, 0.5, 3.0)
+        cert = closed_form_certificate(g, 1e-6, 0.5)
+        verdict = check_certificate(cert, g, 1e-6, 0.5, 3.0)
         assert verdict.feasible, (spec, verdict.margins)
 
 
@@ -544,39 +544,40 @@ def test_regular_graph_certificate_is_checked_mode_by_mode(monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    m, tau = 3, 1000.0
+    tau = 1000.0
     for spec in ("cycle:80", "complete:12"):
         g = graph_from_spec(spec)
         sizes.clear()
-        check_certificate(closed_form_certificate(g, m, tau, 0.5), g, m, tau,
+        check_certificate(closed_form_certificate(g, tau, 0.5), g, tau,
                           0.5, 3.0)
         assert max(sizes) == g.n
-    # a Kronecker certificate that is not a multiple of I, and the closed
+    # a dense certificate, not a multiple of I, and the closed
     # form on an irregular graph, keep the 2N x 2N check
     g = cycle(12)
     sizes.clear()
-    check_certificate(_kronecker_certificate(g.n, m, np.random.default_rng(3)),
-                      g, m, tau, 0.5, 3.0)
+    check_certificate(_dense_certificate(g.n, np.random.default_rng(3)),
+                      g, tau, 0.5, 3.0)
     assert max(sizes) == 2 * g.n
     g = star(12)
     sizes.clear()
-    check_certificate(closed_form_certificate(g, m, tau, 0.5), g, m, tau,
+    check_certificate(closed_form_certificate(g, tau, 0.5), g, tau,
                       0.5, 3.0)
     assert max(sizes) == 2 * g.n
 
 
-@pytest.mark.parametrize("m,size", [(1, 4), (2, 5), (2, 8)])
+@pytest.mark.parametrize("m,size", [(1, 4), (2, 10), (2, 8)])
 def test_checks_reject_certificates_of_the_wrong_size(m, size):
+    # blocks are N x N at every m, so the N m x N m ones are refused too
     g = graph_from_spec("cycle:5")
     zero = np.zeros((size, size))
     cert = LmiCertificate(zero, np.eye(size), zero, u=0.1, epsilon=0.0)
     hs = np.repeat(np.eye(m)[None], g.n, axis=0)
-    for check in (lambda: check_certificate(cert, g, m, 1.0, 0.5, 2.0),
-                  lambda: check_certificate_quadratic(cert, g, m, 1.0, hs)):
+    for check in (lambda: check_certificate(cert, g, 1.0, 0.5, 2.0),
+                  lambda: check_certificate_quadratic(cert, g, 1.0, hs)):
         with pytest.raises(DimensionMismatchError) as exc:
             check()
         assert f"{size}x{size}" in str(exc.value)
-        assert f"{g.n * m}x{g.n * m}" in str(exc.value)
+        assert f"{g.n}x{g.n}" in str(exc.value)
 
 
 def test_one_build_per_decision(monkeypatch):
@@ -589,32 +590,32 @@ def test_one_build_per_decision(monkeypatch):
 
         monkeypatch.setattr(Graph, name, counted)
     g, m, tau = cycle(8), 3, 10.0
-    cert = closed_form_certificate(g, m, tau, 0.5)
+    cert = closed_form_certificate(g, tau, 0.5)
     p22 = cert.p22.copy()
-    p22[1, 1] *= 2.0
+    p22[1, 1] *= 2.0  # no longer a multiple of I: the dense N-level check
     broken = LmiCertificate(cert.p12, p22, cert.u_cap, cert.u, cert.epsilon)
     hs = random_quadratic_ensemble(g.n, m, seed=3).hessian_blocks()
     hs4 = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
     # the closed form on a cycle is checked mode by mode, from the
     # adjacency's spectrum: it forms no dense L or Q at all
     for decide, builds in (
-            (lambda: check_certificate(cert, g, m, tau, 0.5, 3.0), 0),
-            (lambda: check_certificate(broken, g, m, tau, 0.5, 3.0), 1),
-            (lambda: check_certificate_quadratic(cert, g, m, tau, hs), 1),
-            (lambda: search_certificate(star(4), 1, 50.0, hessians=hs4), 1),
-            (lambda: search_certificate(graph_from_spec("er:20:0.3:1"),
-                                        3, 10.0, mu=0.5, lipschitz=3.0), 1)):
+            (lambda: check_certificate(cert, g, tau, 0.5, 3.0), 0),
+            (lambda: check_certificate(broken, g, tau, 0.5, 3.0), 1),
+            (lambda: check_certificate_quadratic(cert, g, tau, hs), 1),
+            (lambda: search_certificate(star(4), 50.0, hessians=hs4), 1),
+            (lambda: search_certificate(graph_from_spec("er:20:0.3:1"), 10.0,
+                                        mu=0.5, lipschitz=3.0), 1)):
         calls.clear()
         decide()
         assert calls == ({"laplacian": builds, "q_matrix": builds}
                          if builds else {})
-    assert search_certificate(star(4), 1, 50.0, hessians=hs4) is None
+    assert search_certificate(star(4), 50.0, hessians=hs4) is None
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (6, 1), (7, 2), (5, 3)])
 def test_hessian_block_diag_matches_the_agent_loop(n, m):
     hs = np.random.default_rng(10 * n + m).standard_normal((n, m, m))
-    got = _hessian_block_diag(hs, n, m)
+    got = _hessian_block_diag(hs, n)
     assert got.shape == (n * m, n * m)
     assert np.array_equal(got, hessian_block_diag(hs, n, m))
 
@@ -626,12 +627,12 @@ def test_hessian_block_diag_matches_the_agent_loop(n, m):
     lambda g: gradient_bound_block(g, 1, -1.0, 0.0, 1.0, 1.0, np.zeros((4, 4))),
     lambda g: quadratic_gradient_block(g, 1, np.inf, np.ones((4, 1, 1)),
                                        np.zeros((4, 4))),
-    lambda g: closed_form_certificate(g, 1, np.inf, mu=1.0),
-    lambda g: closed_form_certificate(g, 1, 1.0, mu=np.inf),
-    lambda g: search_certificate(g, 1, np.inf, mu=1.0, lipschitz=1.0),
-    lambda g: search_certificate(g, 1, 1.0, mu=1.0),
-    lambda g: search_certificate(g, 1, 1.0, mu=1.0, lipschitz=-3.0),
-    lambda g: search_certificate(g, 1, 1.0, mu=np.nan, lipschitz=1.0),
+    lambda g: closed_form_certificate(g, np.inf, mu=1.0),
+    lambda g: closed_form_certificate(g, 1.0, mu=np.inf),
+    lambda g: search_certificate(g, np.inf, mu=1.0, lipschitz=1.0),
+    lambda g: search_certificate(g, 1.0, mu=1.0),
+    lambda g: search_certificate(g, 1.0, mu=1.0, lipschitz=-3.0),
+    lambda g: search_certificate(g, 1.0, mu=np.nan, lipschitz=1.0),
 ], ids=["gram-inf", "map-nan", "gain-0", "bound-neg", "quad-inf",
         "closed-tau-inf", "closed-mu-inf", "search-tau-inf",
         "search-no-lipschitz", "search-neg-lipschitz", "search-mu-nan"])
@@ -669,7 +670,7 @@ def test_audit_constant_equilibrium_trace_is_zero():
     class _Trace:
         q_history, p_history = hist
 
-    cert = closed_form_certificate(g, 2, tau, ens.mu)
+    cert = closed_form_certificate(g, tau, ens.mu)
     assert audit_lyapunov(_Trace(), cert, eq, g, tau) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -677,8 +678,8 @@ def test_audit_certified_run_decreases():
     g = cycle(6)
     ens = random_quadratic_ensemble(6, 2, seed=9)
     tau = 10.0
-    cert = closed_form_certificate(g, 2, tau, ens.mu)
-    assert check_certificate_quadratic(cert, g, 2, tau,
+    cert = closed_form_certificate(g, tau, ens.mu)
+    assert check_certificate_quadratic(cert, g, tau,
                                        ens.hessian_blocks()).feasible
     rng = np.random.default_rng(10)
     trace, start = _mid_run(g, ens, tau, 800, rng)
@@ -711,7 +712,7 @@ def test_closed_form_audit_of_carrying_mid_runs_at_every_step_size():
         assert trace.status == harness.STATUS_MAX_STEPS
         start = NetworkState(trace.q_history[0], trace.p_history[0])
         eq = equilibrium_state(ens, g, initial=start, mid_tau=tau)
-        cert = closed_form_certificate(g, 3, tau, ens.mu)
+        cert = closed_form_certificate(g, tau, ens.mu)
         e0 = np.concatenate([(start.q - eq.q).ravel(),
                              ((start.p - tau * (qmat @ start.q))
                               - (eq.p - tau * (qmat @ eq.q))).ravel()])
@@ -737,7 +738,7 @@ def test_audit_flags_divergent_euler_trace():
         p_history = np.stack(p_hist)
 
     eq = equilibrium_state(ens, g, initial=NetworkState(q_hist[0], p_hist[0]))
-    cert = closed_form_certificate(g, 2, tau, ens.mu)
+    cert = closed_form_certificate(g, tau, ens.mu)
     assert audit_lyapunov(_Trace(), cert, eq, g, tau) > 1.0
 
 
@@ -747,7 +748,7 @@ def test_audit_requires_state_history():
         p_history = None
 
     g = cycle(4)
-    cert = closed_form_certificate(g, 1, 1.0, mu=1.0)
+    cert = closed_form_certificate(g, 1.0, mu=1.0)
     eq = NetworkState(np.zeros((4, 1)), np.zeros((4, 1)))
     with pytest.raises(ValueError):
         audit_lyapunov(_Empty(), cert, eq, g, 1.0)
