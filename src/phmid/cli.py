@@ -168,6 +168,9 @@ def _cmd_certify(args):
             verdict = None if cert is None else check(cert, graph, args.tau)
     except OverflowError as exc:
         raise SystemExit(f"--tau {args.tau:g}: {exc}; no verdict") from None
+    except FloatingPointError as exc:
+        raise SystemExit(f"--mu {mu:g} --tau {args.tau:g}: {exc}; "
+                         "no verdict") from None
     except np.linalg.LinAlgError as exc:
         # G(tau) = I/tau^2 + Q/tau + Q^2 loses rank in floating point at
         # large tau when Q is singular, as on every bipartite graph

@@ -16,13 +16,10 @@ from .numerics import (DimensionMismatchError, SolverSettings, as_vector,
 
 
 def _sigmoid(t):
-    """Numerically stable logistic sigmoid."""
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    """Numerically stable logistic sigmoid: 1 / (1 + e^-t) for t >= 0 and
+    e^t / (1 + e^t) below, both from e = exp(-|t|)."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class NonQuadraticCostError(TypeError):
@@ -233,13 +230,21 @@ def random_quadratic_ensemble(n_agents, m, seed, eig_range=(0.5, 3.0)):
     """
     rng = np.random.default_rng(seed)
     lo, hi = eig_range
-    draws = np.empty((n_agents, m, m))
-    eigs = np.empty((n_agents, m))
-    b = np.empty((n_agents, m))
-    for i in range(n_agents):  # the stream's order: agent by agent
-        draws[i] = rng.standard_normal((m, m))
-        eigs[i] = rng.uniform(lo, hi, size=m)
-        b[i] = rng.standard_normal(m)
+    # The stream is D_0 U_0 B_0 D_1 U_1 B_1 ..., agent by agent: an m x m
+    # normal draw D_i, m uniforms U_i and m normal offsets B_i. So each
+    # B_i D_(i+1) is one run of normals, drawn into a buffer laid out
+    # D_0 B_0 D_1 B_1 ..., and each U_i is `uniform`'s lo + (hi - lo) * u.
+    width = m * m + m
+    normals = np.empty((n_agents, width))
+    unit = np.empty((n_agents, m))
+    flat = normals.reshape(-1)
+    rng.standard_normal(out=flat[:m * m])
+    for i in range(n_agents):
+        rng.random(out=unit[i])
+        rng.standard_normal(out=flat[(i + 1) * width - m:(i + 2) * width - m])
+    draws = normals[:, :m * m].reshape(n_agents, m, m)
+    eigs = lo + (hi - lo) * unit
+    b = normals[:, m * m:].copy()  # contiguous, and not holding the draws
     basis, _ = np.linalg.qr(draws)
     h = (basis * eigs[:, None, :]) @ np.swapaxes(basis, -1, -2)
     return CostEnsemble.quadratic((h + np.swapaxes(h, -1, -2)) / 2.0, b)
@@ -262,13 +267,15 @@ def random_logistic_ensemble(n_agents, m, n_points, reg, seed, flip=0.1,
         raise ValueError("point_scale must be > 0")
     rng = np.random.default_rng(seed)
     truth = rng.standard_normal(m)
-    points = np.empty((n_agents, n_points, m - 1))
-    labels = np.empty((n_agents, n_points))
+    raw = np.empty((n_agents, n_points, m - 1))
+    unit = np.empty((n_agents, n_points))
     for i in range(n_agents):  # the stream's order: agent by agent
-        points[i] = point_scale * rng.standard_normal((n_points, m - 1))
-        aug = np.hstack([points[i], np.ones((n_points, 1))])
-        labels[i] = np.where(aug @ truth >= 0, 1.0, -1.0)
-        labels[i, rng.random(n_points) < flip] *= -1.0
+        rng.standard_normal(out=raw[i])
+        rng.random(out=unit[i])
+    points = point_scale * raw
+    aug = np.concatenate([points, np.ones((n_agents, n_points, 1))], axis=-1)
+    labels = np.where(aug @ truth >= 0, 1.0, -1.0)
+    labels[unit < flip] *= -1.0
     return CostEnsemble.logistic(points, labels, reg)
 
 

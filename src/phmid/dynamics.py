@@ -86,16 +86,23 @@ def bregman_lyapunov(state, equilibrium):
     """Storage-based Lyapunov value |x - x*|^2 / 2.
 
     For the quadratic storage used here the Bregman distance of H reduces
-    to half the squared Euclidean distance to the equilibrium.
+    to half the squared Euclidean distance to the equilibrium. A (T, N, m)
+    state gives one value per cell, against one (N, m) equilibrium or a
+    (T, N, m) stack of them; each is bitwise the value of that cell alone.
     """
-    if state.q.shape != equilibrium.q.shape:
+    if state.q.shape[-2:] != equilibrium.q.shape[-2:]:
         raise DimensionMismatchError("state and equilibrium shapes differ")
-    dq = state.q - equilibrium.q
-    dp = state.p - equilibrium.p
-    return 0.5 * float(np.sum(dq ** 2) + np.sum(dp ** 2))
+    value = 0.5 * (_sum_of_squares(state.q - equilibrium.q)
+                   + _sum_of_squares(state.p - equilibrium.p))
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def equilibrium_state(ensemble, graph, initial=None, mid_tau=None, tol=1e-12):
+def _sum_of_squares(d):
+    """Sum of squares over the last two axes, as one flat pairwise sum."""
+    return np.add.reduce((d * d).reshape(d.shape[:-2] + (-1,)), axis=-1)
+
+
+def equilibrium_state(ensemble, graph, initial=None, mid_tau=None, theta=None):
     """Closed-form equilibrium reached from `initial`.
 
     q* stacks the centralized minimizer at every agent. The p block is
@@ -109,10 +116,14 @@ def equilibrium_state(ensemble, graph, initial=None, mid_tau=None, tol=1e-12):
       r = p - tau Q q (pass the step size as `mid_tau`).
 
     With `initial` omitted, the conserved component is taken as zero.
+    `mid_tau` may also be a sequence of T step sizes: the result is then a
+    (T, N, m) stack, one equilibrium per step size, all from one
+    pseudo-inverse of L. `theta` is the centralized minimizer when the
+    caller already has it; otherwise it is solved for to 1e-12.
     """
     n = graph.n
-    m = ensemble.dim
-    theta = ensemble.centralized_optimum(tol=tol)
+    if theta is None:
+        theta = ensemble.centralized_optimum(tol=1e-12)
     q_star = np.tile(theta, (n, 1))
     grads = ensemble.gradient_stack(q_star)
 
@@ -128,7 +139,7 @@ def equilibrium_state(ensemble, graph, initial=None, mid_tau=None, tol=1e-12):
             p_star += np.tile(initial.p.mean(axis=0), (n, 1))
         return NetworkState(q_star, p_star)
 
-    tau = float(mid_tau)
+    tau = np.asarray(mid_tau, dtype=float)[..., None, None]
     qmat = graph.q_matrix()
     # r = p - tau Q q; L r* = -grad f(q*) - tau L Q q*, consensus part of
     # r conserved along the mixed implicit iteration
@@ -136,9 +147,9 @@ def equilibrium_state(ensemble, graph, initial=None, mid_tau=None, tol=1e-12):
     r_star = lap_pinv @ rhs
     if initial is not None:
         r0 = initial.p - tau * (qmat @ initial.q)
-        r_star += np.tile(r0.mean(axis=0), (n, 1))
+        r_star += r0.mean(axis=-2, keepdims=True)
     p_star = r_star + tau * (qmat @ q_star)
-    return NetworkState(q_star, p_star)
+    return NetworkState(np.tile(theta, p_star.shape[:-1] + (1,)), p_star)
 
 
 def _check_shapes(state, ensemble, graph):

@@ -75,7 +75,14 @@ class Graph:
         if not self._connected():
             raise DisconnectedGraphError(
                 f"graph on {n} vertices with {lo.size} edges is not connected")
-        self.edges = frozenset(zip(lo.tolist(), hi.tolist()))
+
+    @functools.cached_property
+    def edges(self):
+        """The edges as a frozenset of (i, j) pairs with i < j, built when
+        first read."""
+        once = self._owners < self._neighbors
+        return frozenset(zip(self._owners[once].tolist(),
+                             self._neighbors[once].tolist()))
 
     def _connected(self):
         neighbors = self._neighbors.tolist()
@@ -160,21 +167,23 @@ def cycle(n):
     """Cycle on n >= 3 vertices."""
     if n < 3:
         raise ValueError("cycle needs n >= 3")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return Graph(n, np.column_stack([i, (i + 1) % n]))
 
 
 def complete(n):
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def star(n):
     """Star with center 0 and n - 1 leaves, n >= 2."""
     if n < 2:
         raise ValueError("star needs n >= 2")
-    return Graph(n, [(0, i) for i in range(1, n)])
+    return Graph(n, np.column_stack([np.zeros(n - 1, dtype=np.int64),
+                                     np.arange(1, n)]))
 
 
 def erdos_renyi(n, p, seed, max_attempts=10000):

@@ -211,13 +211,10 @@ def _simulate(config, schemes):
 
     record = config.record_lyapunov and kind != "gt"
     if record:
-        initial = NetworkState(q0, p0)
-        equilibria = [equilibrium_state(ensemble, graph, initial=initial,
-                                        mid_tau=tau if kind == "mid" else None)
-                      for tau in taus]
-        lyap = [[bregman_lyapunov(initial, eq)] for eq in equilibria]
-        q_hist = [[q0.copy()] for _ in range(cells)]
-        p_hist = [[p0.copy()] for _ in range(cells)]
+        # cell-major, so that each cell's history is one contiguous block
+        q_hist = np.empty((cells, config.steps + 1) + q0.shape)
+        p_hist = np.empty_like(q_hist)
+        q_hist[:, 0], p_hist[:, 0] = q0, p0
 
     steps = config.steps
     # row k holds every cell's value after k steps
@@ -274,24 +271,32 @@ def _simulate(config, schemes):
             newton_iters[k, columns] = iters
             wall_ns[k] = toc - tic
             if record:
-                for i, cell in enumerate(live):
-                    lyap[cell].append(bregman_lyapunov(
-                        NetworkState(state.q[i], state.p[i]), equilibria[cell]))
-                    q_hist[cell].append(state.q[i].copy())
-                    p_hist[cell].append(state.p[i].copy())
+                q_hist[columns, k] = state.q
+                p_hist[columns, k] = state.p
 
     if failure is not None:
         try:
             raise failure
         finally:
             failure = None  # the same cycle as above
-    return [RunTrace(errors=errors[:n, cell].copy(),
-                     lyapunov=lyap[cell] if record else None,
+    lyap = [None] * cells
+    if record:
+        # one equilibrium for every cell, or one per tau for mid, and each
+        # cell's values from its whole history at once
+        eq = equilibrium_state(ensemble, graph, initial=NetworkState(q0, p0),
+                               mid_tau=taus if kind == "mid" else None,
+                               theta=theta_star)
+        for cell, n in enumerate(lengths):
+            cell_eq = eq if eq.q.ndim == 2 else NetworkState.stepped(
+                eq.q[cell], eq.p[cell])
+            lyap[cell] = bregman_lyapunov(
+                NetworkState.stepped(q_hist[cell, :n], p_hist[cell, :n]), cell_eq)
+    return [RunTrace(errors=errors[:n, cell].copy(), lyapunov=lyap[cell],
                      newton_max_iters=newton_iters[:n, cell].copy(),
                      wall_ns=wall_ns[:n].copy(), status=status[cell],
                      theta_star=theta_star,
-                     q_history=np.stack(q_hist[cell]) if record else None,
-                     p_history=np.stack(p_hist[cell]) if record else None)
+                     q_history=q_hist[cell, :n] if record else None,
+                     p_history=p_hist[cell, :n] if record else None)
             for cell, n in enumerate(lengths)]
 
 

@@ -149,7 +149,7 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
     r = residual(x)
     if not np.isfinite(r).all():
         raise ValueError("the residual at the start point is not finite")
-    rnorm = np.linalg.norm(r, axis=-1)
+    rnorm = _row_norms(r)
     iters = np.zeros(rnorm.shape, dtype=int)
     if inverses is not None:
         x, r, rnorm, iters = _chord(residual, inverses, x, r, rnorm,
@@ -192,7 +192,7 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
         for halving in range(60):
             cand = x + step
             cres = residual(cand)
-            cnorm = np.linalg.norm(cres, axis=-1)
+            cnorm = _row_norms(cres)
             ok = pending & (cnorm < rnorm)  # a NaN or inf candidate never passes
             if ok.all():  # every row takes its step: nothing to mask
                 x, r, rnorm = cand, cres, cnorm
@@ -206,8 +206,8 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
             if halving == 0:
                 # a full step that cannot lower the residual, by a correction
                 # that cannot move the iterate: the row is at its rounding floor
-                floor = pending & (np.linalg.norm(delta, axis=-1)
-                                   <= _ROUNDING_SHARE * np.linalg.norm(x, axis=-1))
+                floor = pending & (_row_norms(delta)
+                                   <= _ROUNDING_SHARE * _row_norms(x))
                 settled = floor if settled is None else settled | floor
                 pending = pending & ~floor
                 if not pending.any():
@@ -229,12 +229,18 @@ def _chord(residual, inverses, x, r, rnorm, tolerance):
         return x, r, rnorm, iters
     cand = x - np.einsum("...ij,...j->...i", inverses, r)
     cres = residual(cand)
-    cnorm = np.linalg.norm(cres, axis=-1)
+    cnorm = _row_norms(cres)
     ok = todo & (cnorm < rnorm)  # a NaN or inf candidate never passes
     if ok.all():
         return cand, cres, cnorm, ok.astype(int)
     return (np.where(ok[..., None], cand, x), np.where(ok[..., None], cres, r),
             np.where(ok, cnorm, rnorm), ok.astype(int))
+
+
+def _row_norms(x):
+    """Euclidean norm of each row: the sum of squares `np.linalg.norm(x,
+    axis=-1)` takes, bitwise, without its argument handling."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _failure(kind, reason, failed, x, rnorm):

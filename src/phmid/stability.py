@@ -403,7 +403,8 @@ def closed_form_certificate(graph, tau, mu):
 
     P12 = 0, U = 0, P22 = I/tau^2, u = mu * min(1, 1/tau), epsilon = 0;
     u is computed as mu / max(1, tau), rounded once, so that at tau >= 1
-    it equals the bound's mu/tau bit for bit.
+    it equals the bound's mu/tau bit for bit; FloatingPointError where it
+    underflows to 0 (a tiny mu at a huge tau), since no u > 0 is left.
     With these choices the decrease inequality reduces to the positive
     semidefiniteness of L/tau + Q L + L Q (note Q L + L Q equals
     D^2 - A^2 exactly), so the certificate verifies on every graph with
@@ -414,9 +415,12 @@ def closed_form_certificate(graph, tau, mu):
     """
     inverse_square = _inverse_square(graph, tau)
     _require_positive("mu", mu)
+    u = mu / max(1.0, tau)
+    if u == 0.0:
+        raise FloatingPointError("u = mu / tau underflows to 0")
     zero = np.zeros((graph.n, graph.n))
     return LmiCertificate(p12=zero, p22=np.eye(graph.n) * inverse_square,
-                          u_cap=zero, u=mu / max(1.0, tau), epsilon=0.0)
+                          u_cap=zero, u=u, epsilon=0.0)
 
 
 def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None,

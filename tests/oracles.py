@@ -45,9 +45,10 @@ Reference code that only the tests use.
   bound that only the identity tests use.
 - `metropolis_weights` is the dense Metropolis matrix W, the reference for
   the edge-array mixing of `Graph.metropolis`/`Graph.neighbor_sum`.
-- `erdos_renyi_edges` and `quadratic_ensemble_stacks` are the earlier
-  generators written as plain per-pair and per-agent loops: the graph
-  and cost draws of the vectorised generators must stay the same.
+- `erdos_renyi_edges`, `quadratic_ensemble_stacks` and
+  `logistic_ensemble_arrays` are the earlier generators written as plain
+  per-pair and per-agent loops: the graph and cost draws of the
+  vectorised generators must stay the same.
 """
 
 import math
@@ -692,3 +693,19 @@ def quadratic_ensemble_stacks(n_agents, m, seed, eig_range=(0.5, 3.0)):
         hs.append((h + h.T) / 2.0)
         bs.append(rng.standard_normal(m))
     return np.stack(hs), np.stack(bs)
+
+
+def logistic_ensemble_arrays(n_agents, m, n_points, seed, flip=0.1,
+                             point_scale=1.0):
+    """(points, labels) of `random_logistic_ensemble`, drawn and labelled
+    agent by agent."""
+    rng = np.random.default_rng(seed)
+    truth = rng.standard_normal(m)
+    points = np.empty((n_agents, n_points, m - 1))
+    labels = np.empty((n_agents, n_points))
+    for i in range(n_agents):
+        points[i] = point_scale * rng.standard_normal((n_points, m - 1))
+        aug = np.hstack([points[i], np.ones((n_points, 1))])
+        labels[i] = np.where(aug @ truth >= 0, 1.0, -1.0)
+        labels[i, rng.random(n_points) < flip] *= -1.0
+    return points, labels

@@ -190,6 +190,25 @@ def test_certify_at_the_ends_of_the_float_range(graph, tau, extra, cause,
         assert all(math.isfinite(float(x)) for x in last.split(",")[1:])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("graph", ["cycle:5", "star:6"])
+def test_certify_names_an_underflowing_rate(graph, capsys):
+    # the closed form's rate u = mu / tau underflows to 0 for a tiny mu at
+    # a huge tau: certify names both flags in one line; a subnormal u still
+    # gets a verdict, and the search, which scans its own u, prints NotFound
+    argv = ["certify", "--graph", graph, "--tau", "1e300", "--mu"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["1e-30"])
+    assert str(exc.value.code) == ("--mu 1e-30 --tau 1e+300: u = mu / tau "
+                                   "underflows to 0; no verdict")
+    assert capsys.readouterr().out == ""
+    assert main(argv + ["1e-20"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert all(math.isfinite(float(x)) for x in last.split(",")[1:])
+    assert main(argv + ["1e-30", "--search"]) == 1
+    assert "NotFound" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [
     ["--graph", "cycle:80", "--tau", "1000", "--mu", "0.5", "--lipschitz", "3"],
     ["--graph", "star:6", "--tau", "0.5", "--mu", "0.5", "--lipschitz", "3"],

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from phmid.costs import (CostEnsemble, QuadraticCost, from_spec,
-                         random_logistic_ensemble, random_quadratic_ensemble)
+from phmid.costs import (CostEnsemble, QuadraticCost, _sigmoid as sigmoid,
+                         from_spec, random_logistic_ensemble,
+                         random_quadratic_ensemble)
 from phmid.numerics import DimensionMismatchError, NonSymmetricError
 
-from oracles import QuadraticAgent, agents, quadratic_ensemble_stacks, value_sum
+from oracles import (QuadraticAgent, _sigmoid, agents, logistic_ensemble_arrays,
+                     quadratic_ensemble_stacks, value_sum)
 
 
 def test_quadratic_identity_cost():
@@ -260,6 +262,37 @@ def test_quadratic_ensemble_keeps_the_per_agent_draws(n, m, seed):
     assert [c.curvature_bounds() for c in agents(ens)] == bounds
     assert np.array_equal(ens.centralized_optimum(),
                           CostEnsemble.quadratic(h, b).centralized_optimum())
+
+
+@pytest.mark.parametrize("n, m, d, seed, flip, scale", [
+    (1, 3, 10, 42, 0.1, 1.0), (10, 3, 10, 42, 0.1, 2.7), (10, 2, 10, 5, 0.1, 1.0),
+    (7, 5, 1, 1, 0.3, 0.5), (20, 4, 25, 9, 0.0, 3.0), (1000, 3, 10, 42, 0.1, 1.0)])
+def test_logistic_ensemble_keeps_the_per_agent_draws(n, m, d, seed, flip, scale):
+    # the points and labels are bitwise those of the agent-by-agent loop,
+    # and so are the constants and theta* built from them
+    points, labels = logistic_ensemble_arrays(n, m, d, seed, flip=flip,
+                                              point_scale=scale)
+    ens = random_logistic_ensemble(n, m, d, 0.1, seed, flip=flip,
+                                   point_scale=scale)
+    want = CostEnsemble.logistic(points, labels, 0.1)
+    assert np.array_equal(np.stack([c.points for c in ens.costs]), points)
+    assert np.array_equal(np.stack([c.labels for c in ens.costs]), labels)
+    assert (ens.mu, ens.lipschitz) == (want.mu, want.lipschitz)
+    assert np.array_equal(ens.centralized_optimum(), want.centralized_optimum())
+
+
+def test_sigmoid_keeps_the_branch_arithmetic():
+    # one exp(-|t|) for both branches: the same bits as exponentiating each
+    # branch on its own, at signed zeros, infinities, NaN and the tails
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 36.9,
+               -36.9, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0]
+    t = np.concatenate([special, np.random.default_rng(0).standard_normal(999) * 40])
+    got, want = sigmoid(t), _sigmoid(t)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got[~np.isnan(got)]),
+                          np.signbit(want[~np.isnan(want)]))
+    assert np.array_equal(sigmoid(t.reshape(3, 2, -1)), want.reshape(3, 2, -1),
+                          equal_nan=True)
 
 
 def test_quadratic_ensemble_builds_no_per_agent_cost_until_asked(monkeypatch):

@@ -169,3 +169,38 @@ def test_equilibrium_state_closed_form():
     assert np.abs(dp).max() <= 1e-9
     # consensus component of p matches the conserved initial one
     assert np.abs(eq.p.mean(axis=0) - init.p.mean(axis=0)).max() <= 1e-12
+
+
+def test_one_build_gives_every_step_sizes_equilibrium():
+    # a sequence of step sizes gives the (T, N, m) stack of the one-tau
+    # equilibria, bitwise, and a given theta* is the one solved for
+    ens = random_quadratic_ensemble(7, 2, seed=10)
+    g = erdos_renyi(7, 0.5, seed=10)
+    init = _random_state(np.random.default_rng(11), 7, 2)
+    taus = [1e-3, 0.5, 10.0, 1e4]
+    theta = ens.centralized_optimum(tol=1e-12)
+    stack = equilibrium_state(ens, g, initial=init, mid_tau=taus, theta=theta)
+    assert stack.q.shape == stack.p.shape == (4, 7, 2)
+    for i, tau in enumerate(taus):
+        alone = equilibrium_state(ens, g, initial=init, mid_tau=tau)
+        assert np.array_equal(stack.q[i], alone.q)
+        assert np.array_equal(stack.p[i], alone.p)
+    flow = equilibrium_state(ens, g, initial=init, theta=theta)
+    assert np.array_equal(flow.p, equilibrium_state(ens, g, initial=init).p)
+
+
+def test_bregman_lyapunov_of_a_cell_stack_is_each_cells_value():
+    rng = np.random.default_rng(12)
+    cells = [_random_state(rng, 40, 3) for _ in range(5)]
+    stack = NetworkState(np.stack([c.q for c in cells]),
+                         np.stack([c.p for c in cells]))
+    eq = _random_state(rng, 40, 3)
+    eqs = [_random_state(rng, 40, 3) for _ in range(5)]
+    eq_stack = NetworkState(np.stack([e.q for e in eqs]),
+                            np.stack([e.p for e in eqs]))
+    assert bregman_lyapunov(stack, eq).tolist() == [
+        bregman_lyapunov(c, eq) for c in cells]
+    assert bregman_lyapunov(stack, eq_stack).tolist() == [
+        bregman_lyapunov(c, e) for c, e in zip(cells, eqs)]
+    with pytest.raises(DimensionMismatchError):
+        bregman_lyapunov(stack, _random_state(rng, 40, 2))

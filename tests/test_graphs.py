@@ -208,3 +208,19 @@ def test_edge_exchange_equals_the_dense_products(g):
                                         (60, 0.05, 3)])
 def test_erdos_renyi_draws_the_edges_of_the_pair_loop(n, p, seed):
     assert erdos_renyi(n, p, seed).edges == erdos_renyi_edges(n, p, seed)
+
+
+@pytest.mark.parametrize("n", [3, 10, 1000])
+@pytest.mark.parametrize("make, pairs", [
+    (cycle, lambda n: [(i, (i + 1) % n) for i in range(n)]),
+    (star, lambda n: [(0, i) for i in range(1, n)]),
+    (complete, lambda n: [(i, j) for i in range(n) for j in range(i + 1, n)]),
+], ids=["cycle", "star", "complete"])
+def test_generators_build_the_graphs_of_their_pair_lists(make, pairs, n):
+    # the generators hand Graph numpy edge arrays; the graph is the one the
+    # list of tuples gives, down to the edge arrays and the hash
+    got, want = make(n), Graph(n, pairs(n))
+    assert np.array_equal(got._neighbors, want._neighbors)
+    assert np.array_equal(got._starts, want._starts)
+    assert got.edges == want.edges == {(min(e), max(e)) for e in pairs(n)}
+    assert hash(got) == hash(want) and got == want

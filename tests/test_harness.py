@@ -439,3 +439,37 @@ def test_a_diverging_euler_cell_leaves_the_others_bitwise_alone(monkeypatch):
             kept = t if len(cell.q) == 3 else t // 2  # its row in the batch
             assert np.array_equal(cell.q[kept], alone.q[0])
             assert np.array_equal(cell.p[kept], alone.p[0])
+
+
+@pytest.mark.parametrize("kind", ["mid", "euler"])
+def test_a_recorded_batch_solves_its_equilibria_once(kind, monkeypatch):
+    # theta* is solved once per run and L once decomposed, however many
+    # cells record; each cell's Lyapunov column and history stay bitwise
+    # those of its own run, a diverging cell's included
+    cfg = ExperimentConfig("cycle:8", "quadratic:2:5", f"{kind}:tau=1",
+                           steps=30, seed=3, record_lyapunov=True)
+    taus = [0.05, 0.3, 1.0, 3.0] if kind == "mid" else [0.05, 0.2, 5.0]
+    alone = [run(cfg.replaced(scheme_spec=f"{kind}:tau={tau!r}")) for tau in taus]
+    calls = {"theta": 0, "eigh": 0}
+    solve, eigh = costs.CostEnsemble.centralized_optimum, np.linalg.eigh
+
+    def counted_solve(self, *args, **kw):
+        calls["theta"] += 1
+        return solve(self, *args, **kw)
+
+    def counted_eigh(*args, **kw):
+        calls["eigh"] += 1
+        return eigh(*args, **kw)
+
+    monkeypatch.setattr(costs.CostEnsemble, "centralized_optimum", counted_solve)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    batch = harness._simulate(cfg, [integrators.SchemeConfig(kind, tau)
+                                    for tau in taus])
+    assert calls == {"theta": 1, "eigh": 1}
+    for trace, want in zip(batch, alone):
+        assert trace.status == want.status
+        assert np.array_equal(trace.lyapunov, want.lyapunov)
+        assert np.array_equal(trace.q_history, want.q_history)
+        assert np.array_equal(trace.p_history, want.p_history)
+    if kind == "euler":
+        assert batch[-1].status == STATUS_DIVERGED

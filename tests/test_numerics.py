@@ -5,7 +5,7 @@ import pytest
 
 from phmid.numerics import (DimensionMismatchError, MaxIterationsError,
                             NonSymmetricError, SingularMatrixError,
-                            SolverSettings, newton_solve)
+                            SolverSettings, _row_norms, newton_solve)
 
 from oracles import (discrete_gradient, is_psd, kron, min_eigenvalue_symmetric,
                      solve_linear)
@@ -427,3 +427,18 @@ def test_kron_laplacian_row_sums():
     assert np.allclose(lifted.sum(axis=1)[::2] + lifted.sum(axis=1)[1::2], 0.0,
                        atol=1e-15)
     assert np.allclose(lifted.sum(axis=1), 0.0, atol=1e-15)
+
+
+def test_row_norms_are_bitwise_the_linalg_norm():
+    # the solver's row norms skip np.linalg.norm's argument handling, not
+    # any of its arithmetic: huge, tiny, inf and NaN rows included
+    rng = np.random.default_rng(3)
+    for shape in [(3,), (1000, 3), (4, 10, 3), (5, 40), (2, 0)]:
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-200, 200, shape)
+        if x.size:
+            x.flat[:3] = [np.inf, np.nan, 1e300]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(x, axis=-1)
+            got = _row_norms(x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
