@@ -15,7 +15,7 @@ from .integrators import (SchemeConfig, StepPlan, StepReport, dg_central_step,
                           euler_step, gradient_tracking_init,
                           gradient_tracking_step, mid_step, parse_scheme_spec,
                           step_plan)
-from .numerics import SolverSettings, newton_solve
+from .numerics import newton_solve
 from .stability import (CertificateVerdict, LmiCertificate, check_certificate,
                         check_certificate_quadratic, closed_form_certificate,
                         search_certificate)
@@ -32,7 +32,7 @@ __all__ = [
     "SchemeConfig", "StepPlan", "StepReport", "dg_central_step", "euler_step",
     "gradient_tracking_init", "gradient_tracking_step", "mid_step",
     "parse_scheme_spec", "step_plan",
-    "SolverSettings", "newton_solve",
+    "newton_solve",
     "CertificateVerdict", "LmiCertificate", "check_certificate",
     "check_certificate_quadratic", "closed_form_certificate",
     "search_certificate",

@@ -9,6 +9,7 @@ Spec string formats (shared with the library):
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -80,14 +81,19 @@ def _parse_grid(text, log_spacing):
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except ValueError as exc:
         raise SystemExit(f"bad --tau-grid {text!r}, expected a:b:count") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SystemExit(f"--tau-grid {text}: a and b must be finite numbers")
     if count < 1:
         raise SystemExit("--tau-grid count must be >= 1")
-    if log_spacing:
-        if lo <= 0:
-            raise SystemExit("log grid needs a > 0")
-        values = np.logspace(np.log10(lo), np.log10(hi), count)
-    else:
-        values = np.linspace(lo, hi, count)
+    if log_spacing and not (lo > 0 and hi > 0):
+        raise SystemExit(f"--tau-grid {text}: a log grid needs a > 0 and b > 0")
+    # a grid reaching the ends of the float range overflows; it is refused
+    # below, in one line rather than with a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (np.logspace(np.log10(lo), np.log10(hi), count) if log_spacing
+                  else np.linspace(lo, hi, count))
+    if not np.isfinite(values).all():
+        raise SystemExit(f"--tau-grid {text}: the grid passes the float range")
     values = [float(v) for v in values if v > 0]
     if not values:
         raise SystemExit("tau grid contains no positive values")

@@ -11,8 +11,8 @@ augmented internally with a constant 1). An ensemble holds one family as
 
 import numpy as np
 
-from .numerics import (DimensionMismatchError, SolverSettings, as_vector,
-                       newton_solve, require_symmetric)
+from .numerics import (DimensionMismatchError, as_vector, newton_solve,
+                       require_symmetric)
 
 
 def _sigmoid(t):
@@ -205,31 +205,28 @@ class CostEnsemble:
                 "hessian_blocks requires a quadratic ensemble")
         return self._h.copy()
 
-    def centralized_optimum(self, tol=1e-12, max_iterations=100):
-        """Minimizer of the summed cost via damped Newton.
+    def centralized_optimum(self):
+        """Minimizer of the summed cost via damped Newton, solved to the
+        gradient-norm tolerance 1e-12 of `numerics.newton_solve`.
 
         Serves as the reference oracle for the consensus error metric.
         """
-        if not tol > 0:
-            raise ValueError("tol must be > 0")
-        settings = SolverSettings(residual_tolerance=tol,
-                                  max_iterations=max_iterations)
 
         def hessian_sum(theta):
             return self.hessian_stack(self._everywhere(theta)).sum(axis=0)
 
-        return newton_solve(self.gradient_sum, hessian_sum, np.zeros(self.dim),
-                            settings)[0]
+        return newton_solve(self.gradient_sum, hessian_sum,
+                            np.zeros(self.dim))[0]
 
 
-def random_quadratic_ensemble(n_agents, m, seed, eig_range=(0.5, 3.0)):
+def random_quadratic_ensemble(n_agents, m, seed):
     """Quadratic ensemble with random SPD Hessians.
 
-    Each H_i has eigenvalues drawn uniformly from `eig_range` with a
-    random orthogonal eigenbasis; offsets b_i are standard normal.
+    Each H_i has eigenvalues drawn uniformly from [0.5, 3] with a random
+    orthogonal eigenbasis; offsets b_i are standard normal.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = eig_range
+    lo, hi = 0.5, 3.0
     # The stream is D_0 U_0 B_0 D_1 U_1 B_1 ..., agent by agent: an m x m
     # normal draw D_i, m uniforms U_i and m normal offsets B_i. So each
     # B_i D_(i+1) is one run of normals, drawn into a buffer laid out
@@ -250,13 +247,13 @@ def random_quadratic_ensemble(n_agents, m, seed, eig_range=(0.5, 3.0)):
     return CostEnsemble.quadratic((h + np.swapaxes(h, -1, -2)) / 2.0, b)
 
 
-def random_logistic_ensemble(n_agents, m, n_points, reg, seed, flip=0.1,
+def random_logistic_ensemble(n_agents, m, n_points, reg, seed,
                              point_scale=1.0):
     """Logistic ensemble over random, non-separable labeled points.
 
     Points are normal with standard deviation `point_scale` in R^(m-1);
     labels come from a random ground-truth hyperplane (over the augmented
-    coordinates) with a fraction `flip` of labels inverted so the
+    coordinates) with each label inverted with probability 0.1 so the
     instances are not linearly separable. `point_scale` sets the data
     curvature: larger values push explicit small-step baselines toward
     their stability edge while leaving implicit schemes unaffected.
@@ -275,7 +272,7 @@ def random_logistic_ensemble(n_agents, m, n_points, reg, seed, flip=0.1,
     points = point_scale * raw
     aug = np.concatenate([points, np.ones((n_agents, n_points, 1))], axis=-1)
     labels = np.where(aug @ truth >= 0, 1.0, -1.0)
-    labels[unit < flip] *= -1.0
+    labels[unit < 0.1] *= -1.0
     return CostEnsemble.logistic(points, labels, reg)
 
 

@@ -123,7 +123,7 @@ def equilibrium_state(ensemble, graph, initial=None, mid_tau=None, theta=None):
     """
     n = graph.n
     if theta is None:
-        theta = ensemble.centralized_optimum(tol=1e-12)
+        theta = ensemble.centralized_optimum()
     q_star = np.tile(theta, (n, 1))
     grads = ensemble.gradient_stack(q_star)
 

@@ -16,6 +16,9 @@ import functools
 
 import numpy as np
 
+# the draws `erdos_renyi` makes before it gives up on a connected sample
+_MAX_ATTEMPTS = 10000
+
 
 class DisconnectedGraphError(ValueError):
     """The requested edge set does not form a connected graph."""
@@ -186,12 +189,13 @@ def star(n):
                                      np.arange(1, n)]))
 
 
-def erdos_renyi(n, p, seed, max_attempts=10000):
+def erdos_renyi(n, p, seed):
     """Erdos-Renyi sample conditioned on connectivity by resampling.
 
     Each pair i < j, taken in row-major order, is included independently
     with probability `p`; disconnected draws are discarded and redrawn from
     the same seeded stream, so the output is deterministic in (n, p, seed).
+    Raises GenerationFailedError after `_MAX_ATTEMPTS` disconnected draws.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -199,13 +203,13 @@ def erdos_renyi(n, p, seed, max_attempts=10000):
         raise ValueError("p must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     pairs = np.column_stack(np.triu_indices(n, k=1))
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         try:
             return Graph(n, pairs[rng.random(len(pairs)) < p])
         except DisconnectedGraphError:
             continue
     raise GenerationFailedError(
-        f"no connected sample in {max_attempts} draws (n={n}, p={p})")
+        f"no connected sample in {_MAX_ATTEMPTS} draws (n={n}, p={p})")
 
 
 def from_spec(spec):

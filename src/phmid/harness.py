@@ -138,7 +138,7 @@ def run(config):
     return _simulate(config, [scheme])[0]
 
 
-def _stepper(kind, graph, ensemble, solver, taus, shape):
+def _stepper(kind, graph, ensemble, taus, shape):
     """`(step, plan, carried)` for one scheme on a (T, N, m) stack: the
     per-run `integrators.StepPlan` of the stack, built once; what each step
     hands to the next, a tuple of per-cell arrays (`mid`'s per-agent
@@ -148,15 +148,15 @@ def _stepper(kind, graph, ensemble, solver, taus, shape):
     plan = integrators.step_plan(kind, graph, taus, shape)
     if kind == "mid":
         def step(state, plan, inverses):
-            report = integrators.mid_step(state, ensemble, graph, None, solver,
-                                          plan, inverses)
+            report = integrators.mid_step(state, ensemble, graph, None, plan,
+                                          inverses)
             return (report.state, report.newton_iterations.max(axis=-1),
                     (report.inverses,))
         return step, plan, (np.zeros(shape + shape[-1:]),)
     if kind == "dg":
         def step(state, plan):
             report = integrators.dg_central_step(state, ensemble, graph, None,
-                                                 solver, plan)
+                                                 plan)
             return report.state, report.newton_iterations.max(axis=-1), ()
     else:
         kernel = (integrators.euler_step if kind == "euler"
@@ -181,11 +181,11 @@ def _keep(state, plan, cells, *carried):
 def _simulate(config, schemes):
     """Run one cell per scheme in `schemes` and return their traces.
 
-    The schemes share one kind and solver and differ in tau only; all
-    cells share the config's graph, costs and seeded q(0). They advance
-    together as one (T, N, m) state stack, one kernel call per step, and
-    each trace is bitwise the one a run of that cell alone records, the
-    wall-clock column aside: a cell's `wall_ns` is the batch step's. A cell
+    The schemes share one kind and differ in tau only; all cells share the
+    config's graph, costs and seeded q(0). They advance together as one
+    (T, N, m) state stack, one kernel call per step, and each trace is
+    bitwise the one a run of that cell alone records, the wall-clock
+    column aside: a cell's `wall_ns` is the batch step's. A cell
     that diverges leaves the batch at that step. When cells raise a solver
     failure, the one that comes first in `schemes` is re-raised after the
     others have run; cells after a failing cell stop at once, since their
@@ -193,8 +193,8 @@ def _simulate(config, schemes):
     """
     graph = graphs_mod.from_spec(config.graph_spec)
     ensemble = costs_mod.from_spec(config.cost_spec, graph.n)
-    theta_star = ensemble.centralized_optimum(tol=1e-12)
-    kind, solver = schemes[0].kind, schemes[0].solver
+    theta_star = ensemble.centralized_optimum()
+    kind = schemes[0].kind
     cells = len(schemes)
     taus = np.array([scheme.tau for scheme in schemes])
 
@@ -202,8 +202,7 @@ def _simulate(config, schemes):
     q0 = rng.standard_normal((graph.n, ensemble.dim))
     p0 = np.zeros_like(q0)
     q_stack = np.repeat(q0[None], cells, axis=0)
-    step, plan, carried = _stepper(kind, graph, ensemble, solver, taus,
-                                   q_stack.shape)
+    step, plan, carried = _stepper(kind, graph, ensemble, taus, q_stack.shape)
     if kind == "gt":
         state = integrators.gradient_tracking_init(q_stack, ensemble)
     else:
@@ -358,12 +357,15 @@ def tau_sweep(base_config, tau_values, schemes):
 
     All cells reuse the base config's seed and spec strings, so data and
     initialization are identical across cells; only the scheme changes.
-    The whole grid is validated before any cell runs. The cells of one
-    scheme run as one batched simulation (see `_simulate`); each row is
-    bitwise the row of a standalone `run` of that cell.
+    Each of `schemes` is a scheme kind in any case, and its rows carry the
+    lowercase kind. The whole grid is validated before any cell runs: a
+    scheme entry that is not a kind, such as `euler:tau=1`, is refused
+    with the kinds there are. The cells of one scheme run as one batched
+    simulation (see `_simulate`); each row is bitwise the row of a
+    standalone `run` of that cell.
     """
-    kinds = [str(scheme).split(":")[0] for scheme in schemes]
-    grids = [[integrators.SchemeConfig(kind.lower(), tau) for tau in tau_values]
+    kinds = [str(scheme).lower() for scheme in schemes]
+    grids = [[integrators.SchemeConfig(kind, tau) for tau in tau_values]
              for kind in kinds]
     rows = []
     for kind, grid in zip(kinds, grids):

@@ -20,7 +20,8 @@ cell's result is bitwise the one its own (N, m) call gives. The `mid`,
 `euler` and `gt` steps exchange over the graph's edge arrays
 (`Graph.neighbor_sum`, O(|E|) per step); `dg` is the dense reference for
 small networks. Both implicit steps solve with the one batched Newton of
-`numerics.newton_solve`.
+`numerics.newton_solve`, whose settings are fixed constants of
+`numerics`.
 
 The work a step would otherwise redo every time (validating its step
 sizes, and the arrays built from them and from the graph) is done once per
@@ -42,7 +43,7 @@ import numpy as np
 
 from .dynamics import NetworkState, continuous_rhs
 from .numerics import (DimensionMismatchError, MaxIterationsError,
-                       SingularMatrixError, SolverSettings, newton_solve)
+                       SingularMatrixError, newton_solve)
 
 SCHEME_KINDS = ("euler", "dg", "mid", "gt")
 
@@ -52,9 +53,9 @@ SOLVER_ERRORS = (MaxIterationsError, SingularMatrixError)
 
 
 class SchemeConfig:
-    """A scheme tag with its step size and implicit-solver settings."""
+    """A scheme tag with its step size."""
 
-    def __init__(self, kind, tau, solver=None):
+    def __init__(self, kind, tau):
         if kind not in SCHEME_KINDS:
             raise ValueError(f"unknown scheme {kind!r}, expected one of {SCHEME_KINDS}")
         tau = float(tau)
@@ -62,7 +63,6 @@ class SchemeConfig:
             raise ValueError(f"tau must be a finite number > 0, got {tau!r}")
         self.kind = kind
         self.tau = tau
-        self.solver = solver or SolverSettings()
 
     def __repr__(self):
         return f"SchemeConfig(kind={self.kind!r}, tau={self.tau})"
@@ -88,7 +88,7 @@ class StepReport:
 
     On success every Newton row met the solver's stop test, so
     `max_residual` is at or below its tolerance unless a row ended with a
-    correction at rounding level (see `SolverSettings`).
+    correction at rounding level (see `numerics.newton_solve`).
     `newton_iterations` counts each row's Newton corrections, a chord
     correction with a carried inverse included. `inverses` holds the
     per-agent inverse Jacobians a `mid` step hands to the next one when it
@@ -217,7 +217,7 @@ def euler_step(state, ensemble, graph, tau, plan=None):
     return NetworkState.stepped(state.q + tau * dq, state.p + tau * dp)
 
 
-def dg_central_step(state, ensemble, graph, tau, solver=None, plan=None):
+def dg_central_step(state, ensemble, graph, tau, plan=None):
     """Discrete-gradient step solved as one coupled implicit system.
 
     For the quadratic storage the discrete gradient between x and x+ is
@@ -237,7 +237,6 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, plan=None):
     `plan` (a `DgPlan`, in place of `tau`) holds the Laplacian and the
     constant part of the Jacobian.
     """
-    solver = solver or SolverSettings()
     q0, p0 = state.q, state.p
     plan = _plan_for("dg", graph, tau, q0, plan)
     tau, lap = plan.tau_entry, plan.lap
@@ -265,15 +264,14 @@ def dg_central_step(state, ensemble, graph, tau, solver=None, plan=None):
 
     z0 = np.concatenate([q0, p0], axis=-2).reshape(lead + (2 * nm,))
     try:
-        z, iters, rnorm = newton_solve(residual, jacobian, z0, solver)
+        z, iters, rnorm = newton_solve(residual, jacobian, z0)
     except SOLVER_ERRORS as exc:
         raise _cell_failure(exc, 1) from None
     return StepReport(NetworkState.stepped(*split(z)),
                       np.repeat(iters[..., None], n, -1), float(rnorm.max()))
 
 
-def mid_step(state, ensemble, graph, tau, solver=None, plan=None,
-             inverses=None):
+def mid_step(state, ensemble, graph, tau, plan=None, inverses=None):
     """Mixed implicit step: per-agent local solves, one exchange per step.
 
     Eliminating p_i+ through its own update leaves, for each agent, the
@@ -306,7 +304,6 @@ def mid_step(state, ensemble, graph, tau, solver=None, plan=None,
     inverses in the report. Without them the step is the exact Newton
     solve and forms no inverse.
     """
-    solver = solver or SolverSettings()
     q0, p0 = state.q, state.p
     plan = _plan_for("mid", graph, tau, q0, plan)
     gdiag, jac0 = plan.gdiag, plan.jac0
@@ -325,10 +322,10 @@ def mid_step(state, ensemble, graph, tau, solver=None, plan=None,
 
     try:
         if inverses is None:
-            qp, iters, rnorm = newton_solve(residual, jacobian, q0, solver)
+            qp, iters, rnorm = newton_solve(residual, jacobian, q0)
         else:
             qp, iters, rnorm, inverses = newton_solve(residual, jacobian, q0,
-                                                      solver, inverses)
+                                                      inverses)
     except SOLVER_ERRORS as exc:
         raise _cell_failure(exc, q0.shape[-2], "agent") from None
     pp = p0 + plan.tau_entry * (plan.deg * qp - nbr_q)

@@ -2,8 +2,10 @@
 Input coercion, the symmetry check, and the batched damped Newton
 root-finder behind every implicit solve.
 
-Everything here is a pure function of its inputs; values are never mutated
-after construction, so results can be shared freely between threads.
+The solver's settings are the module constants below; no caller sets
+them. Everything here is a pure function of its inputs; values are never
+mutated after construction, so results can be shared freely between
+threads.
 """
 
 import numpy as np
@@ -11,6 +13,13 @@ import numpy as np
 # a Newton correction no larger than this share of its iterate's norm
 # cannot move the iterate at working precision
 _ROUNDING_SHARE = 16.0 * np.finfo(float).eps
+# a row whose residual norm is at or below this is converged; far below
+# the 1e-6 accuracy band of the experiment harness
+_RESIDUAL_TOLERANCE = 1e-12
+# the exact Newton corrections a solve may take
+_MAX_ITERATIONS = 100
+# the factor by which a row's step shrinks until its residual norm drops
+_DAMPING_SHRINK = 0.5
 
 
 class NumericsError(Exception):
@@ -32,13 +41,9 @@ class NonSymmetricError(NumericsError):
 class MaxIterationsError(NumericsError):
     """An iterative solver ran out of iterations or stalled.
 
-    Carries the last iterate and its residual norm as attributes.
+    The solver that raises it sets the last iterate and its residual norm
+    as attributes.
     """
-
-    def __init__(self, message, iterate=None, residual_norm=None):
-        super().__init__(message)
-        self.iterate = iterate
-        self.residual_norm = residual_norm
 
 
 def as_vector(v, name="vector"):
@@ -51,11 +56,11 @@ def as_vector(v, name="vector"):
     return arr
 
 
-def require_symmetric(s, tol=1e-12, name="matrix"):
+def require_symmetric(s, name="matrix"):
     """Return `s` as an array after checking symmetry to relative tolerance.
 
     `s` is a finite matrix or an (..., k, k) stack of them; each matrix is
-    held to `tol` times its own largest entry (at least 1).
+    held to 1e-12 times its own largest entry (at least 1).
     """
     arr = np.asarray(s, dtype=float)
     if arr.ndim < 2:
@@ -68,60 +73,27 @@ def require_symmetric(s, tol=1e-12, name="matrix"):
     if arr.size:
         scale = np.maximum(1.0, np.abs(arr).max(axis=(-2, -1)))
         skew = np.abs(arr - np.swapaxes(arr, -1, -2)).max(axis=(-2, -1))
-        if (skew > tol * scale).any():
-            raise NonSymmetricError(f"{name} is not symmetric within {tol}")
+        if (skew > 1e-12 * scale).any():
+            raise NonSymmetricError(f"{name} is not symmetric within 1e-12")
     return arr
 
 
-class SolverSettings:
-    """Settings for the damped Newton solver.
-
-    A row is converged when its residual norm is at or below
-    `residual_tolerance`, or when its Newton correction is at rounding
-    level: the full step does not lower the residual and the correction
-    is at most 16 eps times the iterate's norm, so the iterate cannot
-    change at working precision. The second rule is what lets a solve
-    finish at step sizes where the residual's rounding floor lies above
-    the tolerance. Defaults keep the implicit-solve error far below the
-    1e-6 accuracy band used by the experiment harness.
-
-    `max_iterations` bounds the exact Newton corrections of a solve, the
-    ones that evaluate and factor a Jacobian. A solve given carried
-    inverse Jacobians (see `newton_solve`) may take one chord correction
-    before them; the iteration counts it reports include that correction.
-    """
-
-    def __init__(self, residual_tolerance=1e-12, max_iterations=100,
-                 damping_shrink=0.5):
-        if not residual_tolerance > 0:
-            raise ValueError("residual_tolerance must be > 0")
-        if max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if not 0 < damping_shrink < 1:
-            raise ValueError("damping_shrink must lie in (0, 1)")
-        self.residual_tolerance = float(residual_tolerance)
-        self.max_iterations = int(max_iterations)
-        self.damping_shrink = float(damping_shrink)
-
-    def __repr__(self):
-        return (f"SolverSettings(residual_tolerance={self.residual_tolerance}, "
-                f"max_iterations={self.max_iterations}, "
-                f"damping_shrink={self.damping_shrink})")
-
-
-def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
+def newton_solve(residual, jacobian, x0, inverses=None):
     """Find a root of every row of an (..., k) iterate by damped Newton.
 
     `residual` maps the (..., k) iterate to its residuals and `jacobian`
     to the (..., k, k) Jacobians, row by row; a 1-D `x0` is one row. A row
-    is done once its residual norm is at or below the tolerance, or once
-    its full Newton step fails to lower the residual while the correction
-    is at rounding level, ||delta|| <= 16 eps ||x|| (the correction test of
-    Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 2.1).
-    Each row halves its own step (factor `damping_shrink`) until its
-    residual norm decreases, which makes the iteration globally convergent
-    on the gradient maps of strongly convex functions used throughout this
-    package. No row's iterates depend on another row.
+    is done once its residual norm is at or below the tolerance 1e-12, or
+    once its full Newton step fails to lower the residual while the
+    correction is at rounding level, ||delta|| <= 16 eps ||x||, so that the
+    iterate cannot change at working precision (the correction test of
+    Deuflhard, Newton Methods for Nonlinear Problems, 2004, sec. 2.1). The
+    second rule is what lets a solve finish at step sizes where the
+    residual's rounding floor lies above the tolerance. Each row halves
+    its own step until its residual norm decreases, which makes the
+    iteration globally convergent on the gradient maps of strongly convex
+    functions used throughout this package. No row's iterates depend on
+    another row.
 
     `inverses`, an (..., k, k) stack of one inverse Jacobian per row
     carried from an earlier solve, makes this a chord method (Deuflhard
@@ -139,12 +111,12 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
     last Jacobian evaluated at it, and every other row keeps its carried
     inverse. Without `inverses` no inverse is formed. Raises
     MaxIterationsError when a row's backtracking stalls (60 halvings) or
-    rows miss the tolerance after `max_iterations` exact corrections, and
-    SingularMatrixError when LAPACK reports a singular Jacobian. Both
-    carry `reason`, the mask `failed` of the failing rows, the whole
-    `iterate` and the per-row `residual_norm`.
+    rows miss the tolerance after 100 exact corrections, the ones that
+    evaluate and factor a Jacobian (the iteration counts include a chord
+    correction on top of them), and SingularMatrixError when LAPACK
+    reports a singular Jacobian. Both carry `reason`, the mask `failed` of
+    the failing rows, the whole `iterate` and the per-row `residual_norm`.
     """
-    settings = settings or SolverSettings()
     x = np.array(x0, dtype=float)
     r = residual(x)
     if not np.isfinite(r).all():
@@ -152,11 +124,10 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
     rnorm = _row_norms(r)
     iters = np.zeros(rnorm.shape, dtype=int)
     if inverses is not None:
-        x, r, rnorm, iters = _chord(residual, inverses, x, r, rnorm,
-                                    settings.residual_tolerance)
+        x, r, rnorm, iters = _chord(residual, inverses, x, r, rnorm)
     settled = None  # the rows ended by the correction test, once there are any
-    for iteration in range(settings.max_iterations + 1):
-        active = rnorm > settings.residual_tolerance
+    for iteration in range(_MAX_ITERATIONS + 1):
+        active = rnorm > _RESIDUAL_TOLERANCE
         if settled is not None:
             active &= ~settled
         if not active.any():
@@ -169,7 +140,7 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
                     inverses = inverses.copy()
                     inverses[fresh] = np.linalg.inv(last_jac[fresh])
             return x, iters, rnorm, inverses
-        if iteration == settings.max_iterations:
+        if iteration == _MAX_ITERATIONS:
             raise _failure(MaxIterationsError, f"no convergence in {iteration} "
                            "iterations", active, x, rnorm)
         jac = jacobian(x)
@@ -212,7 +183,7 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
                 pending = pending & ~floor
                 if not pending.any():
                     break
-            alpha = np.where(pending, alpha * settings.damping_shrink, alpha)
+            alpha = np.where(pending, alpha * _DAMPING_SHRINK, alpha)
             step = alpha[..., None] * delta
         else:
             raise _failure(MaxIterationsError, "backtracking stalled", pending,
@@ -220,11 +191,11 @@ def newton_solve(residual, jacobian, x0, settings=None, inverses=None):
         iters += active
 
 
-def _chord(residual, inverses, x, r, rnorm, tolerance):
+def _chord(residual, inverses, x, r, rnorm):
     """`(x, r, rnorm, iters)` after one chord correction -inverse @ r,
     taken by each unconverged row whose residual norm it lowers."""
     iters = np.zeros(rnorm.shape, dtype=int)
-    todo = rnorm > tolerance
+    todo = rnorm > _RESIDUAL_TOLERANCE
     if not todo.any():
         return x, r, rnorm, iters
     cand = x - np.einsum("...ij,...j->...i", inverses, r)

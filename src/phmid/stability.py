@@ -8,9 +8,15 @@ Eliminating the half-step, the update obeys
 
 in the coordinates r = p - tau Q q, where Q = (D + A)/2 (x) I_m,
 G = I/tau^2 + Q/tau + Q^2 is positive definite, q_bar is the step
-midpoint, dq the step difference, and S the midpoint map returned by
-`midpoint_map_qr`. In the raw (q, p) coordinates the map is exactly
-similar to S, through the lower triangular change of basis r = p - tau Q q.
+midpoint, dq the step difference, and S the midpoint map
+
+    S = [[ -G^-1 (L/tau + Q L + L Q),  -G^-1 L / tau ],
+         [  tau L,                      0            ]]
+
+The gradient feedback enters only the q row, which is what makes the
+(q, r) coordinates the right ones for the decrease inequality. In the raw
+(q, p) coordinates the map is exactly similar to S, through the lower
+triangular change of basis r = p - tau Q q.
 
 A certificate (P12, P22, U, u, epsilon) proves global asymptotic
 stability of the consensus optimum when three matrix inequalities hold:
@@ -45,6 +51,7 @@ import numpy as np
 from .costs import NonQuadraticCostError
 from .numerics import DimensionMismatchError, require_symmetric
 
+# the tolerance every margin of a check is held to
 _EIG_TOL = 1e-9
 
 
@@ -86,7 +93,11 @@ def _inverse_square(graph, tau):
 
 
 def _step_matrices(graph, tau):
-    """N-level G(tau) and S: the one build of every check and search."""
+    """N-level G(tau) and S: the one build of every check and search.
+
+    G(tau) is positive definite for every tau > 0 (its smallest eigenvalue
+    is at least 1/tau^2), and a polynomial in Q, with which it commutes.
+    """
     inverse_square = _inverse_square(graph, tau)
     lap = graph.laplacian()
     qmat = graph.q_matrix()
@@ -96,27 +107,6 @@ def _step_matrices(graph, tau):
     a12 = -np.linalg.solve(gram, lap) / tau
     smap = np.block([[a11, a12], [tau * lap, np.zeros_like(lap)]])
     return gram, smap
-
-
-def step_gram(graph, m, tau):
-    """G(tau) = I/tau^2 + Q/tau + Q^2, lifted by (x) I_m.
-
-    Positive definite for every tau > 0 (its smallest eigenvalue is at
-    least 1/tau^2), and a polynomial in Q, with which it commutes.
-    """
-    return _lifted(_step_matrices(graph, tau)[0], m)
-
-
-def midpoint_map_qr(graph, m, tau):
-    """Linear midpoint map of the step in (q, r = p - tau Q q) coordinates.
-
-    [[ -G^-1 (L/tau + Q L + L Q),  -G^-1 L / tau ],
-     [  tau L,                      0            ]]
-
-    The gradient feedback enters only the q row, which is what makes the
-    (q, r) coordinates the right ones for the decrease inequality.
-    """
-    return _lifted(_step_matrices(graph, tau)[1], m)
 
 
 def _step_modes(graph, tau):
@@ -223,8 +213,8 @@ class CertificateVerdict:
     """Outcome of a certificate check.
 
     margins holds the three minimal-eigenvalue margins, in order: metric
-    positivity (must clear +tol), Schur semidefiniteness (>= -tol), and
-    decrease slack (>= -tol).
+    positivity (must clear +1e-9), Schur semidefiniteness (>= -1e-9), and
+    decrease slack (>= -1e-9).
     """
 
     def __init__(self, feasible, margins):
@@ -311,7 +301,7 @@ def _scalar(block):
     return None
 
 
-def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz, tol):
+def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz):
     """`check_certificate` on a regular graph with P12 = c12 I, P22 = c22 I
     and U = cu I: every matrix of the check splits into one 2 x 2 block
     per eigenvalue of A (see `_step_modes`), each repeated m times, and
@@ -331,13 +321,13 @@ def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz, tol):
     x12 = s21 * (c22 - _inverse_square(graph, tau)) + c12 * s11
     x22 = 2.0 * c12 * s12 + bottom
     decrease_margin = _min_eig2(-x11, -x12, -x22).min()
-    feasible = (metric_margin >= tol and decrease_margin >= -tol
-                and schur_margin >= -tol)
+    feasible = (metric_margin >= _EIG_TOL and decrease_margin >= -_EIG_TOL
+                and schur_margin >= -_EIG_TOL)
     return CertificateVerdict(feasible, (metric_margin, schur_margin,
                                          decrease_margin))
 
 
-def _check(blocks, u, gram, smap, bound, tol, schur_required):
+def _check(blocks, u, gram, smap, bound, schur_required):
     """Verdict on `blocks` (P12, P22, U) and u, from G(tau), S and the
     feedback block `bound`, all at one level (N, or Nm when lifted)."""
     p12, p22, u_cap = blocks
@@ -346,13 +336,13 @@ def _check(blocks, u, gram, smap, bound, tol, schur_required):
     schur = np.block([[u_cap, p12], [p12.T, np.eye(p12.shape[0])]])
     schur_margin = _min_eig(schur)
     decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), u)
-    feasible = (metric_margin >= tol and decrease_margin >= -tol
-                and (schur_margin >= -tol or not schur_required))
+    feasible = (metric_margin >= _EIG_TOL and decrease_margin >= -_EIG_TOL
+                and (schur_margin >= -_EIG_TOL or not schur_required))
     return CertificateVerdict(feasible, (metric_margin, schur_margin,
                                          decrease_margin))
 
 
-def check_certificate(cert, graph, tau, mu, lipschitz, tol=_EIG_TOL):
+def check_certificate(cert, graph, tau, mu, lipschitz):
     """Verify a certificate for strongly convex costs with constants (mu, L).
 
     Returns a CertificateVerdict; raises DimensionMismatchError when the
@@ -371,13 +361,13 @@ def check_certificate(cert, graph, tau, mu, lipschitz, tol=_EIG_TOL):
     if (degrees == degrees[0]).all():
         scalars = [_scalar(block) for block in blocks]
         if None not in scalars:
-            return _check_modes(*scalars, cert, graph, tau, mu, lipschitz, tol)
+            return _check_modes(*scalars, cert, graph, tau, mu, lipschitz)
     gram, smap = _step_matrices(graph, tau)
     bound = _gain_block(gram, tau, cert.epsilon, mu, lipschitz, cert.u_cap)
-    return _check(blocks, cert.u, gram, smap, bound, tol, schur_required=True)
+    return _check(blocks, cert.u, gram, smap, bound, schur_required=True)
 
 
-def check_certificate_quadratic(cert, graph, tau, hessians, tol=_EIG_TOL):
+def check_certificate_quadratic(cert, graph, tau, hessians):
     """Verify a certificate against the exact quadratic-cost feedback term.
 
     Tests metric positivity, u > 0 and the decrease inequality with the
@@ -394,7 +384,7 @@ def check_certificate_quadratic(cert, graph, tau, hessians, tol=_EIG_TOL):
     blocks = tuple(_lifted(x, m) for x in (cert.p12, cert.p22, cert.u_cap))
     gram = _lifted(gram_n, m)
     bound = _hessian_block(hbd, blocks[0], gram, tau)
-    return _check(blocks, cert.u, gram, _lifted(smap_n, m), bound, tol,
+    return _check(blocks, cert.u, gram, _lifted(smap_n, m), bound,
                   schur_required=False)
 
 
@@ -423,8 +413,7 @@ def closed_form_certificate(graph, tau, mu):
                           u_cap=zero, u=u, epsilon=0.0)
 
 
-def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None,
-                       tol=_EIG_TOL):
+def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
     """Scan a one-parameter certificate family; no semidefinite programming.
 
     The family is P12 = 0, U = 0, P22 = alpha I, u = beta, epsilon = 0,
@@ -454,13 +443,13 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None,
             raise ValueError("lipschitz is required without Hessians")
         _require_positive("lipschitz", lipschitz)
         check = functools.partial(check_certificate, mu=mu,
-                                  lipschitz=lipschitz, tol=tol)
+                                  lipschitz=lipschitz)
     else:
         hessians = np.asarray(hessians, dtype=float)
         if mu is None:
             mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
         check = functools.partial(check_certificate_quadratic,
-                                  hessians=hessians, tol=tol)
+                                  hessians=hessians)
     if mu is None:
         raise ValueError("mu is required without Hessians")
     _require_positive("mu", mu)
@@ -492,17 +481,17 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None,
             candidates.append(beta)
         # metric margin: lambda_min(blockdiag(G, alpha I)); the Schur
         # block blockdiag(0, I) has margin 0 and always passes
-        if not candidates or min(gram_min, alpha) < tol:
+        if not candidates or min(gram_min, alpha) < _EIG_TOL:
             continue
         p = _metric(gram, zero, alpha * np.eye(size))
         x = _decrease_lhs(p, smap, bound)
         if not np.isfinite(x + x.T).all():  # no eigen-solve of X can verify
             continue
         slack = _rounding_slack(p, smap, bound)
-        if _decrease_margin(x, smallest) < -tol - slack(smallest):
+        if _decrease_margin(x, smallest) < -_EIG_TOL - slack(smallest):
             continue
         for beta in candidates:
-            if _decrease_margin(x, beta) < -tol - slack(beta):
+            if _decrease_margin(x, beta) < -_EIG_TOL - slack(beta):
                 continue
             cert = LmiCertificate(p12=zero_n, p22=alpha * np.eye(graph.n),
                                   u_cap=zero_n, u=beta, epsilon=0.0)
@@ -520,8 +509,8 @@ def _rounding_slack(p, smap, bound):
     level the public check uses, so delta bounds both (the mode-by-mode
     check of a regular graph works on 2 x 2 blocks and rounds less). The
     exact margin
-    only falls as u grows, so if the screen reads below -tol - 2 delta at
-    some u, the public check reads below -tol at that u and at every
+    only falls as u grows, so if the screen reads below -1e-9 - 2 delta at
+    some u, the public check reads below -1e-9 at that u and at every
     larger one. The slack is 2 delta with a factor of 4 to spare. Where
     the norms overflow (S holds tau L, whose squares pass the float range
     above tau of about 1e154), the slack is inf and the screen rejects

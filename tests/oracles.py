@@ -21,7 +21,7 @@ Reference code that only the tests use.
 - `optimality_residual`, `passivity_check` and `value_sum` are
   diagnostics of the flow and the costs.
 - The (q, p) midpoint map and the change of basis to (q, r) are the other
-  side of the similarity identity that checks `midpoint_map_qr`.
+  side of the similarity identity that checks the package's (q, r) map.
 - `reference_search` is the certificate search as a plain in-order scan
   over the public checks, the behaviour `search_certificate` must keep.
 - `lifted_check_certificate` and `lifted_check_certificate_quadratic` are
@@ -106,9 +106,9 @@ def as_matrix(a, name="matrix"):
     return arr
 
 
-def min_eigenvalue_symmetric(s, sym_tol=1e-12):
+def min_eigenvalue_symmetric(s):
     """Smallest eigenvalue of a symmetric matrix."""
-    arr = require_symmetric(s, sym_tol)
+    arr = require_symmetric(s)
     if arr.size == 0:
         raise DimensionMismatchError("empty matrix has no eigenvalues")
     return float(np.linalg.eigvalsh(arr)[0])
@@ -529,8 +529,7 @@ def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
                            schur_required=False)
 
 
-def reference_search(graph, tau, mu=None, lipschitz=None, hessians=None,
-                     tol=1e-9):
+def reference_search(graph, tau, mu=None, lipschitz=None, hessians=None):
     """Every (alpha, beta) of the family through the public check, in order."""
     if hessians is not None:
         hessians = np.asarray(hessians, dtype=float)
@@ -553,10 +552,9 @@ def reference_search(graph, tau, mu=None, lipschitz=None, hessians=None,
                                   u_cap=zero, u=beta, epsilon=0.0)
             if hessians is not None:
                 verdict = check_certificate_quadratic(cert, graph, tau,
-                                                      hessians, tol)
+                                                      hessians)
             else:
-                verdict = check_certificate(cert, graph, tau, mu, lipschitz,
-                                            tol)
+                verdict = check_certificate(cert, graph, tau, mu, lipschitz)
             if verdict.feasible:
                 return cert
     return None
@@ -667,11 +665,11 @@ def metropolis_weights(graph):
     return w
 
 
-def erdos_renyi_edges(n, p, seed, max_attempts=10000):
+def erdos_renyi_edges(n, p, seed):
     """Edge set of `erdos_renyi(n, p, seed)`, drawn pair by pair."""
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for _ in range(max_attempts):
+    for _ in range(10000):
         draws = rng.random(len(pairs))
         edges = [pair for pair, x in zip(pairs, draws) if x < p]
         try:
@@ -681,10 +679,10 @@ def erdos_renyi_edges(n, p, seed, max_attempts=10000):
     return None
 
 
-def quadratic_ensemble_stacks(n_agents, m, seed, eig_range=(0.5, 3.0)):
+def quadratic_ensemble_stacks(n_agents, m, seed):
     """(H, b) stacks of `random_quadratic_ensemble`, built agent by agent."""
     rng = np.random.default_rng(seed)
-    lo, hi = eig_range
+    lo, hi = 0.5, 3.0
     hs, bs = [], []
     for _ in range(n_agents):
         basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
@@ -695,8 +693,7 @@ def quadratic_ensemble_stacks(n_agents, m, seed, eig_range=(0.5, 3.0)):
     return np.stack(hs), np.stack(bs)
 
 
-def logistic_ensemble_arrays(n_agents, m, n_points, seed, flip=0.1,
-                             point_scale=1.0):
+def logistic_ensemble_arrays(n_agents, m, n_points, seed, point_scale=1.0):
     """(points, labels) of `random_logistic_ensemble`, drawn and labelled
     agent by agent."""
     rng = np.random.default_rng(seed)
@@ -707,5 +704,5 @@ def logistic_ensemble_arrays(n_agents, m, n_points, seed, flip=0.1,
         points[i] = point_scale * rng.standard_normal((n_points, m - 1))
         aug = np.hstack([points[i], np.ones((n_points, 1))])
         labels[i] = np.where(aug @ truth >= 0, 1.0, -1.0)
-        labels[i, rng.random(n_points) < flip] *= -1.0
+        labels[i, rng.random(n_points) < 0.1] *= -1.0
     return points, labels

@@ -66,6 +66,24 @@ def test_sweep_rejects_bad_grid():
               "--schemes", "mid", "--tau-grid", "nope", "--steps", "10"])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("grid,log", [
+    ("nan:1:3", False), ("1:nan:3", True), ("1:inf:3", False),
+    ("-inf:1:3", False), ("1:1e400:2", True), ("1:-1:3", True),
+    ("1:0:3", True), ("-1e308:1e308:3", False),
+    ("1e300:1.7976931348623157e308:3", True),
+])
+def test_sweep_refuses_a_bad_tau_grid_in_one_line(grid, log, capsys):
+    # a non-finite bound, b <= 0 on a log grid, or a grid that overflows:
+    # one line naming --tau-grid, before any cell runs, with no warning
+    argv = ["sweep", "--graph", "cycle:4", "--cost", "quadratic:2:1",
+            "--schemes", "mid", "--steps", "3", f"--tau-grid={grid}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--log"] if log else []))
+    assert str(exc.value.code).startswith(f"--tau-grid {grid}: ")
+    assert capsys.readouterr().out == ""
+
+
 def test_certify_feasible_cycle(capsys):
     code = main(["certify", "--graph", "cycle:6", "--tau", "10", "--mu", "1",
                  "--lipschitz", "3", "--m", "1"])

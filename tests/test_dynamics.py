@@ -103,7 +103,7 @@ def test_summed_rows_kill_laplacian_terms():
 def test_optimality_residual_examples():
     ens = random_quadratic_ensemble(6, 2, seed=5)
     g = cycle(6)
-    theta = ens.centralized_optimum(tol=1e-13)
+    theta = ens.centralized_optimum()
     st = NetworkState(np.tile(theta, (6, 1)), np.zeros((6, 2)))
     grad_res, cons_res = optimality_residual(st, ens, g)
     assert grad_res <= 1e-10
@@ -178,7 +178,7 @@ def test_one_build_gives_every_step_sizes_equilibrium():
     g = erdos_renyi(7, 0.5, seed=10)
     init = _random_state(np.random.default_rng(11), 7, 2)
     taus = [1e-3, 0.5, 10.0, 1e4]
-    theta = ens.centralized_optimum(tol=1e-12)
+    theta = ens.centralized_optimum()
     stack = equilibrium_state(ens, g, initial=init, mid_tau=taus, theta=theta)
     assert stack.q.shape == stack.p.shape == (4, 7, 2)
     for i, tau in enumerate(taus):

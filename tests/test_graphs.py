@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phmid import graphs
 from phmid.graphs import (DisconnectedGraphError, GenerationFailedError, Graph,
                           complete, cycle, erdos_renyi, from_spec, star)
 
@@ -96,9 +97,10 @@ def test_erdos_renyi_always_connected():
         assert _bfs_connected(g.edges, g.n)
 
 
-def test_erdos_renyi_generation_failure():
+def test_erdos_renyi_generation_failure(monkeypatch):
+    monkeypatch.setattr(graphs, "_MAX_ATTEMPTS", 50)
     with pytest.raises(GenerationFailedError):
-        erdos_renyi(9, 1e-9, seed=0, max_attempts=50)
+        erdos_renyi(9, 1e-9, seed=0)
 
 
 def test_standard_topologies():

@@ -5,14 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from phmid import costs, graphs, integrators
+from phmid import costs, graphs, integrators, numerics
 from phmid.dynamics import NetworkState
 from phmid.graphs import Graph
 from phmid import harness
 from phmid.harness import (NOT_REACHED, STATUS_DIVERGED, STATUS_MAX_STEPS,
                            ExperimentConfig, RunTrace, SweepTable, export_csv,
                            k_b, run, tau_sweep)
-from phmid.numerics import MaxIterationsError, SolverSettings
+from phmid.numerics import MaxIterationsError
 
 
 def _quad_config(**kw):
@@ -123,16 +123,15 @@ def test_sweep_rows_equal_standalone_runs(scheme):
 
 
 def _one_newton_iteration(monkeypatch):
-    """Give every scheme a Newton solver that may iterate once.
+    """Let every Newton solve iterate once.
 
-    One Newton step solves a quadratic cost's mid step exactly, and at
-    tau = 1 its residual lands within the 1e-12 tolerance. At tau >= 1e4
-    the residual's rounding floor lies above the tolerance, and only a
-    second iteration could end the row by the correction test, so that
-    cell fails in its first step.
+    One Newton step solves a quadratic cost's mid step, and its
+    centralized optimum, exactly, and at tau = 1 its residual lands within
+    the 1e-12 tolerance. At tau >= 1e4 the residual's rounding floor lies
+    above the tolerance, and only a second iteration could end the row by
+    the correction test, so that cell fails in its first step.
     """
-    one = SolverSettings(max_iterations=1)
-    monkeypatch.setattr(integrators, "SolverSettings", lambda: one)
+    monkeypatch.setattr(numerics, "_MAX_ITERATIONS", 1)
 
 
 def test_sweep_raises_the_error_of_its_first_failing_cell(monkeypatch):
@@ -185,7 +184,7 @@ def test_a_carrying_run_matches_one_off_exact_steps(cost):
     # 6.8e-14 on logistic costs, where the tolerance term dominates
     g = graphs.from_spec("cycle:10")
     ens = costs.from_spec(cost, 10)
-    tol = SolverSettings().residual_tolerance
+    tol = numerics._RESIDUAL_TOLERANCE
     for tau in [float(t) for t in np.logspace(-6, 8, 15)]:
         trace = run(ExperimentConfig("cycle:10", cost, f"mid:tau={tau!r}",
                                      steps=20, seed=7, record_lyapunov=True))
@@ -257,9 +256,15 @@ def test_tau_sweep_validates_the_grid_before_any_cell(monkeypatch, bad):
                         lambda *args, **kwargs: calls.append(args))
     with pytest.raises(ValueError):
         tau_sweep(_quad_config(steps=5), [1.0, 2.0, bad], ["mid"])
-    with pytest.raises(ValueError):
-        tau_sweep(_quad_config(steps=5), [1.0], ["mid", "warp"])
+    for schemes in (["mid", "warp"], ["MID", "euler:tau=99"]):
+        with pytest.raises(ValueError):
+            tau_sweep(_quad_config(steps=5), [1.0], schemes)
     assert calls == []
+
+
+def test_tau_sweep_labels_rows_with_the_lowercase_kind():
+    table = tau_sweep(_quad_config(steps=5), [1.0], ["MID", "Euler"])
+    assert [row.scheme for row in table] == ["mid", "euler"]
 
 
 def test_export_csv_empty_table(tmp_path):

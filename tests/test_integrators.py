@@ -7,12 +7,12 @@ from phmid.costs import (CostEnsemble, random_logistic_ensemble,
                          random_quadratic_ensemble)
 from phmid.dynamics import NetworkState, continuous_rhs, equilibrium_state
 from phmid.graphs import Graph, cycle, erdos_renyi
-from phmid import harness
+from phmid import harness, numerics
 from phmid.integrators import (GtState, MaxIterationsError, SchemeConfig,
                                dg_central_step, euler_step,
                                gradient_tracking_init, gradient_tracking_step,
                                mid_step, parse_scheme_spec, step_plan)
-from phmid.numerics import DimensionMismatchError, SolverSettings
+from phmid.numerics import DimensionMismatchError
 
 from oracles import kron, metropolis_weights
 
@@ -211,7 +211,7 @@ def test_mid_iteration_reporting():
     rep = mid_step(st, ens, g, 2.0)
     # quadratic costs: Newton is exact after one update per agent
     assert np.all(rep.newton_iterations == 1)
-    assert rep.max_residual <= SolverSettings().residual_tolerance
+    assert rep.max_residual <= numerics._RESIDUAL_TOLERANCE
 
 
 def test_a_one_off_mid_step_reports_the_exact_newton_counts():
@@ -258,20 +258,19 @@ def test_a_mid_step_with_a_wrong_carried_inverse_meets_the_stop_test(carried):
         rep = mid_step(st, ens, g, tau, inverses=inverses)
         scale = max(np.abs(st.q).max(), np.abs(exact.state.q).max())
         floor = 16 * np.finfo(float).eps * (1 / tau + 2 + 4 * tau) * scale
-        assert rep.max_residual <= max(SolverSettings().residual_tolerance,
-                                       floor)
+        assert rep.max_residual <= max(numerics._RESIDUAL_TOLERANCE, floor)
         assert np.abs(rep.state.q - exact.state.q).max() <= 1e-12
         assert np.abs(rep.state.p - exact.state.p).max() <= 1e-12 * max(1.0, tau)
 
 
-def test_mid_reports_failing_agent():
+def test_mid_reports_failing_agent(monkeypatch):
     # one Newton iteration cannot solve a logistic cost's step
     g = cycle(6)
     ens = random_logistic_ensemble(6, 2, 10, 0.1, seed=12)
     st = _network_problem(seed=12)[2]
-    hopeless = SolverSettings(max_iterations=1)
+    monkeypatch.setattr(numerics, "_MAX_ITERATIONS", 1)
     with pytest.raises(MaxIterationsError) as info:
-        mid_step(st, ens, g, 1.0, hopeless)
+        mid_step(st, ens, g, 1.0)
     assert "agent" in str(info.value)
 
 
@@ -280,14 +279,13 @@ def test_schemes_agree_to_second_order():
     # by O(tau^2): Richardson ratio between tau and tau/10 is about 100
     g, ens, st = _network_problem(seed=13)
     # the update rows carry a 1/tau term, so at tiny tau the residual floor
-    # sits near 1e-12; solve to 1e-9 (solution error ~1e-13, far below the
-    # O(tau^2) differences probed here)
-    solver = SolverSettings(residual_tolerance=1e-9)
+    # sits near 1e-12, where the correction test ends a row (solution error
+    # ~1e-13, far below the O(tau^2) differences probed here)
     diffs = {}
     for tau in (1e-3, 1e-4):
         qe = euler_step(st, ens, g, tau).q
-        qd = dg_central_step(st, ens, g, tau, solver).state.q
-        qm = mid_step(st, ens, g, tau, solver).state.q
+        qd = dg_central_step(st, ens, g, tau).state.q
+        qm = mid_step(st, ens, g, tau).state.q
         diffs[tau] = (np.linalg.norm(qe - qd), np.linalg.norm(qe - qm),
                       np.linalg.norm(qd - qm))
     for a, b in zip(diffs[1e-3], diffs[1e-4]):
@@ -350,7 +348,7 @@ def test_batched_steps_equal_single_cell_steps():
         dg_central_step(NetworkState(q, p), ens, g, taus[:3])
 
 
-def test_batched_mid_failure_names_the_first_failing_cell():
+def test_batched_mid_failure_names_the_first_failing_cell(monkeypatch):
     # with one Newton iteration, mid at tau = 1e4 fails in the second step
     # of this run and dg at tau = 1e-4 in the first: one exact Newton step
     # leaves their residuals on a rounding floor above the tolerance. The
@@ -359,15 +357,16 @@ def test_batched_mid_failure_names_the_first_failing_cell():
     ens = random_quadratic_ensemble(10, 3, seed=42)
     q0 = np.random.default_rng(7).standard_normal((10, 3))
     start = NetworkState(q0, np.zeros_like(q0))
-    once = SolverSettings(max_iterations=1)
-    for step, stalls, tau in ((mid_step, mid_step(start, ens, g, 1e4).state, 1e4),
+    second = mid_step(start, ens, g, 1e4).state
+    monkeypatch.setattr(numerics, "_MAX_ITERATIONS", 1)
+    for step, stalls, tau in ((mid_step, second, 1e4),
                               (dg_central_step, start, 1e-4)):
         with pytest.raises(MaxIterationsError) as alone:
-            step(stalls, ens, g, tau, once)
+            step(stalls, ens, g, tau)
         stack = NetworkState(np.stack([start.q, stalls.q, stalls.q]),
                              np.stack([start.p, stalls.p, stalls.p]))
         with pytest.raises(MaxIterationsError) as batched:
-            step(stack, ens, g, np.array([1.0, tau, tau]), once)
+            step(stack, ens, g, np.array([1.0, tau, tau]))
         assert batched.value.cell == 1
         assert str(batched.value) == str(alone.value)
         assert batched.value.residual_norm == alone.value.residual_norm
@@ -431,7 +430,7 @@ def test_plans_are_checked_against_their_step():
         step_plan("gt", g, np.array([1.0, -1.0]), (2, 6, 2))
 
 
-def test_a_cut_mid_batch_keeps_its_survivors_bitwise():
+def test_a_cut_mid_batch_keeps_its_survivors_bitwise(monkeypatch):
     # the first step runs with the default solver and the later ones with
     # one Newton iteration, so mid at tau = 1e4 fails in the second step
     # of this start (see test_batched_mid_failure_names_the_first_failing_cell);
@@ -446,14 +445,15 @@ def test_a_cut_mid_batch_keeps_its_survivors_bitwise():
     alone = [NetworkState(q0, np.zeros_like(q0)) for _ in taus[:2]]
     cuts = []
     for k in range(8):
-        solver = SolverSettings(max_iterations=1) if k else SolverSettings()
+        if k == 1:
+            monkeypatch.setattr(numerics, "_MAX_ITERATIONS", 1)
         try:
-            state = mid_step(state, ens, g, None, solver, plan=plan).state
+            state = mid_step(state, ens, g, None, plan=plan).state
         except MaxIterationsError as exc:
             cuts.append((k, exc.cell))
             state, plan = harness._keep(state, plan, slice(exc.cell))
-            state = mid_step(state, ens, g, None, solver, plan=plan).state
-        alone = [mid_step(one, ens, g, tau, solver).state
+            state = mid_step(state, ens, g, None, plan=plan).state
+        alone = [mid_step(one, ens, g, tau).state
                  for one, tau in zip(alone, taus)]
         for t, one in enumerate(alone):
             assert np.array_equal(state.q[t], one.q)

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+from phmid import numerics
 from phmid.numerics import (DimensionMismatchError, MaxIterationsError,
-                            NonSymmetricError, SingularMatrixError,
-                            SolverSettings, _row_norms, newton_solve)
+                            NonSymmetricError, SingularMatrixError, _row_norms,
+                            newton_solve)
 
 from oracles import (discrete_gradient, is_psd, kron, min_eigenvalue_symmetric,
                      solve_linear)
@@ -151,7 +152,7 @@ def test_newton_strongly_convex_from_far_start():
             return h + np.diag(0.2 / np.cosh(x) ** 2)
 
         x0 = 100.0 * rng.standard_normal(m)
-        x, _, _ = newton_solve(grad, hess, x0, SolverSettings(max_iterations=100))
+        x, _, _ = newton_solve(grad, hess, x0)
         assert np.linalg.norm(grad(x)) <= 1e-12
 
 
@@ -279,12 +280,12 @@ def test_a_wrong_carried_inverse_still_ends_at_the_stop_test(far):
             assert it == iters[i] and np.array_equal(xi, x[i])
 
 
-def test_newton_max_iterations_carries_state():
-    settings = SolverSettings(residual_tolerance=1e-16, max_iterations=2)
+def test_newton_max_iterations_carries_state(monkeypatch):
+    monkeypatch.setattr(numerics, "_MAX_ITERATIONS", 2)
     with pytest.raises(MaxIterationsError) as info:
         newton_solve(lambda x: np.array([np.arctan(x[0])]),
                      lambda x: np.array([[1.0 / (1.0 + x[0] ** 2)]]),
-                     np.array([50.0]), settings)
+                     np.array([50.0]))
     assert info.value.iterate is not None
     assert info.value.residual_norm > 0
 
@@ -298,15 +299,6 @@ def test_newton_singular_jacobian_raises():
         newton_solve(lambda x: x, lambda x: jac, x0)
     assert info.value.failed.tolist() == [False, True]
     assert np.array_equal(info.value.iterate, x0)
-
-
-def test_solver_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(residual_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverSettings(damping_shrink=1.0)
 
 
 def test_discrete_gradient_quadratic_is_midpoint():

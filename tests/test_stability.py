@@ -14,17 +14,22 @@ from phmid.integrators import SchemeConfig, euler_step, mid_step
 from phmid.numerics import DimensionMismatchError
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              InvalidEpsilonError, LmiCertificate,
-                             _hessian_block_diag,
-                             _rounding_slack, check_certificate,
+                             _hessian_block_diag, _rounding_slack,
+                             _step_matrices, check_certificate,
                              check_certificate_quadratic,
-                             closed_form_certificate,
-                             midpoint_map_qr, search_certificate, step_gram)
+                             closed_form_certificate, search_certificate)
 
 from oracles import (assemble_metric, audit_lyapunov, change_of_basis,
                      gradient_bound_block, gradient_feedback_gain,
                      hessian_block_diag, kron, lifted_check_certificate,
                      lifted_check_certificate_quadratic, midpoint_map_qp,
                      quadratic_gradient_block, reference_search)
+
+
+def _lifted_step(graph, m, tau):
+    """G(tau) and the midpoint map S, lifted by (x) I_m, from the N-level
+    build that every check and search runs."""
+    return tuple(np.kron(x, np.eye(m)) for x in _step_matrices(graph, tau))
 
 
 def _random_graph(rng):
@@ -36,7 +41,7 @@ def test_step_gram_two_agents_by_hand():
     # single edge, m=1, tau=1: Q = [[.5,.5],[.5,.5]] is idempotent, so
     # G = I + Q + Q^2 = I + 2Q = [[2,1],[1,2]]
     g = Graph(2, [(0, 1)])
-    gram = step_gram(g, 1, 1.0)
+    gram = _step_matrices(g, 1.0)[0]
     assert np.allclose(gram, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
@@ -44,11 +49,11 @@ def test_step_gram_definition_and_limit():
     g = erdos_renyi(6, 0.5, seed=1)
     qmat = kron(g.q_matrix(), np.eye(2))
     for tau in (0.3, 1.0, 7.0):
-        gram = step_gram(g, 2, tau)
+        gram = _lifted_step(g, 2, tau)[0]
         direct = np.eye(12) / tau ** 2 + qmat / tau + qmat @ qmat
         assert np.abs(gram - direct).max() <= 1e-12
     # dominant-term limit: G -> Q^2 as tau grows
-    assert np.abs(step_gram(g, 2, 1e6) - qmat @ qmat).max() <= 1e-5
+    assert np.abs(_lifted_step(g, 2, 1e6)[0] - qmat @ qmat).max() <= 1e-5
 
 
 def test_step_gram_positive_definite_and_commutes():
@@ -57,7 +62,7 @@ def test_step_gram_positive_definite_and_commutes():
         g = _random_graph(rng)
         m = int(rng.integers(1, 3))
         tau = float(10 ** rng.uniform(-2, 3))
-        gram = step_gram(g, m, tau)
+        gram = _lifted_step(g, m, tau)[0]
         assert np.linalg.eigvalsh(gram).min() >= 1.0 / tau ** 2 - 1e-10
         qmat = kron(g.q_matrix(), np.eye(m))
         assert np.abs(qmat @ gram - gram @ qmat).max() <= 1e-10
@@ -68,7 +73,7 @@ def test_similarity_of_midpoint_maps():
     # triangular change of basis r = p - tau Q q
     g = cycle(4)
     tau = 0.5
-    s_r = midpoint_map_qr(g, 1, tau)
+    s_r = _step_matrices(g, tau)[1]
     s_p = midpoint_map_qp(g, 1, tau)
     t = change_of_basis(g, 1, tau)
     assert np.abs(s_r - t @ s_p @ np.linalg.inv(t)).max() <= 1e-9
@@ -77,7 +82,7 @@ def test_similarity_of_midpoint_maps():
         graph = _random_graph(rng)
         m = int(rng.integers(1, 3))
         tau = float(10 ** rng.uniform(-1.5, 2))
-        s_r = midpoint_map_qr(graph, m, tau)
+        s_r = _lifted_step(graph, m, tau)[1]
         s_p = midpoint_map_qp(graph, m, tau)
         t = change_of_basis(graph, m, tau)
         assert np.abs(s_r - t @ s_p @ np.linalg.inv(t)).max() <= 1e-9
@@ -85,7 +90,7 @@ def test_similarity_of_midpoint_maps():
 
 def test_midpoint_map_consensus_kernel():
     g = cycle(5)
-    s_r = midpoint_map_qr(g, 2, 1.3)
+    s_r = _lifted_step(g, 2, 1.3)[1]
     vec = np.concatenate([np.tile([1.0, -2.0], 5), np.zeros(10)])
     out = s_r @ vec
     assert np.abs(out[10:]).max() <= 1e-12  # Laplacian kills consensus
@@ -93,7 +98,7 @@ def test_midpoint_map_consensus_kernel():
 
 def test_midpoint_map_single_agent_is_zero():
     g = Graph(1, [])
-    assert np.abs(midpoint_map_qr(g, 3, 2.0)).max() == 0.0
+    assert np.abs(_lifted_step(g, 3, 2.0)[1]).max() == 0.0
 
 
 def test_midpoint_map_matches_actual_steps():
@@ -115,9 +120,9 @@ def test_midpoint_map_matches_actual_steps():
         y1 = np.concatenate([nxt.q.ravel(), r1.ravel()])
         qbar = (st.q + nxt.q) / 2
         grad = ens.gradient_stack(qbar).ravel()
-        gram = step_gram(g, m, tau)
+        gram, smap = _lifted_step(g, m, tau)
         lhs = y1 - y0
-        rhs = (midpoint_map_qr(g, m, tau) @ ((y0 + y1) / 2)
+        rhs = (smap @ ((y0 + y1) / 2)
                - np.concatenate([np.linalg.solve(gram, grad) / tau,
                                  np.zeros(n * m)]))
         assert np.abs(lhs - rhs).max() <= 1e-9 * (1 + np.abs(lhs).max())
@@ -147,7 +152,7 @@ def test_gradient_bound_block_zero_epsilon():
 
 def test_gradient_feedback_gain_definition():
     g = star(5)
-    gram = step_gram(g, 2, 1.0)
+    gram = _lifted_step(g, 2, 1.0)[0]
     expected = 3.0 * np.linalg.eigvalsh(gram)[-1]
     assert gradient_feedback_gain(g, 2, 1.0, 3.0) == pytest.approx(expected, rel=1e-12)
 
@@ -342,13 +347,13 @@ def _margin_slacks(cert, g, m, tau, mu, lipschitz):
     schur = np.block([[u_cap, p12], [p12.T, np.eye(g.n * m)]])
     bound = gradient_bound_block(g, m, tau, cert.epsilon, mu, lipschitz,
                                  u_cap)
-    smap = midpoint_map_qr(g, m, tau)
+    smap = _lifted_step(g, m, tau)[1]
     return (_eig_slack(p), _eig_slack(schur),
             _rounding_slack(p, smap, bound)(cert.u))
 
 
 def test_reduced_check_matches_the_lifted_check():
-    mu, lipschitz, tol = 0.5, 2.0, 1e-9
+    mu, lipschitz, tol = 0.5, 2.0, stability._EIG_TOL
     rng = np.random.default_rng(13)
     checks = band = flips = 0
     for spec in ("cycle:7", "cycle:10", "star:6", "complete:5", "er:12:0.4:1",
@@ -366,7 +371,7 @@ def test_reduced_check_matches_the_lifted_check():
                     _dense_certificate(g.n, rng),
                 ]
                 for cert in certs:
-                    args = (mu, lipschitz, tol)
+                    args = (mu, lipschitz)
                     try:
                         want = lifted_check_certificate(cert, g, m, tau, *args)
                     except np.linalg.LinAlgError:
@@ -462,8 +467,8 @@ def _solve_slack(cert, g, m, tau):
     all 17 digits.
     """
     p = assemble_metric(cert, g, m, tau)
-    smap = midpoint_map_qr(g, m, tau)
-    gram = np.linalg.eigvalsh(step_gram(g, 1, tau))
+    smap = _lifted_step(g, m, tau)[1]
+    gram = np.linalg.eigvalsh(_step_matrices(g, tau)[0])
     smallest = max(gram[0], 1.0 / tau ** 2)  # G(tau) >= I / tau^2
     dim = p.shape[0]
     return (16.0 * dim * np.finfo(float).eps * gram[-1] / smallest
@@ -471,7 +476,7 @@ def _solve_slack(cert, g, m, tau):
 
 
 def test_mode_check_matches_the_lifted_check():
-    mu, lipschitz, tol = 0.5, 2.0, 1e-9
+    mu, lipschitz, tol = 0.5, 2.0, stability._EIG_TOL
     checks = band = flips = undecided = 0
     for kind in ("cycle", "complete"):
         for n in range(3, 13):
@@ -479,7 +484,7 @@ def test_mode_check_matches_the_lifted_check():
             for m in (1, 3):
                 for tau in np.logspace(-7, 9, 9):
                     for cert in _scalar_certificates(g, tau, mu):
-                        args = (mu, lipschitz, tol)
+                        args = (mu, lipschitz)
                         got = check_certificate(cert, g, tau, *args)
                         try:
                             want = lifted_check_certificate(cert, g, m, tau,
@@ -621,8 +626,8 @@ def test_hessian_block_diag_matches_the_agent_loop(n, m):
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: step_gram(g, 1, np.inf),
-    lambda g: midpoint_map_qr(g, 1, np.nan),
+    lambda g: _step_matrices(g, np.inf)[0],
+    lambda g: _step_matrices(g, np.nan)[1],
     lambda g: gradient_feedback_gain(g, 1, 0.0, 1.0),
     lambda g: gradient_bound_block(g, 1, -1.0, 0.0, 1.0, 1.0, np.zeros((4, 4))),
     lambda g: quadratic_gradient_block(g, 1, np.inf, np.ones((4, 1, 1)),
