@@ -17,7 +17,8 @@ import numpy as np
 from . import costs as costs_mod
 from . import graphs as graphs_mod
 from . import stability
-from .harness import NOT_REACHED, ExperimentConfig, export_csv, k_b, run, tau_sweep
+from .harness import (NOT_REACHED, ExperimentConfig, export_csv, k_b, run,
+                      scheme_kinds, tau_sweep)
 
 
 def _add_run_args(parser):
@@ -106,6 +107,11 @@ def _cmd_sweep(args):
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise SystemExit("--schemes must list at least one scheme")
+    # checked apart from the run: a bad --cost also raises ValueError there
+    try:
+        scheme_kinds(schemes)
+    except ValueError as exc:
+        raise SystemExit(f"--schemes {args.schemes}: {exc}") from None
     table = tau_sweep(config, taus, schemes)
     for row in table:
         kb_text = NOT_REACHED if row.k_b is None else str(row.k_b)
@@ -167,11 +173,12 @@ def _cmd_certify(args):
         # the verdict, so the overflow is not worth a warning
         with np.errstate(over="ignore", invalid="ignore"):
             if args.search:
-                cert = stability.search_certificate(graph, args.tau,
-                                                    **search_args)
+                found = stability.search_certificate(graph, args.tau,
+                                                     **search_args)
+                verdict = None if found is None else found[1]
             else:
                 cert = stability.closed_form_certificate(graph, args.tau, mu)
-            verdict = None if cert is None else check(cert, graph, args.tau)
+                verdict = check(cert, graph, args.tau)
     except OverflowError as exc:
         raise SystemExit(f"--tau {args.tau:g}: {exc}; no verdict") from None
     except FloatingPointError as exc:

@@ -352,6 +352,19 @@ class SweepTable:
         return len(self.rows)
 
 
+def scheme_kinds(schemes):
+    """The lowercase kinds of `schemes`, each a scheme kind in any case.
+
+    Raises ValueError naming the first entry that is not a kind.
+    """
+    kinds = [str(scheme).lower() for scheme in schemes]
+    unknown = [kind for kind in kinds if kind not in integrators.SCHEME_KINDS]
+    if unknown:
+        raise ValueError(f"unknown scheme {unknown[0]!r}, expected one of "
+                         f"{', '.join(integrators.SCHEME_KINDS)}")
+    return kinds
+
+
 def tau_sweep(base_config, tau_values, schemes):
     """Run every (scheme, tau) cell with shared seeds and collect K_B.
 
@@ -360,11 +373,11 @@ def tau_sweep(base_config, tau_values, schemes):
     Each of `schemes` is a scheme kind in any case, and its rows carry the
     lowercase kind. The whole grid is validated before any cell runs: a
     scheme entry that is not a kind, such as `euler:tau=1`, is refused
-    with the kinds there are. The cells of one scheme run as one batched
-    simulation (see `_simulate`); each row is bitwise the row of a
-    standalone `run` of that cell.
+    with the kinds there are, even with no tau to run. The cells of one
+    scheme run as one batched simulation (see `_simulate`); each row is
+    bitwise the row of a standalone `run` of that cell.
     """
-    kinds = [str(scheme).lower() for scheme in schemes]
+    kinds = scheme_kinds(schemes)
     grids = [[integrators.SchemeConfig(kind, tau) for tau in tau_values]
              for kind in kinds]
     rows = []

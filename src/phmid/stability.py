@@ -30,11 +30,12 @@ holds, where B bounds the gradient feedback term: Young's inequality with
 the certified mu and Lipschitz constants for general strongly convex
 costs, or the exact per-agent Hessians for quadratic costs. All
 inequalities are verified by symmetric eigenvalue computations; no
-semidefinite programming is involved. A certificate holds N x N blocks
-X, standing for X (x) I_m at every per-agent dimension m. G(tau), S and
-the (mu, L) bound are X (x) I_m too, so the (mu, L) check decides on the
-2N x 2N factors, built once per check and once per search, and its
-verdict is the same for every m. The quadratic check, whose per-agent
+semidefinite programming is involved (the certificate search screens its
+candidates by Cholesky attempts, which only reject). A certificate holds
+N x N blocks X, standing for X (x) I_m at every per-agent dimension m.
+G(tau), S and the (mu, L) bound are X (x) I_m too, so the (mu, L) check
+decides on the 2N x 2N factors, built once per check and once per search,
+and its verdict is the same for every m. The quadratic check, whose per-agent
 Hessians break that structure, lifts the blocks once and runs at 2Nm.
 On a regular graph, where every one of these matrices is a polynomial in
 the adjacency, a certificate whose blocks are multiples of I is decided
@@ -64,7 +65,11 @@ class InvalidEpsilonError(ValueError):
 
 
 def _lifted(block_n, m):
-    return np.kron(block_n, np.eye(m))
+    """block_n (x) I_m, the same products np.kron forms, without its
+    per-call set-up."""
+    n = block_n.shape[0]
+    eye = np.eye(m)[None, :, None, :]
+    return (block_n[:, None, :, None] * eye).reshape(n * m, n * m)
 
 
 def _require_positive(name, value):
@@ -150,11 +155,11 @@ def _gain_terms(gram_max, tau, epsilon, mu, lipschitz, u_cap):
     return gamma * epsilon / 2.0 - mu / tau, bottom
 
 
-def _gain_block(gram, tau, epsilon, mu, lipschitz, u_cap):
-    """The (mu, L) bound of `_gain_terms` as a 2N x 2N matrix."""
-    top, bottom = _gain_terms(float(np.linalg.eigvalsh(gram)[-1]), tau,
-                              epsilon, mu, lipschitz, u_cap)
-    size = gram.shape[0]
+def _gain_block(gram_max, tau, epsilon, mu, lipschitz, u_cap):
+    """The (mu, L) bound of `_gain_terms` as a 2N x 2N matrix, from
+    lambda_max(G)."""
+    top, bottom = _gain_terms(gram_max, tau, epsilon, mu, lipschitz, u_cap)
+    size = u_cap.shape[0]
     out = np.zeros((2 * size, 2 * size))
     out[:size, :size] = top * np.eye(size)
     out[size:, size:] = bottom
@@ -363,7 +368,8 @@ def check_certificate(cert, graph, tau, mu, lipschitz):
         if None not in scalars:
             return _check_modes(*scalars, cert, graph, tau, mu, lipschitz)
     gram, smap = _step_matrices(graph, tau)
-    bound = _gain_block(gram, tau, cert.epsilon, mu, lipschitz, cert.u_cap)
+    bound = _gain_block(float(np.linalg.eigvalsh(gram)[-1]), tau,
+                        cert.epsilon, mu, lipschitz, cert.u_cap)
     return _check(blocks, cert.u, gram, smap, bound, schur_required=True)
 
 
@@ -420,23 +426,29 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
     scanned over a log grid of alpha (the closed-form alpha = 1/tau^2
     first) and descending beta below the certified rate. Returns the
     first certificate that verifies - against the quadratic check when
-    `hessians` is given, else against the (mu, lipschitz) check - or
+    `hessians` is given, else against the (mu, lipschitz) check - with
+    the verdict of the check that accepted it, as (cert, verdict), or
     None when the whole family fails. None is NOT evidence of
     instability; the family is only sufficient.
 
     The scan builds G(tau) and S once per call and screens, with the
-    check's metric and feedback block, at the level the public check uses:
-    2N x 2N for the (mu, lipschitz) family, and 2Nm x 2Nm with an
-    (N, m, m) Hessian stack. Within the family the metric and Schur
+    check's feedback block, at the level the public check uses: 2N x 2N
+    for the (mu, lipschitz) family, and 2Nm x 2Nm with an (N, m, m)
+    Hessian stack. The decrease matrix is affine in alpha, X(alpha) =
+    X_G + alpha X_1 with P = blockdiag(G, 0) + alpha blockdiag(0, I), and
+    both terms are formed once. Within the family the metric and Schur
     margins do not depend on beta, and the decrease margin only falls as
     beta grows, so an alpha that fails at the smallest beta has no
-    verifying beta and is skipped, as is an alpha whose decrease matrix X
+    verifying beta and is skipped, as is an alpha whose decrease matrix
     has a symmetric part beyond the float range (alpha tau L near 1e308),
-    which no check can verify. These screens reject only margins that fail by
-    more than their rounding error, and a candidate that passes them is
-    returned only once the public check (`check_certificate` or
+    which no check can verify. The decrease screens are Cholesky
+    attempts (`_cholesky_rejects`): they reject only margins proven to
+    fail by more than their rounding error (`_rounding_slack`), and
+    decide nothing else. A candidate that passes them is returned only
+    once the public check (`check_certificate` or
     `check_certificate_quadratic`) accepts it, so the result is the first
-    candidate of the scan order that the public check accepts.
+    candidate of the scan order that the public check accepts, and its
+    verdict, margins included, is that check's.
     """
     if hessians is None:
         if lipschitz is None:
@@ -446,77 +458,127 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
                                   lipschitz=lipschitz)
     else:
         hessians = np.asarray(hessians, dtype=float)
+        hbd = _hessian_block_diag(hessians, graph.n)
         if mu is None:
-            mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
+            mu = float(np.linalg.eigvalsh(hessians)[:, 0].min())
         check = functools.partial(check_certificate_quadratic,
                                   hessians=hessians)
     if mu is None:
         raise ValueError("mu is required without Hessians")
     _require_positive("mu", mu)
     gram, smap = _step_matrices(graph, tau)
-    gram_min = float(np.linalg.eigvalsh(gram)[0])
+    gram_eigs = np.linalg.eigvalsh(gram)
+    gram_min = float(gram_eigs[0])
     alphas = [_inverse_square(graph, tau)] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
-    smallest = min((b for b in betas if b > 0), default=None)
+    # each (alpha, beta) is tried once, keyed by rounded values: a repeated
+    # alpha (1/tau^2 on the grid) has no candidates left, and a beta
+    # repeated within the list is tried at its first place
+    candidates = {}
+    for beta in betas:
+        if beta > 0:
+            candidates.setdefault(round(float(beta), 18), beta)
+    candidates = list(candidates.values())
+    if not candidates:  # every rate underflowed to 0
+        return None
+    smallest = min(candidates)
     zero_n = np.zeros((graph.n, graph.n))
     if hessians is None:
-        bound = _gain_block(gram, tau, 0.0, mu, lipschitz, zero_n)
+        bound = _gain_block(float(gram_eigs[-1]), tau, 0.0, mu, lipschitz,
+                            zero_n)
     else:
-        hbd = _hessian_block_diag(hessians, graph.n)
         m = hbd.shape[0] // graph.n
         gram, smap = _lifted(gram, m), _lifted(smap, m)
         bound = _hessian_block(hbd, np.zeros_like(hbd), gram, tau)
     zero, size = np.zeros_like(gram), gram.shape[0]
-    beta_keys = [round(float(beta), 18) for beta in betas]
+    x_gram = _decrease_lhs(_metric(gram, zero, zero), smap, bound)
+    x_one = _decrease_lhs(_metric(zero, zero, np.eye(size)), smap, 0.0)
+    neg_x_gram = -(x_gram + x_gram.T) / 2.0
+    e11 = _metric(np.eye(size), zero, zero)
+    with np.errstate(over="ignore"):  # an inf norm makes an inf slack
+        gram_norm = float(np.linalg.norm(gram))
+        slack_norms = (np.linalg.norm(smap), np.linalg.norm(bound))
     seen = set()
     for alpha in alphas:
-        candidates = []
         alpha_key = round(float(alpha), 15)
-        for beta, beta_key in zip(betas, beta_keys):
-            key = (alpha_key, beta_key)
-            if key in seen or beta <= 0:
-                continue
-            seen.add(key)
-            candidates.append(beta)
+        if alpha_key in seen:
+            continue
+        seen.add(alpha_key)
         # metric margin: lambda_min(blockdiag(G, alpha I)); the Schur
         # block blockdiag(0, I) has margin 0 and always passes
-        if not candidates or min(gram_min, alpha) < _EIG_TOL:
+        if min(gram_min, alpha) < _EIG_TOL:
             continue
-        p = _metric(gram, zero, alpha * np.eye(size))
-        x = _decrease_lhs(p, smap, bound)
-        if not np.isfinite(x + x.T).all():  # no eigen-solve of X can verify
+        neg_x = neg_x_gram - alpha * x_one
+        if not np.isfinite(neg_x).all():  # no eigen-solve of X can verify
             continue
-        slack = _rounding_slack(p, smap, bound)
-        if _decrease_margin(x, smallest) < -_EIG_TOL - slack(smallest):
+        # |P| = |blockdiag(G, alpha I)| in closed form
+        p_norm = math.hypot(gram_norm, alpha * math.sqrt(size))
+        slack = _rounding_slack(2 * size, p_norm, *slack_norms)
+        if _cholesky_rejects(neg_x - smallest * e11,
+                             _EIG_TOL + slack(smallest)):
             continue
         for beta in candidates:
-            if _decrease_margin(x, beta) < -_EIG_TOL - slack(beta):
+            if _cholesky_rejects(neg_x - beta * e11, _EIG_TOL + slack(beta)):
                 continue
             cert = LmiCertificate(p12=zero_n, p22=alpha * np.eye(graph.n),
                                   u_cap=zero_n, u=beta, epsilon=0.0)
-            if check(cert, graph, tau).feasible:
-                return cert
+            verdict = check(cert, graph, tau)
+            if verdict.feasible:
+                return cert, verdict
     return None
 
 
-def _rounding_slack(p, smap, bound):
+def _rounding_slack(dim, p_norm, smap_norm, bound_norm):
     """How far a screen margin may fail before the public check could pass.
 
     Rounding in X = P S + S' P + B and in the eigen-solve moves a computed
-    eigenvalue of X + u E11 by at most about delta = dim * eps * (2 |P| |S|
-    + |B| + u), in Frobenius norms; the screen builds its matrices at the
-    level the public check uses, so delta bounds both (the mode-by-mode
-    check of a regular graph works on 2 x 2 blocks and rounds less). The
-    exact margin
-    only falls as u grows, so if the screen reads below -1e-9 - 2 delta at
-    some u, the public check reads below -1e-9 at that u and at every
-    larger one. The slack is 2 delta with a factor of 4 to spare. Where
-    the norms overflow (S holds tau L, whose squares pass the float range
-    above tau of about 1e154), the slack is inf and the screen rejects
-    nothing, leaving the verdict to the public check.
+    eigenvalue of X + u E11 (dim x dim) by at most about delta = dim * eps
+    * (2 |P| |S| + |B| + u), in Frobenius norms; the screen builds its
+    matrices at the level the public check uses, so delta bounds both (the
+    mode-by-mode check of a regular graph works on 2 x 2 blocks and rounds
+    less), and it covers forming X as X_G + alpha X_1, whose two terms
+    are each bounded by 2 |P| |S| + |B|. The exact margin only falls as
+    u grows, so if the exact margin of the screen's matrix is below -1e-9
+    - 2 delta at some u, the public check reads below -1e-9 at that u and
+    at every larger one. The slack is 2 delta with a factor of 4 to spare.
+    Where the norms overflow (S holds tau L, whose squares pass the float
+    range above tau of about 1e154), the slack is inf and the screen
+    rejects nothing, leaving the verdict to the public check.
     """
-    dim = p.shape[0]
-    scale = 2.0 * np.linalg.norm(p) * np.linalg.norm(smap) + np.linalg.norm(bound)
+    scale = 2.0 * p_norm * smap_norm + bound_norm
     eps = np.finfo(float).eps
     return lambda u: 8.0 * dim * eps * (scale + u)
+
+
+def _cholesky_rejects(mat, floor):
+    """True when a failed Cholesky factorization proves lambda_min(mat) <
+    -floor, for a symmetric `mat`; False proves nothing.
+
+    Demmel's bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, Thm 10.7): floating-point Cholesky runs to
+    completion on a symmetric n x n B whenever lambda_min(B) > k max_i
+    b_ii, with k = n gamma_{n+1} / (1 - n gamma_{n+1}) and gamma_j = j
+    u / (1 - j u), u the unit roundoff. The factorization is tried on B =
+    mat + c I, with d = max(0, max_i mat_ii) and c = (floor + 2 k d) / (1
+    - 2 k), so that c - 2 k (d + c) = floor. If it fails, lambda_min(B)
+    <= k max_i b_ii <= k (d + c), so lambda_min(mat) <= k (d + c) - c <
+    -floor; the factor 2 on k covers the rounding of c and of the
+    shifted diagonal. A non-finite floor (the slack of an overflowing
+    norm) rejects nothing.
+    """
+    n = mat.shape[0]
+    unit = np.finfo(float).eps / 2.0
+    gamma = (n + 1) * unit / (1.0 - (n + 1) * unit)
+    twice_k = 2.0 * n * gamma / (1.0 - n * gamma)
+    d = max(float(np.diagonal(mat).max()), 0.0)
+    c = (floor + twice_k * d) / (1.0 - twice_k)
+    if not math.isfinite(c + d):
+        return False
+    shifted = mat.copy()
+    shifted.flat[::n + 1] += c
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return True
+    return False

@@ -5,8 +5,8 @@ Reference code that only the tests use.
   independent reference for the linear algebra the package leaves to
   LAPACK.
 - `as_matrix`, `min_eigenvalue_symmetric`, `is_psd` and `kron` are the
-  small matrix helpers the identity tests use; the package calls
-  `np.kron` itself.
+  small matrix helpers the identity tests use; the package lifts its
+  blocks by broadcasting (`stability._lifted`).
 - `QuadraticAgent` and `LogisticAgent` are the agent-by-agent reference
   costs (value, gradient, Hessian, curvature bounds), built from the
   records of `CostEnsemble.costs` by `agents`; the package evaluates

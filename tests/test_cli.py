@@ -84,6 +84,18 @@ def test_sweep_refuses_a_bad_tau_grid_in_one_line(grid, log, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("schemes,bad", [("mid,warp", "warp"),
+                                         ("MID,euler:tau=99", "euler:tau=99")])
+def test_sweep_refuses_a_bad_scheme_in_one_line(schemes, bad, capsys):
+    argv = ["sweep", "--graph", "cycle:4", "--cost", "quadratic:2:1",
+            "--schemes", schemes, "--steps", "3", "--tau-grid", "1:2:2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == (f"--schemes {schemes}: unknown scheme {bad!r}, "
+                              "expected one of euler, dg, mid, gt")
+    assert capsys.readouterr().out == ""
+
+
 def test_certify_feasible_cycle(capsys):
     code = main(["certify", "--graph", "cycle:6", "--tau", "10", "--mu", "1",
                  "--lipschitz", "3", "--m", "1"])

@@ -257,8 +257,9 @@ def test_tau_sweep_validates_the_grid_before_any_cell(monkeypatch, bad):
     with pytest.raises(ValueError):
         tau_sweep(_quad_config(steps=5), [1.0, 2.0, bad], ["mid"])
     for schemes in (["mid", "warp"], ["MID", "euler:tau=99"]):
-        with pytest.raises(ValueError):
-            tau_sweep(_quad_config(steps=5), [1.0], schemes)
+        for taus in ([1.0], []):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                tau_sweep(_quad_config(steps=5), taus, schemes)
     assert calls == []
 
 

@@ -285,8 +285,10 @@ def test_quadratic_feasible_whenever_general_feasible():
 
 def test_search_finds_closed_form_on_cycle():
     g = cycle(6)
-    cert = search_certificate(g, 1.0, mu=1.0, lipschitz=2.0)
-    assert cert is not None
+    cert, verdict = search_certificate(g, 1.0, mu=1.0, lipschitz=2.0)
+    assert verdict.feasible
+    assert verdict.margins == check_certificate(cert, g, 1.0, 1.0,
+                                                2.0).margins
     assert cert.u == pytest.approx(1.0, abs=0)
     assert np.allclose(cert.p22, np.eye(6), atol=0)
     # wherever the closed form verifies, the search cannot fail
@@ -301,27 +303,76 @@ def test_search_not_found_for_star_large_tau():
     assert search_certificate(g, 50.0, hessians=hs) is None
 
 
-@pytest.mark.parametrize("spec", ["cycle:6", "star:5", "complete:4",
-                                  "er:6:0.5:1", "er:7:0.5:3"])
+@pytest.mark.parametrize("spec", ["cycle:6", "star:5", "star:6", "star:20",
+                                  "complete:4", "complete:6", "er:6:0.5:1",
+                                  "er:7:0.5:3", "er:10:0.4:42",
+                                  "er:20:0.3:1"])
 def test_search_matches_the_in_order_scan(spec):
-    # the log grid holds tau = 1 and 10, where 1/tau^2 repeats a grid
-    # alpha, and tau <= 1e-6, where rounding decides the margins
+    # every decade from 1e-7 to 100 holds 1 and 10, where 1/tau^2 repeats
+    # a grid alpha, and the small taus, where rounding decides the
+    # margins; 1e4 to 1e8, where most of the family fails its Cholesky
+    # screens, follow. The reference checks all 289 candidates of a
+    # NotFound scan, so the 20-agent graphs take every third decade. A
+    # (mu, L) search is the same at every m, and the quadratic one runs
+    # at m = 1 and 3
     g = graph_from_spec(spec)
-    for m in (1, 3):
-        hs = random_quadratic_ensemble(g.n, m, seed=5).hessian_blocks()
-        for tau in np.logspace(-7, 2, 10):
-            for kwargs in ({"mu": 0.5, "lipschitz": 2.0}, {"hessians": hs}):
-                want = reference_search(g, tau, **kwargs)
-                got = search_certificate(g, tau, **kwargs)
-                assert (got is None) == (want is None), (m, tau, kwargs.keys())
-                if got is None:
-                    continue
-                assert (got.p22[0, 0], got.u) == (want.p22[0, 0], want.u)
-                if "hessians" in kwargs:
-                    verdict = check_certificate_quadratic(got, g, tau, hs)
-                else:
-                    verdict = check_certificate(got, g, tau, 0.5, 2.0)
-                assert verdict.feasible
+    families = [{"mu": 0.5, "lipschitz": 2.0}] + [
+        {"hessians": random_quadratic_ensemble(g.n, m, seed=5).hessian_blocks()}
+        for m in (1, 3)]
+    taus = (list(np.logspace(-7, 2, 10)) + [1e4, 1e6, 1e8]
+            if g.n <= 10 else np.logspace(-7, 8, 6))
+    for tau in taus:
+        for kwargs in families:
+            want = reference_search(g, tau, **kwargs)
+            found = search_certificate(g, tau, **kwargs)
+            assert (found is None) == (want is None), (tau, kwargs.keys())
+            if found is None:
+                continue
+            got, verdict = found
+            assert (got.p22[0, 0], got.u) == (want.p22[0, 0], want.u)
+            if "hessians" in kwargs:
+                again = check_certificate_quadratic(got, g, tau,
+                                                    kwargs["hessians"])
+            else:
+                again = check_certificate(got, g, tau, 0.5, 2.0)
+            assert verdict.feasible
+            assert verdict.margins == again.margins
+
+
+def test_search_takes_mu_from_one_batched_eigen_solve():
+    # the search's mu, and with it every rate it scans, is bitwise the
+    # per-agent loop of `reference_search`
+    for n, m, seed in ((10, 3, 42), (20, 3, 1), (6, 1, 7), (12, 5, 3)):
+        hs = random_quadratic_ensemble(n, m, seed=seed).hessian_blocks()
+        loop = min(float(np.linalg.eigvalsh(h)[0]) for h in hs)
+        assert float(np.linalg.eigvalsh(hs)[:, 0].min()) == loop
+
+
+@pytest.mark.parametrize("n", [8, 40, 120])
+def test_cholesky_screen_never_rejects_what_the_eigen_screen_keeps(n):
+    # symmetric matrices whose smallest eigenvalue sits just above and
+    # just below -floor, floor = 1e-9 + the rounding slack of an
+    # eigen-solve: a Cholesky rejection is always an eigen-screen one
+    rng = np.random.default_rng(n)
+    basis = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    tol = stability._EIG_TOL
+    for scale in (1e-3, 1.0, 1e3):
+        spectrum = scale * rng.uniform(0.0, 10.0, n)
+        mat = (basis * spectrum) @ basis.T
+        mat = (mat + mat.T) / 2.0
+        floor = tol + _eig_slack(mat)
+        for offset in (-1e-3, -1e-6, 0.0, 1e-6, 1e-3, 1.0, 9.0):
+            shifted = mat - (np.linalg.eigvalsh(mat)[0]
+                             + floor * (1.0 + offset)) * np.eye(n)
+            keeps = np.linalg.eigvalsh(shifted)[0] >= -floor
+            rejects = stability._cholesky_rejects(shifted, floor)
+            assert not (keeps and rejects), (scale, offset)
+            if offset < 0:
+                assert not rejects, (scale, offset)
+            if offset == 9.0:  # lambda_min = -10 floor
+                assert rejects, (scale, offset)
+    # a floor that overflowed rejects nothing
+    assert not stability._cholesky_rejects(-np.eye(n), np.inf)
 
 
 def _dense_certificate(n, rng):
@@ -335,8 +386,7 @@ def _dense_certificate(n, rng):
 
 def _eig_slack(mat):
     # an eigenvalue of M rounds as the decrease margin of P = S = 0, B = M
-    zero = np.zeros_like(mat)
-    return _rounding_slack(zero, zero, mat)(0.0)
+    return _rounding_slack(mat.shape[0], 0.0, 0.0, np.linalg.norm(mat))(0.0)
 
 
 def _margin_slacks(cert, g, m, tau, mu, lipschitz):
@@ -349,7 +399,9 @@ def _margin_slacks(cert, g, m, tau, mu, lipschitz):
                                  u_cap)
     smap = _lifted_step(g, m, tau)[1]
     return (_eig_slack(p), _eig_slack(schur),
-            _rounding_slack(p, smap, bound)(cert.u))
+            _rounding_slack(p.shape[0], np.linalg.norm(p),
+                            np.linalg.norm(smap),
+                            np.linalg.norm(bound))(cert.u))
 
 
 def test_reduced_check_matches_the_lifted_check():
@@ -615,6 +667,45 @@ def test_one_build_per_decision(monkeypatch):
         assert calls == ({"laplacian": builds, "q_matrix": builds}
                          if builds else {})
     assert search_certificate(star(4), 50.0, hessians=hs4) is None
+
+
+def test_a_found_search_runs_the_public_check_once(monkeypatch, capsys):
+    # certify prints the verdict of the check that accepted the search's
+    # certificate, and checks it no second time
+    calls = []
+    for name in ("check_certificate", "check_certificate_quadratic"):
+        def counted(*args, _name=name, _check=getattr(stability, name),
+                    **kwargs):
+            calls.append(_name)
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(stability, name, counted)
+    for argv, check in (
+            (["--graph", "er:10:0.4:42", "--tau", "0.1", "--quadratic",
+              "--cost", "quadratic:3:42"], "check_certificate_quadratic"),
+            (["--graph", "cycle:6", "--tau", "1", "--mu", "1",
+              "--lipschitz", "2"], "check_certificate")):
+        calls.clear()
+        assert main(["certify"] + argv + ["--search"]) == 0
+        assert calls == [check]
+        assert capsys.readouterr().out.startswith("feasible,")
+
+
+def test_a_not_found_search_screens_without_eigen_solves(monkeypatch):
+    # the benchmark's exhaustive search: one Cholesky screen per distinct
+    # alpha, and one eigen-solve of G(tau), for lambda_min in the metric
+    # screen and lambda_max in the (mu, L) bound
+    calls = {"eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    g = graph_from_spec("er:20:0.3:1")
+    assert search_certificate(g, 10.0, mu=0.5, lipschitz=3.0) is None
+    assert calls == {"eigvalsh": 1, "cholesky": 17}
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (6, 1), (7, 2), (5, 3)])
