@@ -17,8 +17,8 @@ import numpy as np
 from . import costs as costs_mod
 from . import graphs as graphs_mod
 from . import stability
-from .harness import (NOT_REACHED, ExperimentConfig, export_csv, k_b, run,
-                      scheme_kinds, tau_sweep)
+from .harness import (NOT_REACHED, ExperimentConfig, SpecError, export_csv,
+                      k_b, run, tau_sweep)
 
 
 def _add_run_args(parser):
@@ -63,9 +63,18 @@ def _config_from_args(args, scheme_spec=None):
     return ExperimentConfig.from_dict(defaults)
 
 
+def _built(call, *args):
+    """`call(*args)`; a spec it cannot build exits in one line naming the
+    spec's flag, which is the spec's name."""
+    try:
+        return call(*args)
+    except SpecError as exc:
+        raise SystemExit(f"--{exc.name} {exc.spec}: {exc}") from None
+
+
 def _cmd_run(args):
     config = _config_from_args(args, scheme_spec=args.scheme)
-    trace = run(config)
+    trace = _built(run, config)
     kb = k_b(trace, config.accuracy_b)
     kb_text = NOT_REACHED if kb is None else str(kb)
     print(f"status={trace.status} final_error={trace.final_error:.6e} "
@@ -107,12 +116,7 @@ def _cmd_sweep(args):
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if not schemes:
         raise SystemExit("--schemes must list at least one scheme")
-    # checked apart from the run: a bad --cost also raises ValueError there
-    try:
-        scheme_kinds(schemes)
-    except ValueError as exc:
-        raise SystemExit(f"--schemes {args.schemes}: {exc}") from None
-    table = tau_sweep(config, taus, schemes)
+    table = _built(tau_sweep, config, taus, schemes)
     for row in table:
         kb_text = NOT_REACHED if row.k_b is None else str(row.k_b)
         print(f"{row.scheme} tau={row.tau:.6g} k_b={kb_text} "
@@ -130,8 +134,9 @@ def _require_positive(flag, value):
 
 def _cmd_certify(args):
     # each family takes its constants from its own flags: quadratic ones
-    # from --cost, the (mu, L) family from --mu and --lipschitz (--m is
-    # checked, but a (mu, L) verdict is the same for every m)
+    # from --cost, the (mu, L) family from --mu. --m and --lipschitz are
+    # checked, but neither enters a verdict: a certificate stands for
+    # P22 (x) I_m at every m, and its (mu, L) bound has no Lipschitz term
     if args.quadratic:
         for flag, value in (("--m", args.m), ("--mu", args.mu),
                             ("--lipschitz", args.lipschitz)):
@@ -146,7 +151,10 @@ def _cmd_certify(args):
     for flag, value in (("--mu", args.mu), ("--lipschitz", args.lipschitz)):
         if value is not None:
             _require_positive(flag, value)
-    graph = graphs_mod.from_spec(args.graph)
+    try:
+        graph = graphs_mod.from_spec(args.graph)
+    except ValueError as exc:
+        raise SystemExit(f"--graph {args.graph}: {exc}") from None
     if args.quadratic:
         if not args.cost:
             raise SystemExit("--quadratic needs --cost quadratic:m:seed")
@@ -163,10 +171,8 @@ def _cmd_certify(args):
         if args.mu is None:
             raise SystemExit("--mu is required without --quadratic")
         mu = args.mu
-        lipschitz = args.lipschitz if args.lipschitz is not None else mu
-        search_args = {"mu": mu, "lipschitz": lipschitz}
-        check = functools.partial(stability.check_certificate, mu=mu,
-                                  lipschitz=lipschitz)
+        search_args = {"mu": mu}
+        check = functools.partial(stability.check_certificate, mu=mu)
     try:
         # at huge taus S holds tau L and some products pass the float range;
         # they read as inf and the margins they enter as failing, which is
@@ -232,10 +238,11 @@ def build_parser():
     p_cert.add_argument("--tau", type=float, required=True)
     p_cert.add_argument("--mu", type=float, help="strong convexity constant")
     p_cert.add_argument("--lipschitz", type=float,
-                        help="gradient Lipschitz constant (defaults to mu)")
+                        help="gradient Lipschitz constant; checked, but a "
+                             "(mu, L) verdict does not depend on it")
     p_cert.add_argument("--m", type=int,
-                        help="per-agent dimension (default 1); a (mu, L) "
-                             "verdict is the same for every m")
+                        help="per-agent dimension (default 1); checked, but "
+                             "a (mu, L) verdict is the same for every m")
     p_cert.add_argument("--quadratic", action="store_true",
                         help="use the exact quadratic-cost check; needs --cost")
     p_cert.add_argument("--cost", help="cost spec for --quadratic")

@@ -31,6 +31,23 @@ STATUS_CONVERGED = "Converged"
 NOT_REACHED = "NotReached"
 
 
+class SpecError(ValueError):
+    """A spec string that builds nothing: `name` says which one (`graph`,
+    `cost`, `scheme`, or `tau_sweep`'s `schemes`), `spec` is the string."""
+
+    def __init__(self, name, spec, message):
+        super().__init__(str(message))
+        self.name, self.spec = name, spec
+
+
+def _from_spec(name, build, spec, *args):
+    """`build(spec, *args)`, its ValueError raised as a SpecError."""
+    try:
+        return build(spec, *args)
+    except ValueError as exc:
+        raise SpecError(name, spec, exc) from exc
+
+
 class ExperimentConfig:
     """Everything needed to reproduce one run byte for byte.
 
@@ -134,7 +151,8 @@ def _squared_norms(a):
 
 def run(config):
     """Execute one experiment and return its trace."""
-    scheme = integrators.parse_scheme_spec(config.scheme_spec)
+    scheme = _from_spec("scheme", integrators.parse_scheme_spec,
+                        config.scheme_spec)
     return _simulate(config, [scheme])[0]
 
 
@@ -191,8 +209,9 @@ def _simulate(config, schemes):
     others have run; cells after a failing cell stop at once, since their
     results would be dropped.
     """
-    graph = graphs_mod.from_spec(config.graph_spec)
-    ensemble = costs_mod.from_spec(config.cost_spec, graph.n)
+    graph = _from_spec("graph", graphs_mod.from_spec, config.graph_spec)
+    ensemble = _from_spec("cost", costs_mod.from_spec, config.cost_spec,
+                          graph.n)
     theta_star = ensemble.centralized_optimum()
     kind = schemes[0].kind
     cells = len(schemes)
@@ -352,16 +371,17 @@ class SweepTable:
         return len(self.rows)
 
 
-def scheme_kinds(schemes):
+def _scheme_kinds(schemes):
     """The lowercase kinds of `schemes`, each a scheme kind in any case.
 
-    Raises ValueError naming the first entry that is not a kind.
+    Raises SpecError naming the first entry that is not a kind.
     """
     kinds = [str(scheme).lower() for scheme in schemes]
     unknown = [kind for kind in kinds if kind not in integrators.SCHEME_KINDS]
     if unknown:
-        raise ValueError(f"unknown scheme {unknown[0]!r}, expected one of "
-                         f"{', '.join(integrators.SCHEME_KINDS)}")
+        raise SpecError("schemes", ",".join(map(str, schemes)),
+                        f"unknown scheme {unknown[0]!r}, expected one of "
+                        f"{', '.join(integrators.SCHEME_KINDS)}")
     return kinds
 
 
@@ -377,7 +397,7 @@ def tau_sweep(base_config, tau_values, schemes):
     scheme run as one batched simulation (see `_simulate`); each row is
     bitwise the row of a standalone `run` of that cell.
     """
-    kinds = scheme_kinds(schemes)
+    kinds = _scheme_kinds(schemes)
     grids = [[integrators.SchemeConfig(kind, tau) for tau in tau_values]
              for kind in kinds]
     rows = []

@@ -57,7 +57,8 @@ class SchemeConfig:
 
     def __init__(self, kind, tau):
         if kind not in SCHEME_KINDS:
-            raise ValueError(f"unknown scheme {kind!r}, expected one of {SCHEME_KINDS}")
+            raise ValueError(f"unknown scheme {kind!r}, expected one of "
+                             f"{', '.join(SCHEME_KINDS)}")
         tau = float(tau)
         if not 0 < tau < math.inf:
             raise ValueError(f"tau must be a finite number > 0, got {tau!r}")

@@ -18,30 +18,34 @@ The gradient feedback enters only the q row, which is what makes the
 (q, p) coordinates the map is exactly similar to S, through the lower
 triangular change of basis r = p - tau Q q.
 
-A certificate (P12, P22, U, u, epsilon) proves global asymptotic
-stability of the consensus optimum when three matrix inequalities hold:
-the metric P = [[G, P12], [P12', P22]] is positive definite, the Schur
-block [[U, P12], [P12', I]] is PSD with u > 0, and the decrease
-inequality
+A certificate (P22, u) proves global asymptotic stability of the
+consensus optimum when the metric P = blockdiag(G, P22) is positive
+definite, u > 0, and the decrease inequality
 
     P S + S' P + B  <=  -u [[I, 0], [0, 0]]
 
-holds, where B bounds the gradient feedback term: Young's inequality with
-the certified mu and Lipschitz constants for general strongly convex
-costs, or the exact per-agent Hessians for quadratic costs. All
+holds, where B = blockdiag(F, 0) bounds the gradient feedback term:
+F = -mu/tau I for strongly convex costs with constant mu, or the
+symmetric part of -H/tau with the per-agent Hessians H of quadratic
+costs. These are the members with P12 = 0, U = 0 and epsilon = 0 of the
+Young-inequality family (P12, P22, U, u, epsilon), and the only ones the
+closed form and the search produce. Their Schur block [[U, P12], [P12',
+I]] is blockdiag(0, I), whose margin is a structural 0, and the Lipschitz
+constant enters their bound only as gamma epsilon / 2 = 0, so no verdict
+depends on it; tests/oracles.py writes out the whole family's check. All
 inequalities are verified by symmetric eigenvalue computations; no
 semidefinite programming is involved (the certificate search screens its
-candidates by Cholesky attempts, which only reject). A certificate holds
-N x N blocks X, standing for X (x) I_m at every per-agent dimension m.
-G(tau), S and the (mu, L) bound are X (x) I_m too, so the (mu, L) check
-decides on the 2N x 2N factors, built once per check and once per search,
-and its verdict is the same for every m. The quadratic check, whose per-agent
-Hessians break that structure, lifts the blocks once and runs at 2Nm.
+candidates by Cholesky attempts, which only reject). P22 is N x N and
+stands for P22 (x) I_m at every per-agent dimension m. G(tau), S and the
+(mu, L) bound are X (x) I_m too, so the (mu, L) check decides on the
+2N x 2N factors, built once per check and once per search, and its
+verdict is the same for every m. The quadratic check, whose per-agent
+Hessians break that structure, lifts its matrices once and runs at 2Nm.
 On a regular graph, where every one of these matrices is a polynomial in
-the adjacency, a certificate whose blocks are multiples of I is decided
-mode by mode, on N 2 x 2 blocks. A closed-form certificate covers every
-graph with D^2 - A^2 PSD (cycles, complete graphs) at every step size,
-and small enough step sizes on any connected graph.
+the adjacency, a P22 that is a multiple of I is decided mode by mode, on
+N 2 x 2 blocks. A closed-form certificate covers every graph with
+D^2 - A^2 PSD (cycles, complete graphs) at every step size, and small
+enough step sizes on any connected graph.
 """
 
 import functools
@@ -57,11 +61,7 @@ _EIG_TOL = 1e-9
 
 
 class InvalidCertificateError(ValueError):
-    """Certificate violates a structural requirement (e.g. u <= 0)."""
-
-
-class InvalidEpsilonError(ValueError):
-    """epsilon = 0 requires U = 0 (and P12 = 0) in the bound block."""
+    """Certificate violates a structural requirement (u <= 0)."""
 
 
 def _lifted(block_n, m):
@@ -114,56 +114,19 @@ def _step_matrices(graph, tau):
     return gram, smap
 
 
-def _step_modes(graph, tau):
-    """G(tau) and S of a regular graph, one 2 x 2 block per mode.
-
-    On a d-regular graph L = d I - A and Q = (d I + A)/2, so L, Q, G(tau)
-    and S are polynomials in the adjacency A and share its eigenvectors.
-    For each eigenvalue a_j of A, with q = (d + a_j)/2 and l = d - a_j,
-    returns G_j = 1/tau^2 + q/tau + q^2 and the entries (s11, s12, s21)
-    of S_j = [[s11, s12], [s21, 0]]. The eigenvalues of A lie in [-d, d],
-    and the computed ones are clipped to it, so q >= 0 and G_j >= 1/tau^2
-    as in exact arithmetic. The consensus eigenvalue is set to d exactly:
-    it is A's largest and simple on a connected graph, so its mode has
-    l = 0 and S_j = 0 without rounding. Raises LinAlgError, as the dense
-    solve does, when some G_j rounds to 0.
-    """
-    inverse_square = _inverse_square(graph, tau)
-    d = graph.degrees[0]
-    adj = np.clip(np.linalg.eigvalsh(graph.adjacency()), -d, d)
-    adj[-1] = d
-    q, lap = (d + adj) / 2.0, d - adj
-    gram = inverse_square + q / tau + q * q
-    if not (gram > 0).all():
-        raise np.linalg.LinAlgError("G(tau) is numerically singular")
-    return gram, (-(lap / tau + 2.0 * q * lap) / gram, -lap / gram / tau,
-                  tau * lap)
-
-
-def _gain_terms(gram_max, tau, epsilon, mu, lipschitz, u_cap):
-    """(top, bottom) of the (mu, L) bound blockdiag(top I, bottom).
-
-    Young's inequality: top = gamma eps/2 - mu/tau and bottom =
-    gamma U / (2 eps), with gamma = (lipschitz / tau) lambda_max(G);
-    epsilon = 0 needs U = 0 (see the oracle `gradient_bound_block`). U is
-    a matrix or, mode by mode, the scalar of U = u I.
-    """
-    if epsilon == 0 and np.any(u_cap):
-        raise InvalidEpsilonError("epsilon = 0 requires U = 0")
-    gamma = (lipschitz / tau) * gram_max
-    bottom = gamma * u_cap / (2.0 * epsilon) if epsilon != 0 else 0.0
-    return gamma * epsilon / 2.0 - mu / tau, bottom
-
-
-def _gain_block(gram_max, tau, epsilon, mu, lipschitz, u_cap):
-    """The (mu, L) bound of `_gain_terms` as a 2N x 2N matrix, from
-    lambda_max(G)."""
-    top, bottom = _gain_terms(gram_max, tau, epsilon, mu, lipschitz, u_cap)
-    size = u_cap.shape[0]
+def _e11(block):
+    """blockdiag(block, 0), shaped as E11 = blockdiag(I, 0): u E11, and the
+    feedback bound B = blockdiag(F, 0)."""
+    size = block.shape[0]
     out = np.zeros((2 * size, 2 * size))
-    out[:size, :size] = top * np.eye(size)
-    out[size:, size:] = bottom
+    out[:size, :size] = block
     return out
+
+
+def _hessian_bound(hbd, tau):
+    """B of the quadratic check: F is the symmetric part of -H/tau, H = hbd."""
+    upper = -hbd / tau
+    return _e11((upper + upper.T) / 2.0)
 
 
 def _hessian_block_diag(hessians, n):
@@ -180,46 +143,27 @@ def _hessian_block_diag(hessians, n):
     return hbd.reshape(n * m, n * m)
 
 
-def _hessian_block(hbd, p12, gram, tau):
-    """Symmetric part of [[-H / tau, 0], [-P12' G H / tau, 0]], H = hbd."""
-    nm = hbd.shape[0]
-    out = np.zeros((2 * nm, 2 * nm))
-    out[:nm, :nm] = -hbd / tau
-    out[nm:, :nm] = -(p12.T @ gram @ hbd) / tau
-    return (out + out.T) / 2.0
-
-
 class LmiCertificate:
     """Decision variables of a stability certificate.
 
-    P12, P22 and U are N x N matrices X (P22 and U symmetric), each
-    standing for X (x) I_m at every per-agent dimension m; u is the
-    claimed per-step decrease coefficient, epsilon the Young-inequality
-    split (0 allowed only with U = P12 = 0).
+    P22 is a symmetric N x N matrix standing for P22 (x) I_m at every
+    per-agent dimension m; u is the claimed per-step decrease coefficient.
     """
 
-    def __init__(self, p12, p22, u_cap, u, epsilon):
-        self.p12 = np.asarray(p12, dtype=float)
+    def __init__(self, p22, u):
         self.p22 = require_symmetric(p22, name="P22")
-        self.u_cap = require_symmetric(u_cap, name="U")
         self.u = float(u)
-        self.epsilon = float(epsilon)
-        if self.epsilon < 0:
-            raise InvalidCertificateError("epsilon must be >= 0")
-        if self.p12.shape != self.p22.shape or self.p12.shape != self.u_cap.shape:
-            raise ValueError("P12, P22 and U must share their (N, N) shape")
 
     def __repr__(self):
-        return (f"LmiCertificate(size={self.p12.shape[0]}, u={self.u}, "
-                f"epsilon={self.epsilon})")
+        return f"LmiCertificate(size={self.p22.shape[0]}, u={self.u})"
 
 
 class CertificateVerdict:
     """Outcome of a certificate check.
 
     margins holds the three minimal-eigenvalue margins, in order: metric
-    positivity (must clear +1e-9), Schur semidefiniteness (>= -1e-9), and
-    decrease slack (>= -1e-9).
+    positivity (must clear +1e-9), Schur semidefiniteness (a structural 0,
+    see the module docstring), and decrease slack (>= -1e-9).
     """
 
     def __init__(self, feasible, margins):
@@ -242,11 +186,11 @@ class CertificateVerdict:
         return f"CertificateVerdict(feasible={self.feasible}, margins={self.margins})"
 
 
-def _metric(gram, p12, p22):
-    """Lyapunov metric P = [[G(tau), P12], [P12', P22]]."""
+def _metric(gram, p22):
+    """Lyapunov metric P = blockdiag(G(tau), P22)."""
     n = gram.shape[0]
-    p = np.empty((2 * n, 2 * n))
-    p[:n, :n], p[:n, n:], p[n:, :n], p[n:, n:] = gram, p12, p12.T, p22
+    p = np.zeros((2 * n, 2 * n))
+    p[:n, :n], p[n:, n:] = gram, p22
     return (p + p.T) / 2.0
 
 
@@ -275,15 +219,8 @@ def _decrease_lhs(p, smap, bound):
     return p @ smap + smap.T @ p + bound
 
 
-def _decrease_margin(x, u):
-    nm = x.shape[0] // 2
-    target = np.zeros_like(x)
-    target[:nm, :nm] = u * np.eye(nm)
-    return _min_eig(-(x + target))
-
-
 def _require_checkable(cert, graph):
-    size, n = cert.p12.shape[0], graph.n
+    size, n = cert.p22.shape[0], graph.n
     if size != n:
         raise DimensionMismatchError(
             f"certificate blocks are {size}x{size}, but {n} agents need "
@@ -306,71 +243,73 @@ def _scalar(block):
     return None
 
 
-def _check_modes(c12, c22, cu, cert, graph, tau, mu, lipschitz):
-    """`check_certificate` on a regular graph with P12 = c12 I, P22 = c22 I
-    and U = cu I: every matrix of the check splits into one 2 x 2 block
-    per eigenvalue of A (see `_step_modes`), each repeated m times, and
-    the Schur block is the same [[cu, c12], [c12, 1]] in every mode.
+def _verdict(metric_margin, decrease_margin):
+    feasible = metric_margin >= _EIG_TOL and decrease_margin >= -_EIG_TOL
+    return CertificateVerdict(feasible, (metric_margin, 0.0, decrease_margin))
+
+
+def _check_modes(c22, u, graph, tau, mu):
+    """`check_certificate` on a d-regular graph with P22 = c22 I.
+
+    There L = d I - A and Q = (d I + A)/2 share the adjacency's
+    eigenvectors, so every matrix of the check splits into one 2 x 2
+    block per eigenvalue a_j of A: with q = (d + a_j)/2 and l = d - a_j,
+    G_j = 1/tau^2 + q/tau + q^2 and S_j = [[s11, s12], [s21, 0]]. The
+    computed a_j are clipped to [-d, d], so G_j >= 1/tau^2 as in exact
+    arithmetic, and the consensus one, A's largest and simple, is set to
+    d, so its mode has l = 0 and S_j = 0 without rounding. Raises
+    LinAlgError, as the dense solve does, when some G_j rounds to 0.
     """
-    gram, (s11, s12, s21) = _step_modes(graph, tau)
-    top, bottom = _gain_terms(gram.max(), tau, cert.epsilon, mu, lipschitz,
-                              cu)
-    metric_margin = _min_eig2(gram, c12, c22).min()
-    schur_margin = _min_eig2(cu, c12, 1.0)
-    # X = P S + S' P + B mode by mode, with P_j = [[G_j, c12], [c12, c22]].
-    # Its off-diagonal G_j s12 + c12 s11 + c22 s21 is written with
-    # G_j s12 = -l/tau = -s21/tau^2, so that it vanishes without rounding
-    # for the closed form's c22 = 1/tau^2 and c12 = 0.
-    ps11 = gram * s11 + c12 * s21
-    x11 = (ps11 + ps11 + top) + cert.u
-    x12 = s21 * (c22 - _inverse_square(graph, tau)) + c12 * s11
-    x22 = 2.0 * c12 * s12 + bottom
-    decrease_margin = _min_eig2(-x11, -x12, -x22).min()
-    feasible = (metric_margin >= _EIG_TOL and decrease_margin >= -_EIG_TOL
-                and schur_margin >= -_EIG_TOL)
-    return CertificateVerdict(feasible, (metric_margin, schur_margin,
-                                         decrease_margin))
+    inverse_square = _inverse_square(graph, tau)
+    d = graph.degrees[0]
+    adj = np.clip(np.linalg.eigvalsh(graph.adjacency()), -d, d)
+    adj[-1] = d
+    q, lap = (d + adj) / 2.0, d - adj
+    gram = inverse_square + q / tau + q * q
+    if not (gram > 0).all():
+        raise np.linalg.LinAlgError("G(tau) is numerically singular")
+    # X = P S + S' P + B mode by mode, with P_j = diag(G_j, c22): its
+    # (2, 2) entry is 0, and its off-diagonal G_j s12 + c22 s21 is written
+    # with G_j s12 = -l/tau = -s21/tau^2, so that it vanishes without
+    # rounding for the closed form's c22 = 1/tau^2
+    s11, s21 = -(lap / tau + 2.0 * q * lap) / gram, tau * lap
+    ps11 = gram * s11
+    x11 = (ps11 + ps11 - mu / tau) + u
+    x12 = s21 * (c22 - inverse_square)
+    # adding 0.0 turns -0 into +0
+    return _verdict(min(float(gram.min()), c22) + 0.0,
+                    _min_eig2(-x11, -x12, 0.0).min())
 
 
-def _check(blocks, u, gram, smap, bound, schur_required):
-    """Verdict on `blocks` (P12, P22, U) and u, from G(tau), S and the
-    feedback block `bound`, all at one level (N, or Nm when lifted)."""
-    p12, p22, u_cap = blocks
-    p = _metric(gram, p12, p22)
-    metric_margin = _min_eig(p)
-    schur = np.block([[u_cap, p12], [p12.T, np.eye(p12.shape[0])]])
-    schur_margin = _min_eig(schur)
-    decrease_margin = _decrease_margin(_decrease_lhs(p, smap, bound), u)
-    feasible = (metric_margin >= _EIG_TOL and decrease_margin >= -_EIG_TOL
-                and (schur_margin >= -_EIG_TOL or not schur_required))
-    return CertificateVerdict(feasible, (metric_margin, schur_margin,
-                                         decrease_margin))
+def _check(p22, u, gram, smap, bound):
+    """Verdict on P22 and u, from G(tau), S and the feedback bound B, all
+    at one level (N, or Nm when lifted)."""
+    p = _metric(gram, p22)
+    x = _decrease_lhs(p, smap, bound) + _e11(u * np.eye(gram.shape[0]))
+    return _verdict(_min_eig(p), _min_eig(-x))
 
 
-def check_certificate(cert, graph, tau, mu, lipschitz):
-    """Verify a certificate for strongly convex costs with constants (mu, L).
+def check_certificate(cert, graph, tau, mu):
+    """Verify a certificate for strongly convex costs with constant mu.
 
-    Returns a CertificateVerdict; raises DimensionMismatchError when the
-    blocks are not N x N and InvalidCertificateError when the claimed
-    decrease coefficient u is not positive. Every matrix of this check is
-    X (x) I_m, so it runs on the 2N x 2N factors: the 2Nm x 2Nm matrices
-    have the same eigenvalues, each repeated m times, and the verdict is
-    the same for every m. On a regular graph with P12, P22 and U each a
-    multiple of I (the closed form and every search result), it runs
-    mode by mode instead: one N x N eigen-solve of A and N 2 x 2 blocks,
-    in which the conserved consensus mode reads exactly 0.
+    Returns a CertificateVerdict; raises DimensionMismatchError when P22
+    is not N x N and InvalidCertificateError when the claimed decrease
+    coefficient u is not positive. No Lipschitz constant enters this
+    bound (see the module docstring). It runs on the 2N x 2N factors,
+    whose verdict is the same for every m; on a regular graph with P22 a
+    multiple of I (the closed form and every search result), it runs mode
+    by mode instead: one N x N eigen-solve of A and N 2 x 2 blocks, in
+    which the conserved consensus mode reads exactly 0.
     """
     _require_checkable(cert, graph)
-    blocks = (cert.p12, cert.p22, cert.u_cap)
     degrees = graph.degrees
     if (degrees == degrees[0]).all():
-        scalars = [_scalar(block) for block in blocks]
-        if None not in scalars:
-            return _check_modes(*scalars, cert, graph, tau, mu, lipschitz)
+        c22 = _scalar(cert.p22)
+        if c22 is not None:
+            return _check_modes(c22, cert.u, graph, tau, mu)
     gram, smap = _step_matrices(graph, tau)
-    bound = _gain_block(float(np.linalg.eigvalsh(gram)[-1]), tau,
-                        cert.epsilon, mu, lipschitz, cert.u_cap)
-    return _check(blocks, cert.u, gram, smap, bound, schur_required=True)
+    return _check(cert.p22, cert.u, gram, smap,
+                  _e11(-mu / tau * np.eye(graph.n)))
 
 
 def check_certificate_quadratic(cert, graph, tau, hessians):
@@ -378,28 +317,24 @@ def check_certificate_quadratic(cert, graph, tau, hessians):
 
     Tests metric positivity, u > 0 and the decrease inequality with the
     per-agent Hessians, an (N, m, m) stack, in place of the (mu, L)
-    bound; the Schur condition is not required in the quadratic variant
-    (its margin is still reported for diagnostics). Per-agent Hessians
-    break the Kronecker structure, so this check lifts the N x N blocks
-    by (x) I_m once and runs on 2Nm x 2Nm matrices.
+    bound. Per-agent Hessians break the Kronecker structure, so this
+    check lifts G(tau), S and P22 by (x) I_m once and runs on 2Nm x 2Nm
+    matrices.
     """
     _require_checkable(cert, graph)
-    gram_n, smap_n = _step_matrices(graph, tau)
+    gram, smap = _step_matrices(graph, tau)
     hbd = _hessian_block_diag(hessians, graph.n)
     m = hbd.shape[0] // graph.n
-    blocks = tuple(_lifted(x, m) for x in (cert.p12, cert.p22, cert.u_cap))
-    gram = _lifted(gram_n, m)
-    bound = _hessian_block(hbd, blocks[0], gram, tau)
-    return _check(blocks, cert.u, gram, _lifted(smap_n, m), bound,
-                  schur_required=False)
+    return _check(_lifted(cert.p22, m), cert.u, _lifted(gram, m),
+                  _lifted(smap, m), _hessian_bound(hbd, tau))
 
 
 def closed_form_certificate(graph, tau, mu):
     """The certificate that needs no search.
 
-    P12 = 0, U = 0, P22 = I/tau^2, u = mu * min(1, 1/tau), epsilon = 0;
-    u is computed as mu / max(1, tau), rounded once, so that at tau >= 1
-    it equals the bound's mu/tau bit for bit; FloatingPointError where it
+    P22 = I/tau^2 and u = mu * min(1, 1/tau); u is computed as
+    mu / max(1, tau), rounded once, so that at tau >= 1 it equals the
+    bound's mu/tau bit for bit; FloatingPointError where it
     underflows to 0 (a tiny mu at a huge tau), since no u > 0 is left.
     With these choices the decrease inequality reduces to the positive
     semidefiniteness of L/tau + Q L + L Q (note Q L + L Q equals
@@ -414,31 +349,28 @@ def closed_form_certificate(graph, tau, mu):
     u = mu / max(1.0, tau)
     if u == 0.0:
         raise FloatingPointError("u = mu / tau underflows to 0")
-    zero = np.zeros((graph.n, graph.n))
-    return LmiCertificate(p12=zero, p22=np.eye(graph.n) * inverse_square,
-                          u_cap=zero, u=u, epsilon=0.0)
+    return LmiCertificate(p22=np.eye(graph.n) * inverse_square, u=u)
 
 
-def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
+def search_certificate(graph, tau, mu=None, hessians=None):
     """Scan a one-parameter certificate family; no semidefinite programming.
 
-    The family is P12 = 0, U = 0, P22 = alpha I, u = beta, epsilon = 0,
-    scanned over a log grid of alpha (the closed-form alpha = 1/tau^2
-    first) and descending beta below the certified rate. Returns the
-    first certificate that verifies - against the quadratic check when
-    `hessians` is given, else against the (mu, lipschitz) check - with
-    the verdict of the check that accepted it, as (cert, verdict), or
-    None when the whole family fails. None is NOT evidence of
-    instability; the family is only sufficient.
+    The family is P22 = alpha I, u = beta, scanned over a log grid of
+    alpha (the closed-form alpha = 1/tau^2 first) and descending beta
+    below the certified rate. Returns the first certificate that verifies
+    - against the quadratic check when `hessians` is given, else against
+    the (mu, L) check - with the verdict of the check that accepted it,
+    as (cert, verdict), or None when the whole family fails. None is NOT
+    evidence of instability; the family is only sufficient.
 
     The scan builds G(tau) and S once per call and screens, with the
     check's feedback block, at the level the public check uses: 2N x 2N
-    for the (mu, lipschitz) family, and 2Nm x 2Nm with an (N, m, m)
-    Hessian stack. The decrease matrix is affine in alpha, X(alpha) =
-    X_G + alpha X_1 with P = blockdiag(G, 0) + alpha blockdiag(0, I), and
-    both terms are formed once. Within the family the metric and Schur
-    margins do not depend on beta, and the decrease margin only falls as
-    beta grows, so an alpha that fails at the smallest beta has no
+    for the (mu, L) family, and 2Nm x 2Nm with an (N, m, m) Hessian
+    stack. The decrease matrix is affine in alpha, X(alpha) = X_G + alpha
+    X_1 with P = blockdiag(G, 0) + alpha blockdiag(0, I), and both terms
+    are formed once. The metric margin does not depend on beta, and the
+    decrease margin only falls as beta grows, so an alpha that fails at
+    the smallest beta has no
     verifying beta and is skipped, as is an alpha whose decrease matrix
     has a symmetric part beyond the float range (alpha tau L near 1e308),
     which no check can verify. The decrease screens are Cholesky
@@ -450,25 +382,16 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
     candidate of the scan order that the public check accepts, and its
     verdict, margins included, is that check's.
     """
-    if hessians is None:
-        if lipschitz is None:
-            raise ValueError("lipschitz is required without Hessians")
-        _require_positive("lipschitz", lipschitz)
-        check = functools.partial(check_certificate, mu=mu,
-                                  lipschitz=lipschitz)
-    else:
+    if hessians is not None:
         hessians = np.asarray(hessians, dtype=float)
         hbd = _hessian_block_diag(hessians, graph.n)
         if mu is None:
             mu = float(np.linalg.eigvalsh(hessians)[:, 0].min())
-        check = functools.partial(check_certificate_quadratic,
-                                  hessians=hessians)
     if mu is None:
         raise ValueError("mu is required without Hessians")
     _require_positive("mu", mu)
     gram, smap = _step_matrices(graph, tau)
-    gram_eigs = np.linalg.eigvalsh(gram)
-    gram_min = float(gram_eigs[0])
+    gram_min = float(np.linalg.eigvalsh(gram)[0])
     alphas = [_inverse_square(graph, tau)] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
@@ -483,19 +406,20 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
     if not candidates:  # every rate underflowed to 0
         return None
     smallest = min(candidates)
-    zero_n = np.zeros((graph.n, graph.n))
     if hessians is None:
-        bound = _gain_block(float(gram_eigs[-1]), tau, 0.0, mu, lipschitz,
-                            zero_n)
+        check = functools.partial(check_certificate, mu=mu)
+        bound = _e11(-mu / tau * np.eye(graph.n))
     else:
+        check = functools.partial(check_certificate_quadratic,
+                                  hessians=hessians)
         m = hbd.shape[0] // graph.n
         gram, smap = _lifted(gram, m), _lifted(smap, m)
-        bound = _hessian_block(hbd, np.zeros_like(hbd), gram, tau)
+        bound = _hessian_bound(hbd, tau)
     zero, size = np.zeros_like(gram), gram.shape[0]
-    x_gram = _decrease_lhs(_metric(gram, zero, zero), smap, bound)
-    x_one = _decrease_lhs(_metric(zero, zero, np.eye(size)), smap, 0.0)
+    x_gram = _decrease_lhs(_metric(gram, zero), smap, bound)
+    x_one = _decrease_lhs(_metric(zero, np.eye(size)), smap, 0.0)
     neg_x_gram = -(x_gram + x_gram.T) / 2.0
-    e11 = _metric(np.eye(size), zero, zero)
+    e11 = _e11(np.eye(size))
     with np.errstate(over="ignore"):  # an inf norm makes an inf slack
         gram_norm = float(np.linalg.norm(gram))
         slack_norms = (np.linalg.norm(smap), np.linalg.norm(bound))
@@ -505,8 +429,7 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
         if alpha_key in seen:
             continue
         seen.add(alpha_key)
-        # metric margin: lambda_min(blockdiag(G, alpha I)); the Schur
-        # block blockdiag(0, I) has margin 0 and always passes
+        # metric margin: lambda_min(blockdiag(G, alpha I))
         if min(gram_min, alpha) < _EIG_TOL:
             continue
         neg_x = neg_x_gram - alpha * x_one
@@ -521,8 +444,7 @@ def search_certificate(graph, tau, mu=None, lipschitz=None, hessians=None):
         for beta in candidates:
             if _cholesky_rejects(neg_x - beta * e11, _EIG_TOL + slack(beta)):
                 continue
-            cert = LmiCertificate(p12=zero_n, p22=alpha * np.eye(graph.n),
-                                  u_cap=zero_n, u=beta, epsilon=0.0)
+            cert = LmiCertificate(p22=alpha * np.eye(graph.n), u=beta)
             verdict = check(cert, graph, tau)
             if verdict.feasible:
                 return cert, verdict

@@ -24,12 +24,18 @@ Reference code that only the tests use.
   side of the similarity identity that checks the package's (q, r) map.
 - `reference_search` is the certificate search as a plain in-order scan
   over the public checks, the behaviour `search_certificate` must keep.
-- `lifted_check_certificate` and `lifted_check_certificate_quadratic` are
-  the certificate checks written out on the 2Nm x 2Nm matrices: they lift
-  a certificate's N x N blocks X to X (x) I_m themselves, and form G(tau)
+- `GeneralCertificate` is a certificate of the wider family
+  (P12, P22, U, u, epsilon) of the Young-inequality bound, of which the
+  package's (P22, u) certificates are the members with P12 = 0, U = 0
+  and epsilon = 0 (`general` writes one as such).
+  `lifted_check_certificate` and `lifted_check_certificate_quadratic` are
+  that family's checks written out on the 2Nm x 2Nm matrices, with the
+  Schur block [[U, P12], [P12', I]] and the Lipschitz term: they lift a
+  certificate's N x N blocks X to X (x) I_m themselves, and form G(tau)
   and the (q, r) midpoint map here from L and Q alone. They are the
-  reference for `check_certificate`, which decides on the 2N x 2N
-  factors, and for the quadratic check. `hessian_block_diag` is the
+  reference for the wider family, and for `check_certificate`, which
+  decides on the 2N x 2N factors, and the quadratic check on its
+  members. `hessian_block_diag` is the
   per-agent loop the vectorised `_hessian_block_diag` must match bitwise,
   and `quadratic_gradient_block` the exact quadratic feedback term as one
   matrix.
@@ -52,6 +58,7 @@ Reference code that only the tests use.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -61,8 +68,8 @@ from phmid.graphs import DisconnectedGraphError, Graph
 from phmid.numerics import (DimensionMismatchError, SingularMatrixError,
                             as_vector, require_symmetric)
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
-                             InvalidEpsilonError, LmiCertificate,
-                             check_certificate, check_certificate_quadratic)
+                             LmiCertificate, check_certificate,
+                             check_certificate_quadratic)
 
 
 def solve_linear(a, b):
@@ -431,6 +438,26 @@ def quadratic_gradient_block(graph, m, tau, hessians, p12):
     return out
 
 
+class InvalidEpsilonError(ValueError):
+    """epsilon = 0 requires U = 0 (and P12 = 0) in the bound block."""
+
+
+# N x N blocks P12, P22 (symmetric) and U (symmetric), each standing for
+# X (x) I_m, the decrease coefficient u and the Young-inequality split
+# epsilon >= 0 (0 only with U = P12 = 0)
+GeneralCertificate = namedtuple("GeneralCertificate",
+                                "p12 p22 u_cap u epsilon")
+
+
+def general(cert):
+    """`cert` as a GeneralCertificate; a package certificate (P22, u) is
+    the one with P12 = 0, U = 0 and epsilon = 0."""
+    if isinstance(cert, GeneralCertificate):
+        return cert
+    zero = np.zeros_like(cert.p22)
+    return GeneralCertificate(zero, cert.p22, zero, cert.u, 0.0)
+
+
 def gradient_feedback_gain(graph, m, tau, lipschitz):
     """gamma(tau) = (lipschitz / tau) * ||G(tau)||, the cross-term gain.
 
@@ -477,6 +504,7 @@ def _lift(block, m):
 
 def assemble_metric(cert, graph, m, tau):
     """Lyapunov metric P = [[G(tau), P12], [P12', P22]], lifted by (x) I_m."""
+    cert = general(cert)
     p12 = _lift(cert.p12, m)
     p = np.block([[_step_gram(graph, m, tau), p12],
                   [p12.T, _lift(cert.p22, m)]])
@@ -506,7 +534,9 @@ def _lifted_verdict(cert, p, smap, bound, tol, schur_required):
 
 
 def lifted_check_certificate(cert, graph, m, tau, mu, lipschitz, tol=1e-9):
-    """`check_certificate` on the 2Nm x 2Nm matrices, whatever the blocks."""
+    """The (mu, L) check of a general certificate on the 2Nm x 2Nm
+    matrices."""
+    cert = general(cert)
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
     bound = gradient_bound_block(graph, m, tau, cert.epsilon, mu, lipschitz,
@@ -518,7 +548,9 @@ def lifted_check_certificate(cert, graph, m, tau, mu, lipschitz, tol=1e-9):
 
 def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
                                        tol=1e-9):
-    """`check_certificate_quadratic` written out on its own."""
+    """The quadratic check of a general certificate, written out on its
+    own; it does not require the Schur condition."""
+    cert = general(cert)
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
     bound = quadratic_gradient_block(graph, m, tau, hessians,
@@ -529,7 +561,7 @@ def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
                            schur_required=False)
 
 
-def reference_search(graph, tau, mu=None, lipschitz=None, hessians=None):
+def reference_search(graph, tau, mu=None, hessians=None):
     """Every (alpha, beta) of the family through the public check, in order."""
     if hessians is not None:
         hessians = np.asarray(hessians, dtype=float)
@@ -537,7 +569,6 @@ def reference_search(graph, tau, mu=None, lipschitz=None, hessians=None):
             mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
     if mu is None or not mu > 0:
         raise ValueError("a positive mu is required (given or from Hessians)")
-    zero = np.zeros((graph.n, graph.n))
     alphas = [1.0 / tau ** 2] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
@@ -548,13 +579,12 @@ def reference_search(graph, tau, mu=None, lipschitz=None, hessians=None):
             if key in seen or beta <= 0:
                 continue
             seen.add(key)
-            cert = LmiCertificate(p12=zero, p22=alpha * np.eye(graph.n),
-                                  u_cap=zero, u=beta, epsilon=0.0)
+            cert = LmiCertificate(p22=alpha * np.eye(graph.n), u=beta)
             if hessians is not None:
                 verdict = check_certificate_quadratic(cert, graph, tau,
                                                       hessians)
             else:
-                verdict = check_certificate(cert, graph, tau, mu, lipschitz)
+                verdict = check_certificate(cert, graph, tau, mu)
             if verdict.feasible:
                 return cert
     return None

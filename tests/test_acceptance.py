@@ -138,19 +138,16 @@ def test_criterion_4_certificate_suite(desk_ensemble):
             g = builder(n)
             for tau in (0.01, 1.0, 100.0):
                 cert = closed_form_certificate(g, tau, mu=1.0)
-                verdict = check_certificate(cert, g, tau, mu=1.0,
-                                            lipschitz=1.0)
+                verdict = check_certificate(cert, g, tau, mu=1.0)
                 assert verdict.feasible, (builder.__name__, n, tau,
                                           verdict.margins)
 
     # (b) star(4) with mu = 0.01: feasible below the step bound, not at 1
     g = star(4)
     cert = closed_form_certificate(g, 0.0009, mu=0.01)
-    assert check_certificate(cert, g, 0.0009, mu=0.01,
-                             lipschitz=0.05).feasible
+    assert check_certificate(cert, g, 0.0009, mu=0.01).feasible
     cert1 = closed_form_certificate(g, 1.0, mu=0.01)
-    assert not check_certificate(cert1, g, 1.0, mu=0.01,
-                                 lipschitz=0.05).feasible
+    assert not check_certificate(cert1, g, 1.0, mu=0.01).feasible
 
     # (c) quadratic-cost inequality on the criterion-1 problem
     g10 = graph_from_spec(DESK_GRAPH)
@@ -371,7 +368,7 @@ def test_criterion_10_determinism(tmp_path, mid_desk_traces, desk_sweep,
     rows = []
     for _ in range(2):
         cert = closed_form_certificate(g, 10.0, mu=1.0)
-        verdict = check_certificate(cert, g, 10.0, mu=1.0, lipschitz=3.0)
+        verdict = check_certificate(cert, g, 10.0, mu=1.0)
         rows.append(",".join(format(x, ".17g") for x in verdict.margins))
     assert rows[0] == rows[1]
     print("[criterion 10] PASS: reruns reproduce traces, sweep tables and "

@@ -289,14 +289,58 @@ def test_certify_rejects_bad_cost(cost, capsys):
     ("logistic:3:0:0.1:1", "need at least one data point"),
 ], ids=["zero-dimension", "no-points"])
 def test_empty_costs_are_rejected_where_the_spec_enters(cost, reason, capsys):
-    with pytest.raises(ValueError, match=f"bad cost spec '{cost}': {reason}"):
-        main(["run", "--graph", "cycle:6", "--cost", cost,
-              "--scheme", "mid:tau=1", "--steps", "3"])
+    for argv in (["run", "--graph", "cycle:6", "--cost", cost,
+                  "--scheme", "mid:tau=1", "--steps", "3"],
+                 ["certify", "--graph", "cycle:6", "--tau", "1", "--quadratic",
+                  "--cost", cost]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert str(exc.value.code) == (f"--cost {cost}: bad cost spec "
+                                       f"'{cost}': {reason}")
+        assert capsys.readouterr().out == ""
+
+
+_RUN = ["--steps", "3", "--graph", "cycle:4", "--cost", "quadratic:2:1"]
+_SWEEP = ["sweep"] + _RUN + ["--schemes", "mid,euler", "--tau-grid", "1:2:2"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run"] + _RUN + ["--scheme", "mid:tau=1", "--cost", "warp:2:1"],
+     "--cost warp:2:1: unrecognized cost spec 'warp:2:1'"),
+    (_SWEEP + ["--cost", "warp:2:1"],
+     "--cost warp:2:1: unrecognized cost spec 'warp:2:1'"),
+    (["run"] + _RUN + ["--scheme", "mid:tau=1", "--graph", "ring:4"],
+     "--graph ring:4: unrecognized graph spec 'ring:4'"),
+    (_SWEEP + ["--graph", "ring:4"],
+     "--graph ring:4: unrecognized graph spec 'ring:4'"),
+    (["run"] + _RUN + ["--scheme", "warp:tau=1"],
+     "--scheme warp:tau=1: unknown scheme 'warp', expected one of euler, dg, "
+     "mid, gt"),
+    (["certify", "--graph", "ring:4", "--tau", "1", "--mu", "1"],
+     "--graph ring:4: unrecognized graph spec 'ring:4'"),
+], ids=["run-cost", "sweep-cost", "run-graph", "sweep-graph", "run-scheme",
+        "certify-graph"])
+def test_a_bad_spec_exits_in_one_line_naming_its_flag(argv, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["certify", "--graph", "cycle:6", "--tau", "1", "--quadratic",
-              "--cost", cost])
-    assert str(exc.value.code) == f"--cost {cost}: bad cost spec '{cost}': {reason}"
+        main(argv)
+    assert exc.value.code == message
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("search", [[], ["--search"]], ids=["check", "search"])
+@pytest.mark.parametrize("graph", ["cycle:6", "er:6:0.5:1"])
+def test_certify_prints_the_same_for_every_lipschitz_constant(graph, search,
+                                                              capsys):
+    # L does not enter a (mu, L) verdict, so a huge L, whose gain
+    # (L / tau) lambda_max(G) once overflowed into a nan margin or an
+    # eigen-solve that did not converge, prints what L = 1 prints
+    runs = []
+    for lipschitz in ("1", "1e300"):
+        code = main(["certify", "--graph", graph, "--tau", "1e-6", "--mu", "1",
+                     "--lipschitz", lipschitz] + search)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][1].splitlines()[-1].startswith("true,")
 
 
 @pytest.mark.parametrize("flags", [
