@@ -52,15 +52,16 @@ def _config_from_args(args, scheme_spec=None):
     if getattr(args, "record_lyapunov", False):
         overrides["record_lyapunov"] = True
     if args.config:
-        return ExperimentConfig.from_json(args.config, overrides)
-    defaults = {"accuracy_b": 1e-6, "seed": 0}
-    defaults.update(overrides)
+        try:
+            return _built(ExperimentConfig.from_json, args.config, overrides)
+        except (OSError, ValueError) as exc:  # no file, not JSON, unknown keys
+            raise SystemExit(f"--config {args.config}: {exc}") from None
     missing = [k for k in ("graph_spec", "cost_spec", "scheme_spec", "steps")
-               if k not in defaults]
+               if k not in overrides]
     if missing:
         raise SystemExit(f"missing required options: {missing} "
                          "(give flags or --config)")
-    return ExperimentConfig.from_dict(defaults)
+    return _built(ExperimentConfig.from_dict, overrides)
 
 
 def _built(call, *args):
@@ -174,9 +175,10 @@ def _cmd_certify(args):
         search_args = {"mu": mu}
         check = functools.partial(stability.check_certificate, mu=mu)
     try:
-        # at huge taus S holds tau L and some products pass the float range;
-        # they read as inf and the margins they enter as failing, which is
-        # the verdict, so the overflow is not worth a warning
+        # at huge taus the decrease matrix holds tau L and some products
+        # pass the float range; they read as inf and the margins they enter
+        # as failing, which is the verdict, so the overflow is not worth a
+        # warning
         with np.errstate(over="ignore", invalid="ignore"):
             if args.search:
                 found = stability.search_certificate(graph, args.tau,
@@ -190,11 +192,6 @@ def _cmd_certify(args):
     except FloatingPointError as exc:
         raise SystemExit(f"--mu {mu:g} --tau {args.tau:g}: {exc}; "
                          "no verdict") from None
-    except np.linalg.LinAlgError as exc:
-        # G(tau) = I/tau^2 + Q/tau + Q^2 loses rank in floating point at
-        # large tau when Q is singular, as on every bipartite graph
-        raise SystemExit(f"--tau {args.tau:g}: G(tau) is numerically singular "
-                         f"on graph {args.graph} ({exc}); no verdict") from None
     if verdict is None:
         print("certificate: NotFound (family exhausted; not a proof of "
               "instability)")

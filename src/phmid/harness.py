@@ -32,8 +32,9 @@ NOT_REACHED = "NotReached"
 
 
 class SpecError(ValueError):
-    """A spec string that builds nothing: `name` says which one (`graph`,
-    `cost`, `scheme`, or `tau_sweep`'s `schemes`), `spec` is the string."""
+    """An input that builds nothing: `name` is its flag without the dashes
+    (`graph`, `cost`, `scheme`, `steps`, `B`, or `tau_sweep`'s `schemes`),
+    `spec` is the value."""
 
     def __init__(self, name, spec, message):
         super().__init__(str(message))
@@ -59,9 +60,9 @@ class ExperimentConfig:
                  accuracy_b=1e-6, seed=0, record_lyapunov=False,
                  output_path=None):
         if steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise SpecError("steps", steps, "steps must be >= 1")
         if not accuracy_b > 0:
-            raise ValueError("accuracy_b must be > 0")
+            raise SpecError("B", accuracy_b, "accuracy_b must be > 0")
         self.graph_spec = str(graph_spec)
         self.cost_spec = str(cost_spec)
         self.scheme_spec = str(scheme_spec)
@@ -360,9 +361,6 @@ class SweepTable:
 
     def __init__(self, rows):
         self.rows = list(rows)
-
-    def by_scheme(self, scheme):
-        return [r for r in self.rows if r.scheme == scheme]
 
     def __iter__(self):
         return iter(self.rows)

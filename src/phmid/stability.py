@@ -1,53 +1,41 @@
 """
 Eigenvalue-based stability certificates for the mixed implicit scheme.
 
-One mixed implicit step is linear in the state around the gradient term.
-Eliminating the half-step, the update obeys
-
-    [dq; dr] = S [q_bar; r_bar] - [G^-1 / tau; 0] grad f(q_bar)
-
-in the coordinates r = p - tau Q q, where Q = (D + A)/2 (x) I_m,
-G = I/tau^2 + Q/tau + Q^2 is positive definite, q_bar is the step
-midpoint, dq the step difference, and S the midpoint map
-
-    S = [[ -G^-1 (L/tau + Q L + L Q),  -G^-1 L / tau ],
-         [  tau L,                      0            ]]
-
-The gradient feedback enters only the q row, which is what makes the
-(q, r) coordinates the right ones for the decrease inequality. In the raw
-(q, p) coordinates the map is exactly similar to S, through the lower
-triangular change of basis r = p - tau Q q.
-
-A certificate (P22, u) proves global asymptotic stability of the
+In the coordinates r = p - tau Q q, Q = (D + A)/2 (x) I_m, a mixed
+implicit step is a linear midpoint map S, which carries the inverse of
+G(tau) = I/tau^2 + Q/tau + Q^2, plus a gradient feedback term in the q
+row. A certificate (P22, u) proves global asymptotic stability of the
 consensus optimum when the metric P = blockdiag(G, P22) is positive
 definite, u > 0, and the decrease inequality
 
-    P S + S' P + B  <=  -u [[I, 0], [0, 0]]
+    X = P S + S' P + B  <=  -u [[I, 0], [0, 0]]
 
-holds, where B = blockdiag(F, 0) bounds the gradient feedback term:
-F = -mu/tau I for strongly convex costs with constant mu, or the
-symmetric part of -H/tau with the per-agent Hessians H of quadratic
-costs. These are the members with P12 = 0, U = 0 and epsilon = 0 of the
-Young-inequality family (P12, P22, U, u, epsilon), and the only ones the
-closed form and the search produce. Their Schur block [[U, P12], [P12',
-I]] is blockdiag(0, I), whose margin is a structural 0, and the Lipschitz
-constant enters their bound only as gamma epsilon / 2 = 0, so no verdict
-depends on it; tests/oracles.py writes out the whole family's check. All
-inequalities are verified by symmetric eigenvalue computations; no
-semidefinite programming is involved (the certificate search screens its
-candidates by Cholesky attempts, which only reject). P22 is N x N and
-stands for P22 (x) I_m at every per-agent dimension m. G(tau), S and the
-(mu, L) bound are X (x) I_m too, so the (mu, L) check decides on the
-2N x 2N factors, built once per check and once per search, and its
-verdict is the same for every m. The quadratic check, whose per-agent
-Hessians break that structure, lifts its matrices once and runs at 2Nm.
-On a regular graph, where every one of these matrices is a polynomial in
-the adjacency, a P22 that is a multiple of I is decided mode by mode, on
-N 2 x 2 blocks. A closed-form certificate covers every graph with
-D^2 - A^2 PSD (cycles, complete graphs) at every step size, and small
-enough step sizes on any connected graph.
+holds, where B = blockdiag(F, 0) bounds the feedback term: F = -mu/tau I
+for strongly convex costs with constant mu, or the symmetric part of
+-H/tau with the per-agent Hessians H of quadratic costs. These are the
+members with P12 = 0, U = 0 and epsilon = 0 of the Young-inequality
+family (P12, P22, U, u, epsilon): their Schur block is blockdiag(0, I),
+whose margin is a structural 0, and no verdict depends on the Lipschitz
+constant; tests/oracles.py writes out the whole family's check.
+
+G^-1 cancels from X, so no check or search solves with G:
+
+    X11 = -2 K + F,  K = L/tau + D^2 - A^2,  X12 = tau L (P22 - I/tau^2),
+
+and X22 = 0, with A^2 formed from the 0/1 adjacency, so that D^2 - A^2 is
+exact. G = (Q + I/(2 tau))^2 + 3/(4 tau^2) I, so lambda_min(G) = 1/tau^2
++ q/tau + q^2 >= 1/tau^2 at q = lambda_min(Q) >= 0. For the closed form's
+P22 = I/tau^2, X12 is exactly 0 and the decrease margin is
+min(lambda_min(2 K - F - u I), 0). Every margin is a symmetric
+eigenvalue; the search screens candidates by Cholesky attempts, which
+only reject. P22 is N x N and stands for P22 (x) I_m, so the (mu, L)
+check decides on 2N x 2N factors, with the same verdict at every m; the
+quadratic check lifts its blocks once and runs at 2Nm. On a regular
+graph, a P22 that is a multiple of I is decided mode by mode, on N 2 x 2
+blocks. The closed form verifies on every graph with D^2 - A^2 PSD
+(cycles, complete graphs) at every step size, and for small enough steps
+on any connected graph.
 """
-
 import functools
 import math
 
@@ -81,7 +69,7 @@ def _inverse_square(graph, tau):
     """1/tau^2, or 0 where tau^2 overflows (a Python float raises
     OverflowError on `**` above about 1.3e154 instead of rounding to inf).
 
-    Raises OverflowError where G(tau) or S would hold non-finite entries:
+    Raises OverflowError where the blocks would hold non-finite entries:
     1/tau^2 overflows below tau of about 7.5e-155, and tau L above about
     1.8e308 over the largest degree.
     """
@@ -97,36 +85,49 @@ def _inverse_square(graph, tau):
     return 1.0 / square
 
 
-def _step_matrices(graph, tau):
-    """N-level G(tau) and S: the one build of every check and search.
+class _Blocks:
+    """The one build of every dense check and search, at N level: 1/tau^2,
+    L, K = L/tau + D^2 - A^2 and Q = (D + A)/2."""
 
-    G(tau) is positive definite for every tau > 0 (its smallest eigenvalue
-    is at least 1/tau^2), and a polynomial in Q, with which it commutes.
-    """
-    inverse_square = _inverse_square(graph, tau)
-    lap = graph.laplacian()
-    qmat = graph.q_matrix()
-    gram = np.eye(graph.n) * inverse_square + qmat / tau + qmat @ qmat
-    gram = (gram + gram.T) / 2.0
-    a11 = -np.linalg.solve(gram, lap / tau + qmat @ lap + lap @ qmat)
-    a12 = -np.linalg.solve(gram, lap) / tau
-    smap = np.block([[a11, a12], [tau * lap, np.zeros_like(lap)]])
-    return gram, smap
+    def __init__(self, graph, tau):
+        self.tau = tau
+        self.inverse_square = _inverse_square(graph, tau)
+        adj = graph.adjacency()
+        deg = graph.degrees
+        self.lap = np.diag(deg) - adj
+        self.k = self.lap / tau + (np.diag(deg * deg) - adj @ adj)
+        self.qmat = (np.diag(deg) + adj) / 2.0
+
+    @functools.cached_property
+    def gram_min(self):
+        """lambda_min(G) = 1/tau^2 + q/tau + q^2 at q = lambda_min(Q) >= 0."""
+        q = max(float(np.linalg.eigvalsh(self.qmat)[0]), 0.0)
+        return self.inverse_square + q / self.tau + q * q
+
+    def metric_margin(self, p22_min):
+        """min(lambda_min(P22), lambda_min(G)); lambda_min(G) is at least
+        1/tau^2, so it is read only above that."""
+        if p22_min <= self.inverse_square:
+            return p22_min
+        return min(p22_min, self.gram_min)
+
+    def decrease(self, p22, feedback):
+        """-X = [[2 K - F, -X12], [-X12', 0]] for P = blockdiag(G, P22), at
+        the level of F: lifted by (x) I_m when F is Nm x Nm. X12 = tau L
+        (P22 - I/tau^2) is exactly 0 at P22 = I/tau^2."""
+        shifted = p22 - self.inverse_square * np.eye(p22.shape[0])
+        x11, x12 = 2.0 * self.k, self.tau * (self.lap @ shifted)
+        m = feedback.shape[0] // x11.shape[0]
+        if m > 1:
+            x11, x12 = _lifted(x11, m), _lifted(x12, m)
+        return np.block([[x11 - feedback, -x12],
+                         [-x12.T, np.zeros_like(x11)]])
 
 
-def _e11(block):
-    """blockdiag(block, 0), shaped as E11 = blockdiag(I, 0): u E11, and the
-    feedback bound B = blockdiag(F, 0)."""
-    size = block.shape[0]
-    out = np.zeros((2 * size, 2 * size))
-    out[:size, :size] = block
-    return out
-
-
-def _hessian_bound(hbd, tau):
-    """B of the quadratic check: F is the symmetric part of -H/tau, H = hbd."""
+def _quadratic_feedback(hbd, tau):
+    """F of the quadratic check: the symmetric part of -H/tau, H = hbd."""
     upper = -hbd / tau
-    return _e11((upper + upper.T) / 2.0)
+    return (upper + upper.T) / 2.0
 
 
 def _hessian_block_diag(hessians, n):
@@ -186,14 +187,6 @@ class CertificateVerdict:
         return f"CertificateVerdict(feasible={self.feasible}, margins={self.margins})"
 
 
-def _metric(gram, p22):
-    """Lyapunov metric P = blockdiag(G(tau), P22)."""
-    n = gram.shape[0]
-    p = np.zeros((2 * n, 2 * n))
-    p[:n, :n], p[n:, n:] = gram, p22
-    return (p + p.T) / 2.0
-
-
 def _min_eig(mat):
     return float(np.linalg.eigvalsh((mat + mat.T) / 2.0)[0])
 
@@ -212,11 +205,6 @@ def _min_eig2(a, b, c):
     small = np.asarray(mean - r)
     np.divide(a * c - b * b, mean + r, out=small, where=mean > 0)
     return np.where(b == 0, np.minimum(a, c), small) + 0.0
-
-
-def _decrease_lhs(p, smap, bound):
-    """X = P S + S' P + B; the decrease inequality is X <= -u E11."""
-    return p @ smap + smap.T @ p + bound
 
 
 def _require_checkable(cert, graph):
@@ -251,14 +239,14 @@ def _verdict(metric_margin, decrease_margin):
 def _check_modes(c22, u, graph, tau, mu):
     """`check_certificate` on a d-regular graph with P22 = c22 I.
 
-    There L = d I - A and Q = (d I + A)/2 share the adjacency's
-    eigenvectors, so every matrix of the check splits into one 2 x 2
-    block per eigenvalue a_j of A: with q = (d + a_j)/2 and l = d - a_j,
-    G_j = 1/tau^2 + q/tau + q^2 and S_j = [[s11, s12], [s21, 0]]. The
-    computed a_j are clipped to [-d, d], so G_j >= 1/tau^2 as in exact
-    arithmetic, and the consensus one, A's largest and simple, is set to
-    d, so its mode has l = 0 and S_j = 0 without rounding. Raises
-    LinAlgError, as the dense solve does, when some G_j rounds to 0.
+    There L = d I - A, Q = (d I + A)/2 and K share the adjacency's
+    eigenvectors, so every block of the check splits into one 2 x 2 block
+    per eigenvalue a_j of A: with l = d - a_j and q = (d + a_j)/2,
+    G_j = 1/tau^2 + q/tau + q^2, k_j = l/tau + d^2 - a_j^2 and X12_j =
+    tau l (c22 - 1/tau^2). The computed a_j are clipped to [-d, d], so
+    G_j >= 1/tau^2 as in exact arithmetic, and the consensus one, A's
+    largest and simple, is set to d, so its mode has l = 0 and k_j = 0
+    without rounding.
     """
     inverse_square = _inverse_square(graph, tau)
     d = graph.degrees[0]
@@ -266,27 +254,20 @@ def _check_modes(c22, u, graph, tau, mu):
     adj[-1] = d
     q, lap = (d + adj) / 2.0, d - adj
     gram = inverse_square + q / tau + q * q
-    if not (gram > 0).all():
-        raise np.linalg.LinAlgError("G(tau) is numerically singular")
-    # X = P S + S' P + B mode by mode, with P_j = diag(G_j, c22): its
-    # (2, 2) entry is 0, and its off-diagonal G_j s12 + c22 s21 is written
-    # with G_j s12 = -l/tau = -s21/tau^2, so that it vanishes without
-    # rounding for the closed form's c22 = 1/tau^2
-    s11, s21 = -(lap / tau + 2.0 * q * lap) / gram, tau * lap
-    ps11 = gram * s11
-    x11 = (ps11 + ps11 - mu / tau) + u
-    x12 = s21 * (c22 - inverse_square)
+    # d^2 - a_j^2 as (d + a_j) l, without cancellation near a_j = d
+    k = lap / tau + (d + adj) * lap
+    x12 = tau * lap * (c22 - inverse_square)
     # adding 0.0 turns -0 into +0
     return _verdict(min(float(gram.min()), c22) + 0.0,
-                    _min_eig2(-x11, -x12, 0.0).min())
+                    _min_eig2((2.0 * k + mu / tau) - u, -x12, 0.0).min())
 
 
-def _check(p22, u, gram, smap, bound):
-    """Verdict on P22 and u, from G(tau), S and the feedback bound B, all
-    at one level (N, or Nm when lifted)."""
-    p = _metric(gram, p22)
-    x = _decrease_lhs(p, smap, bound) + _e11(u * np.eye(gram.shape[0]))
-    return _verdict(_min_eig(p), _min_eig(-x))
+def _check(cert, blocks, feedback):
+    """Verdict on P22 and u from the blocks and the feedback block F; the
+    decrease inequality is -X - u E11 >= 0."""
+    u_e11 = np.diag(np.repeat([cert.u, 0.0], feedback.shape[0]))
+    return _verdict(blocks.metric_margin(_min_eig(cert.p22)),
+                    _min_eig(blocks.decrease(cert.p22, feedback) - u_e11))
 
 
 def check_certificate(cert, graph, tau, mu):
@@ -307,9 +288,7 @@ def check_certificate(cert, graph, tau, mu):
         c22 = _scalar(cert.p22)
         if c22 is not None:
             return _check_modes(c22, cert.u, graph, tau, mu)
-    gram, smap = _step_matrices(graph, tau)
-    return _check(cert.p22, cert.u, gram, smap,
-                  _e11(-mu / tau * np.eye(graph.n)))
+    return _check(cert, _Blocks(graph, tau), -mu / tau * np.eye(graph.n))
 
 
 def check_certificate_quadratic(cert, graph, tau, hessians):
@@ -318,15 +297,12 @@ def check_certificate_quadratic(cert, graph, tau, hessians):
     Tests metric positivity, u > 0 and the decrease inequality with the
     per-agent Hessians, an (N, m, m) stack, in place of the (mu, L)
     bound. Per-agent Hessians break the Kronecker structure, so this
-    check lifts G(tau), S and P22 by (x) I_m once and runs on 2Nm x 2Nm
-    matrices.
+    check lifts K and X12 by (x) I_m once and decides the decrease on
+    2Nm x 2Nm matrices; the metric margin is the same at every m.
     """
     _require_checkable(cert, graph)
-    gram, smap = _step_matrices(graph, tau)
     hbd = _hessian_block_diag(hessians, graph.n)
-    m = hbd.shape[0] // graph.n
-    return _check(_lifted(cert.p22, m), cert.u, _lifted(gram, m),
-                  _lifted(smap, m), _hessian_bound(hbd, tau))
+    return _check(cert, _Blocks(graph, tau), _quadratic_feedback(hbd, tau))
 
 
 def closed_form_certificate(graph, tau, mu):
@@ -336,13 +312,12 @@ def closed_form_certificate(graph, tau, mu):
     mu / max(1, tau), rounded once, so that at tau >= 1 it equals the
     bound's mu/tau bit for bit; FloatingPointError where it
     underflows to 0 (a tiny mu at a huge tau), since no u > 0 is left.
-    With these choices the decrease inequality reduces to the positive
-    semidefiniteness of L/tau + Q L + L Q (note Q L + L Q equals
-    D^2 - A^2 exactly), so the certificate verifies on every graph with
-    D^2 - A^2 PSD at every step size, and on any connected graph for
-    small enough steps. The decrease coefficient is capped at mu / tau,
-    the rate actually guaranteed per step, so certified runs pass the
-    trajectory audit.
+    With these choices X12 = 0 and the decrease inequality reduces to the
+    positive semidefiniteness of L/tau + D^2 - A^2 (up to the rate), so
+    the certificate verifies on every graph with D^2 - A^2 PSD at every
+    step size, and on any connected graph for small enough steps. The
+    decrease coefficient is capped at mu / tau, the rate actually
+    guaranteed per step, so certified runs pass the trajectory audit.
     """
     inverse_square = _inverse_square(graph, tau)
     _require_positive("mu", mu)
@@ -363,24 +338,24 @@ def search_certificate(graph, tau, mu=None, hessians=None):
     as (cert, verdict), or None when the whole family fails. None is NOT
     evidence of instability; the family is only sufficient.
 
-    The scan builds G(tau) and S once per call and screens, with the
+    The scan builds the blocks once per call and screens, with the
     check's feedback block, at the level the public check uses: 2N x 2N
     for the (mu, L) family, and 2Nm x 2Nm with an (N, m, m) Hessian
-    stack. The decrease matrix is affine in alpha, X(alpha) = X_G + alpha
-    X_1 with P = blockdiag(G, 0) + alpha blockdiag(0, I), and both terms
-    are formed once. The metric margin does not depend on beta, and the
-    decrease margin only falls as beta grows, so an alpha that fails at
-    the smallest beta has no
-    verifying beta and is skipped, as is an alpha whose decrease matrix
-    has a symmetric part beyond the float range (alpha tau L near 1e308),
-    which no check can verify. The decrease screens are Cholesky
-    attempts (`_cholesky_rejects`): they reject only margins proven to
-    fail by more than their rounding error (`_rounding_slack`), and
-    decide nothing else. A candidate that passes them is returned only
-    once the public check (`check_certificate` or
-    `check_certificate_quadratic`) accepts it, so the result is the first
-    candidate of the scan order that the public check accepts, and its
-    verdict, margins included, is that check's.
+    stack. The decrease matrix is affine in alpha, -X(alpha) = -X_G -
+    alpha X_1, with X_G its value at P22 = 0 and X_1 = [[0, tau L],
+    [tau L, 0]], and both terms are formed once. The metric margin does
+    not depend on beta, and the decrease margin only falls as beta grows,
+    so an alpha that fails at the smallest beta has no verifying beta and
+    is skipped, as is an alpha whose decrease matrix has a symmetric part
+    beyond the float range (alpha tau L near 1e308), which no check can
+    verify. The decrease screens are Cholesky attempts
+    (`_cholesky_rejects`): they reject only margins proven to fail by
+    more than their rounding error (`_rounding_slack`), and decide
+    nothing else. A candidate that passes them is returned only once the
+    public check (`check_certificate` or `check_certificate_quadratic`)
+    accepts it, so the result is the first candidate of the scan order
+    that the public check accepts, and its verdict, margins included, is
+    that check's.
     """
     if hessians is not None:
         hessians = np.asarray(hessians, dtype=float)
@@ -390,9 +365,8 @@ def search_certificate(graph, tau, mu=None, hessians=None):
     if mu is None:
         raise ValueError("mu is required without Hessians")
     _require_positive("mu", mu)
-    gram, smap = _step_matrices(graph, tau)
-    gram_min = float(np.linalg.eigvalsh(gram)[0])
-    alphas = [_inverse_square(graph, tau)] + list(np.logspace(-4, 4, 17))
+    blocks = _Blocks(graph, tau)
+    alphas = [blocks.inverse_square] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
     # each (alpha, beta) is tried once, keyed by rounded values: a repeated
@@ -406,38 +380,34 @@ def search_certificate(graph, tau, mu=None, hessians=None):
     if not candidates:  # every rate underflowed to 0
         return None
     smallest = min(candidates)
+    x1 = tau * blocks.lap
     if hessians is None:
         check = functools.partial(check_certificate, mu=mu)
-        bound = _e11(-mu / tau * np.eye(graph.n))
+        feedback = -mu / tau * np.eye(graph.n)
     else:
         check = functools.partial(check_certificate_quadratic,
                                   hessians=hessians)
-        m = hbd.shape[0] // graph.n
-        gram, smap = _lifted(gram, m), _lifted(smap, m)
-        bound = _hessian_bound(hbd, tau)
-    zero, size = np.zeros_like(gram), gram.shape[0]
-    x_gram = _decrease_lhs(_metric(gram, zero), smap, bound)
-    x_one = _decrease_lhs(_metric(zero, np.eye(size)), smap, 0.0)
-    neg_x_gram = -(x_gram + x_gram.T) / 2.0
-    e11 = _e11(np.eye(size))
+        feedback = _quadratic_feedback(hbd, tau)
+        x1 = _lifted(x1, hbd.shape[0] // graph.n)
+    neg_x_gram = blocks.decrease(np.zeros((graph.n, graph.n)), feedback)
+    zero = np.zeros_like(x1)
+    x_one = np.block([[zero, x1], [x1, zero]])
+    e11 = np.diag(np.repeat([1.0, 0.0], x1.shape[0]))
     with np.errstate(over="ignore"):  # an inf norm makes an inf slack
-        gram_norm = float(np.linalg.norm(gram))
-        slack_norms = (np.linalg.norm(smap), np.linalg.norm(bound))
+        norms = (float(np.linalg.norm(neg_x_gram)),
+                 float(np.linalg.norm(x_one)))
     seen = set()
     for alpha in alphas:
         alpha_key = round(float(alpha), 15)
         if alpha_key in seen:
             continue
         seen.add(alpha_key)
-        # metric margin: lambda_min(blockdiag(G, alpha I))
-        if min(gram_min, alpha) < _EIG_TOL:
+        if blocks.metric_margin(alpha) < _EIG_TOL:
             continue
         neg_x = neg_x_gram - alpha * x_one
         if not np.isfinite(neg_x).all():  # no eigen-solve of X can verify
             continue
-        # |P| = |blockdiag(G, alpha I)| in closed form
-        p_norm = math.hypot(gram_norm, alpha * math.sqrt(size))
-        slack = _rounding_slack(2 * size, p_norm, *slack_norms)
+        slack = _rounding_slack(neg_x.shape[0], norms[0] + alpha * norms[1])
         if _cholesky_rejects(neg_x - smallest * e11,
                              _EIG_TOL + slack(smallest)):
             continue
@@ -451,26 +421,26 @@ def search_certificate(graph, tau, mu=None, hessians=None):
     return None
 
 
-def _rounding_slack(dim, p_norm, smap_norm, bound_norm):
+def _rounding_slack(dim, x_norm):
     """How far a screen margin may fail before the public check could pass.
 
-    Rounding in X = P S + S' P + B and in the eigen-solve moves a computed
-    eigenvalue of X + u E11 (dim x dim) by at most about delta = dim * eps
-    * (2 |P| |S| + |B| + u), in Frobenius norms; the screen builds its
-    matrices at the level the public check uses, so delta bounds both (the
-    mode-by-mode check of a regular graph works on 2 x 2 blocks and rounds
-    less), and it covers forming X as X_G + alpha X_1, whose two terms
-    are each bounded by 2 |P| |S| + |B|. The exact margin only falls as
-    u grows, so if the exact margin of the screen's matrix is below -1e-9
-    - 2 delta at some u, the public check reads below -1e-9 at that u and
-    at every larger one. The slack is 2 delta with a factor of 4 to spare.
-    Where the norms overflow (S holds tau L, whose squares pass the float
-    range above tau of about 1e154), the slack is inf and the screen
-    rejects nothing, leaving the verdict to the public check.
+    `x_norm` bounds the Frobenius norm of the terms X is formed from.
+    Rounding in forming -X - u E11 (dim x dim) from the blocks and in the
+    eigen-solve moves a computed eigenvalue by at most about delta = dim
+    * eps * (x_norm + u); the screen builds its matrices at the level the
+    public check uses, so delta bounds both (the mode-by-mode check of a
+    regular graph works on 2 x 2 blocks and rounds less), and it covers
+    forming -X as -X_G - alpha X_1 where the check forms X12 as tau L
+    (P22 - I/tau^2). The exact margin only falls as u grows, so if the
+    exact margin of the screen's matrix is below -1e-9 - 2 delta at some
+    u, the public check reads below -1e-9 at that u and at every larger
+    one. The slack is 2 delta with a factor of 4 to spare. Where the
+    norms overflow (X_1 holds tau L, whose squares pass the float range
+    above tau of about 1e154), the slack is inf and the screen rejects
+    nothing, leaving the verdict to the public check.
     """
-    scale = 2.0 * p_norm * smap_norm + bound_norm
     eps = np.finfo(float).eps
-    return lambda u: 8.0 * dim * eps * (scale + u)
+    return lambda u: 8.0 * dim * eps * (x_norm + u)
 
 
 def _cholesky_rejects(mat, floor):

@@ -32,10 +32,12 @@ Reference code that only the tests use.
   that family's checks written out on the 2Nm x 2Nm matrices, with the
   Schur block [[U, P12], [P12', I]] and the Lipschitz term: they lift a
   certificate's N x N blocks X to X (x) I_m themselves, and form G(tau)
-  and the (q, r) midpoint map here from L and Q alone. They are the
-  reference for the wider family, and for `check_certificate`, which
-  decides on the 2N x 2N factors, and the quadratic check on its
-  members. `hessian_block_diag` is the
+  and the (q, r) midpoint map here from L and Q alone, by solves with
+  G(tau) (`_step_gram_n`, `_step_gram`, `_midpoint_map_qr`, which the
+  identity tests use too). They are the independent reference for the
+  wider family, and for the package's checks, which build X from its
+  blocks and never solve with G(tau): `check_certificate` on the 2N x 2N
+  factors, and the quadratic check on its members. `hessian_block_diag` is the
   per-agent loop the vectorised `_hessian_block_diag` must match bitwise,
   and `quadratic_gradient_block` the exact quadratic feedback term as one
   matrix.
@@ -46,6 +48,7 @@ Reference code that only the tests use.
   measures the certified decrease step by step.
 - `neighbors` reads one vertex's sorted neighbours off the graph's edge
   arrays, which an edge scan checks.
+- `by_scheme` picks one scheme's rows out of a sweep table.
 - `incidence`, `d2_minus_a2`, `tau_upper_bound` and
   `spectral_norm_symmetric` are graph matrices and the classical step-size
   bound that only the identity tests use.
@@ -627,6 +630,11 @@ def audit_lyapunov(trace, cert, equilibrium, graph, tau):
     dev = np.sum((q_mid - equilibrium.q[None]) ** 2, axis=(1, 2))
     violations = values[1:] - values[:-1] + cert.u * dev
     return float(np.max(violations))
+
+
+def by_scheme(table, scheme):
+    """The rows of a sweep table for one scheme, in grid order."""
+    return [row for row in table if row.scheme == scheme]
 
 
 def neighbors(graph, i):

@@ -17,13 +17,12 @@ from phmid.graphs import complete, cycle, erdos_renyi, star, from_spec as graph_
 from phmid.harness import (STATUS_DIVERGED, STATUS_MAX_STEPS, ExperimentConfig,
                            export_csv, k_b, run, tau_sweep)
 from phmid.integrators import euler_step, mid_step
-from phmid.stability import (_step_matrices, check_certificate,
-                             check_certificate_quadratic,
+from phmid.stability import (check_certificate, check_certificate_quadratic,
                              closed_form_certificate)
 
-from oracles import (agents, assemble_metric, audit_lyapunov, change_of_basis,
-                     d2_minus_a2, discrete_gradient, incidence, kron,
-                     midpoint_map_qp)
+from oracles import (_midpoint_map_qr, _step_gram, agents, assemble_metric,
+                     audit_lyapunov, by_scheme, change_of_basis, d2_minus_a2,
+                     discrete_gradient, incidence, kron, midpoint_map_qp)
 
 DESK_GRAPH = "cycle:10"
 DESK_COST = "quadratic:3:42"
@@ -107,8 +106,8 @@ def test_criterion_2_euler_instability_contrast(mid_desk_traces):
 
 def test_criterion_3_sweep_shape(desk_sweep):
     taus, table = desk_sweep
-    mid_rows = table.by_scheme("mid")
-    euler_rows = table.by_scheme("euler")
+    mid_rows = by_scheme(table, "mid")
+    euler_rows = by_scheme(table, "euler")
     assert len(mid_rows) == len(euler_rows) == 50
 
     # (a) Euler: finite at the smallest step size, gone at the largest
@@ -297,7 +296,7 @@ def test_criterion_8_matrix_identity_suite():
         tau = float(10 ** rng.uniform(-1.5, 1.5))
         # incidence factorization (exact in integer arithmetic)
         assert np.array_equal(incidence(g) @ incidence(g).T, g.laplacian())
-        gram, s_r = (np.kron(x, np.eye(m)) for x in _step_matrices(g, tau))
+        gram, s_r = _step_gram(g, m, tau), _midpoint_map_qr(g, m, tau)
         assert np.linalg.eigvalsh(gram).min() > 0.0
         qmat = kron(g.q_matrix(), np.eye(m))
         assert np.abs(qmat @ gram - gram @ qmat).max() <= 1e-10

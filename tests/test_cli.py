@@ -134,9 +134,8 @@ _BAD_INPUTS = [
     ("--mu", "inf"), ("--mu", "nan"), ("--mu", "0"),
     ("--lipschitz", "-3"), ("--lipschitz", "inf"),
 ]
-# G(1e9) is numerically singular on these bipartite graphs. The closed
-# form on the regular cycle is still decided, mode by mode; the irregular
-# graph and both searches, whose screens solve with G, get no verdict.
+# G(1e9) is numerically singular on these bipartite graphs; the checks
+# and the search, which never solve with G, still decide there
 _SINGULAR_G = ["cycle:6", "er:6:0.5:1"]
 
 
@@ -152,16 +151,39 @@ def test_certify_rejects_bad_inputs(flag, value, graph, search, capsys):
     options = {"--graph": graph, "--tau": "10", "--mu": "1",
                "--lipschitz": "3", "--m": "1", flag: value}
     argv = ["certify"] + [x for item in options.items() for x in item]
-    if (value, graph, search) == ("1e9", "cycle:6", False):
-        # infeasible: the metric margin is G's bipartite mode, 1/tau^2
-        assert main(argv) == 1
-        row = capsys.readouterr().out.splitlines()[1].split(",")
-        assert (row[0], float(row[1])) == ("false", 1.0 / 1e9 ** 2)
+    if value == "1e9":
+        # a verdict or NotFound, exit code 1; the closed form is infeasible
+        # on its metric margin 1/tau^2, G's bipartite mode
+        assert main(argv + (["--search"] if search else [])) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        if search:
+            assert "NotFound" in last
+        else:
+            row = last.split(",")
+            assert (row[0], float(row[1])) == ("false", 1.0 / 1e9 ** 2)
         return
     with pytest.raises(SystemExit) as exc:
         main(argv + (["--search"] if search else []))
     assert str(exc.value.code).startswith(flag)
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("graph", ["star:5", "star:20"])
+def test_certify_prints_no_negative_metric_margin_at_large_tau(graph, capsys):
+    # the metric margin is lambda_min(P22), or lambda_min(G) >= 1/tau^2
+    # read from lambda_min(Q), never an eigenvalue of G computed as a
+    # whole, which rounded to -2.8e-16 on star:5 at tau = 1e9
+    for tau in ("1e6", "1e8", "1e9", "1e12", "1e50", "1e155"):
+        for family in (["--mu", "0.5"],
+                       ["--quadratic", "--cost", "quadratic:1:5"],
+                       ["--quadratic", "--cost", "quadratic:3:42"]):
+            for search in ([], ["--search"]):
+                argv = ["certify", "--graph", graph, "--tau", tau]
+                assert main(argv + family + search) == 1
+                last = capsys.readouterr().out.splitlines()[-1]
+                if "NotFound" not in last:
+                    metric = last.split(",")[1]
+                    assert not metric.startswith("-"), (tau, family, last)
 
 
 @pytest.mark.filterwarnings("error")
@@ -318,9 +340,25 @@ _SWEEP = ["sweep"] + _RUN + ["--schemes", "mid,euler", "--tau-grid", "1:2:2"]
      "mid, gt"),
     (["certify", "--graph", "ring:4", "--tau", "1", "--mu", "1"],
      "--graph ring:4: unrecognized graph spec 'ring:4'"),
+    (["run"] + _RUN + ["--scheme", "mid:tau=1", "--steps", "0"],
+     "--steps 0: steps must be >= 1"),
+    (_SWEEP + ["--B", "0"], "--B 0.0: accuracy_b must be > 0"),
+    (["run", "--config", "{config}"],
+     "--config {config}: unknown config keys: ['horizon']"),
+    (["run", "--config", "{config}.missing"],
+     "--config {config}.missing: [Errno 2] No such file or directory: "
+     "'{config}.missing'"),
 ], ids=["run-cost", "sweep-cost", "run-graph", "sweep-graph", "run-scheme",
-        "certify-graph"])
-def test_a_bad_spec_exits_in_one_line_naming_its_flag(argv, message, capsys):
+        "certify-graph", "run-steps", "sweep-B", "run-config-key",
+        "run-config-missing"])
+def test_a_bad_spec_exits_in_one_line_naming_its_flag(argv, message, capsys,
+                                                      tmp_path):
+    # "{config}" stands for a config file with a key that no flag mirrors
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"graph_spec": "cycle:4", "steps": 3,
+                                  "horizon": 3}))
+    argv = [arg.replace("{config}", str(config)) for arg in argv]
+    message = message.replace("{config}", str(config))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == message

@@ -14,6 +14,8 @@ from phmid.harness import (NOT_REACHED, STATUS_DIVERGED, STATUS_MAX_STEPS,
                            k_b, run, tau_sweep)
 from phmid.numerics import MaxIterationsError
 
+from oracles import by_scheme
+
 
 def _quad_config(**kw):
     base = dict(graph_spec="cycle:6", cost_spec="quadratic:2:42",
@@ -93,7 +95,7 @@ def test_tau_sweep_shares_seed_and_reports_rows():
     cfg = _quad_config(steps=600)
     table = tau_sweep(cfg, [0.2, 2.0], ["mid", "euler"])
     assert len(table) == 4
-    mid_rows = table.by_scheme("mid")
+    mid_rows = by_scheme(table, "mid")
     assert [r.tau for r in mid_rows] == [0.2, 2.0]
     # same seed everywhere: initial error identical across cells
     traces = [run(cfg.replaced(scheme_spec=f"{s}:tau={t}"))

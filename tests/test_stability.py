@@ -14,12 +14,14 @@ from phmid.integrators import SchemeConfig, euler_step, mid_step
 from phmid.numerics import DimensionMismatchError
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              LmiCertificate, _hessian_block_diag,
-                             _rounding_slack, _step_matrices,
-                             check_certificate, check_certificate_quadratic,
+                             _rounding_slack, check_certificate,
+                             check_certificate_quadratic,
                              closed_form_certificate, search_certificate)
 
-from oracles import (InvalidEpsilonError, assemble_metric, audit_lyapunov,
-                     change_of_basis, general, gradient_bound_block,
+from oracles import (InvalidEpsilonError, _midpoint_map_qr, _step_gram,
+                     _step_gram_n, assemble_metric, audit_lyapunov,
+                     change_of_basis, d2_minus_a2, general,
+                     gradient_bound_block,
                      gradient_feedback_gain, hessian_block_diag, kron,
                      lifted_check_certificate,
                      lifted_check_certificate_quadratic, midpoint_map_qp,
@@ -27,9 +29,9 @@ from oracles import (InvalidEpsilonError, assemble_metric, audit_lyapunov,
 
 
 def _lifted_step(graph, m, tau):
-    """G(tau) and the midpoint map S, lifted by (x) I_m, from the N-level
-    build that every check and search runs."""
-    return tuple(np.kron(x, np.eye(m)) for x in _step_matrices(graph, tau))
+    """G(tau) and the midpoint map S, lifted by (x) I_m: the oracles' own
+    build, which solves with G(tau); the package never forms S."""
+    return _step_gram(graph, m, tau), _midpoint_map_qr(graph, m, tau)
 
 
 def _random_graph(rng):
@@ -41,7 +43,7 @@ def test_step_gram_two_agents_by_hand():
     # single edge, m=1, tau=1: Q = [[.5,.5],[.5,.5]] is idempotent, so
     # G = I + Q + Q^2 = I + 2Q = [[2,1],[1,2]]
     g = Graph(2, [(0, 1)])
-    gram = _step_matrices(g, 1.0)[0]
+    gram = _step_gram_n(g, 1.0)
     assert np.allclose(gram, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
 
 
@@ -73,7 +75,7 @@ def test_similarity_of_midpoint_maps():
     # triangular change of basis r = p - tau Q q
     g = cycle(4)
     tau = 0.5
-    s_r = _step_matrices(g, tau)[1]
+    s_r = _midpoint_map_qr(g, 1, tau)
     s_p = midpoint_map_qp(g, 1, tau)
     t = change_of_basis(g, 1, tau)
     assert np.abs(s_r - t @ s_p @ np.linalg.inv(t)).max() <= 1e-9
@@ -205,6 +207,19 @@ def test_check_certificate_star_infeasible_large_tau():
     verdict = check_certificate(cert, g, 10.0, mu=0.01)
     assert not verdict.feasible
     assert verdict.decrease_margin < -1e-6
+    # at tau >= 1 the closed form's rate cancels the (mu, L) bound and
+    # X12 = 0, so its decrease margin is 2 lambda_min(L/tau + D^2 - A^2),
+    # negative on a star; a solve with G(tau), whose condition grows like
+    # tau^2 there, read -1.32 and -2045.67 for these -6 and -36
+    for spec, tau in (("star:5", 1e9), ("star:20", 1e155)):
+        g = graph_from_spec(spec)
+        want = 2.0 * np.linalg.eigvalsh(g.laplacian() / tau
+                                        + d2_minus_a2(g))[0]
+        verdict = check_certificate(closed_form_certificate(g, tau, 0.5), g,
+                                    tau, 0.5)
+        assert not verdict.feasible
+        assert abs(verdict.decrease_margin - want) <= 1e-9 * abs(want), (
+            spec, verdict.decrease_margin, want)
 
 
 def test_check_certificate_star_small_tau_feasible():
@@ -384,24 +399,27 @@ def _dense_certificate(n, rng):
 
 
 def _eig_slack(mat):
-    # an eigenvalue of M rounds as the decrease margin of P = S = 0, B = M
-    return _rounding_slack(mat.shape[0], 0.0, 0.0, np.linalg.norm(mat))(0.0)
+    # an eigenvalue of M rounds as a decrease margin with X = M
+    return _rounding_slack(mat.shape[0], np.linalg.norm(mat))(0.0)
 
 
-def _margin_slacks(cert, g, m, tau, mu, lipschitz):
-    """Rounding bounds of the three margins, from the 2Nm x 2Nm matrices."""
+def _margin_slacks(cert, g, m, tau, mu, lipschitz, bound=None):
+    """Rounding bounds of the three margins, from the 2Nm x 2Nm matrices
+    of the lifted check, whose X = P S + S' P + B is bounded by 2 |P| |S| +
+    |B|; B is the (mu, L) bound unless given."""
     cert = general(cert)
     eye = np.eye(m)
     p = assemble_metric(cert, g, m, tau)
     p12, u_cap = kron(cert.p12, eye), kron(cert.u_cap, eye)
     schur = np.block([[u_cap, p12], [p12.T, np.eye(g.n * m)]])
-    bound = gradient_bound_block(g, m, tau, cert.epsilon, mu, lipschitz,
-                                 u_cap)
+    if bound is None:
+        bound = gradient_bound_block(g, m, tau, cert.epsilon, mu, lipschitz,
+                                     u_cap)
     smap = _lifted_step(g, m, tau)[1]
     return (_eig_slack(p), _eig_slack(schur),
-            _rounding_slack(p.shape[0], np.linalg.norm(p),
-                            np.linalg.norm(smap),
-                            np.linalg.norm(bound))(cert.u))
+            _rounding_slack(p.shape[0],
+                            2.0 * np.linalg.norm(p) * np.linalg.norm(smap)
+                            + np.linalg.norm(bound))(cert.u))
 
 
 def test_reduced_check_matches_the_lifted_check():
@@ -426,9 +444,8 @@ def test_reduced_check_matches_the_lifted_check():
                         want = lifted_check_certificate(cert, g, m, tau, mu,
                                                         lipschitz)
                     except np.linalg.LinAlgError:
-                        # G(tau) numerically singular: no verdict either way
-                        with pytest.raises(np.linalg.LinAlgError):
-                            check_certificate(cert, g, tau, mu)
+                        # G(tau) numerically singular: the lifted check,
+                        # which solves with it, gives no verdict to compare
                         continue
                     got = check_certificate(cert, g, tau, mu)
                     slacks = _margin_slacks(cert, g, m, tau, mu, lipschitz)
@@ -454,13 +471,22 @@ def test_quadratic_check_matches_the_lifted_check():
         g = graph_from_spec(spec)
         for m in (1, 3):
             hs = random_quadratic_ensemble(g.n, m, seed=2).hessian_blocks()
+            zero = np.zeros((g.n * m, g.n * m))
             for tau in np.logspace(-3, 3, 4):
                 for cert in (closed_form_certificate(g, tau, 0.5),
                              _dense_certificate(g.n, rng)):
                     got = check_certificate_quadratic(cert, g, tau, hs)
                     want = lifted_check_certificate_quadratic(cert, g, m, tau,
                                                               hs)
-                    assert got.margins == want.margins
+                    # the lifted check solves with G(tau), whose condition
+                    # grows like tau^2 on the bipartite star: its rounding
+                    # bound, not 1e-12, limits the agreement there
+                    bound = quadratic_gradient_block(g, m, tau, hs, zero)
+                    slacks = _margin_slacks(cert, g, m, tau, None, None,
+                                            (bound + bound.T) / 2.0)
+                    for a, b, slack in zip(got.margins, want.margins, slacks):
+                        assert abs(a - b) <= max(1e-12 * max(1.0, abs(b)),
+                                                 slack), (spec, m, tau, a, b)
                     assert got.feasible == want.feasible
 
 
@@ -555,11 +581,20 @@ def test_closed_form_decrease_margin_is_exactly_zero():
 
 
 def test_closed_form_verifies_at_a_tiny_step():
+    # the quadratic check's decrease margin is min(lambda_min(2 K - F - u I),
+    # 0) with K = L/tau + D^2 - A^2 PSD here and -F - u I = H/tau - mu I
+    # PSD: exactly 0, where a solve with G(tau) read -3.3e-8 at tau = 1e-7
     for spec in ("cycle:80", "complete:12"):
         g = graph_from_spec(spec)
-        cert = closed_form_certificate(g, 1e-6, 0.5)
-        verdict = check_certificate(cert, g, 1e-6, 0.5)
-        assert verdict.feasible, (spec, verdict.margins)
+        ens = cost_from_spec("quadratic:3:42", g.n)
+        for tau in (1e-6, 1e-7):
+            cert = closed_form_certificate(g, tau, 0.5)
+            verdict = check_certificate(cert, g, tau, 0.5)
+            assert verdict.feasible, (spec, tau, verdict.margins)
+            cert = closed_form_certificate(g, tau, ens.mu)
+            verdict = check_certificate_quadratic(cert, g, tau,
+                                                  ens.hessian_blocks())
+            assert verdict.feasible, (spec, tau, verdict.margins)
 
 
 def test_regular_graph_certificate_is_checked_mode_by_mode(monkeypatch):
@@ -605,14 +640,11 @@ def test_checks_reject_certificates_of_the_wrong_size(m, size):
 
 
 def test_one_build_per_decision(monkeypatch):
-    # L, Q, G(tau) and S are formed once per check and once per search
-    calls = {}
-    for name in ("laplacian", "q_matrix"):
-        def counted(self, _name=name, _method=getattr(Graph, name)):
-            calls[_name] = calls.get(_name, 0) + 1
-            return _method(self)
-
-        monkeypatch.setattr(Graph, name, counted)
+    # 1/tau^2, L, K and Q are formed once per check and once per search
+    builds = []
+    blocks = stability._Blocks
+    monkeypatch.setattr(stability, "_Blocks",
+                        lambda *args: builds.append(args) or blocks(*args))
     g, m, tau = cycle(8), 3, 10.0
     cert = closed_form_certificate(g, tau, 0.5)
     p22 = cert.p22.copy()
@@ -621,18 +653,17 @@ def test_one_build_per_decision(monkeypatch):
     hs = random_quadratic_ensemble(g.n, m, seed=3).hessian_blocks()
     hs4 = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
     # the closed form on a cycle is checked mode by mode, from the
-    # adjacency's spectrum: it forms no dense L or Q at all
-    for decide, builds in (
+    # adjacency's spectrum: it forms no dense blocks at all
+    for decide, count in (
             (lambda: check_certificate(cert, g, tau, 0.5), 0),
             (lambda: check_certificate(broken, g, tau, 0.5), 1),
             (lambda: check_certificate_quadratic(cert, g, tau, hs), 1),
             (lambda: search_certificate(star(4), 50.0, hessians=hs4), 1),
             (lambda: search_certificate(graph_from_spec("er:20:0.3:1"), 10.0,
                                         mu=0.5), 1)):
-        calls.clear()
+        del builds[:]
         decide()
-        assert calls == ({"laplacian": builds, "q_matrix": builds}
-                         if builds else {})
+        assert len(builds) == count
     assert search_certificate(star(4), 50.0, hessians=hs4) is None
 
 
@@ -660,7 +691,7 @@ def test_a_found_search_runs_the_public_check_once(monkeypatch, capsys):
 
 def test_a_not_found_search_screens_without_eigen_solves(monkeypatch):
     # the benchmark's exhaustive search: one Cholesky screen per distinct
-    # alpha, and one eigen-solve of G(tau), for lambda_min in the metric
+    # alpha, and one eigen-solve of Q, for lambda_min(G) in the metric
     # screen
     calls = {"eigvalsh": 0, "cholesky": 0}
     for name in calls:
@@ -684,8 +715,8 @@ def test_hessian_block_diag_matches_the_agent_loop(n, m):
 
 
 @pytest.mark.parametrize("call", [
-    lambda g: _step_matrices(g, np.inf)[0],
-    lambda g: _step_matrices(g, np.nan)[1],
+    lambda g: _step_gram_n(g, np.inf),
+    lambda g: _midpoint_map_qr(g, 1, np.nan),
     lambda g: gradient_feedback_gain(g, 1, 0.0, 1.0),
     lambda g: gradient_bound_block(g, 1, -1.0, 0.0, 1.0, 1.0, np.zeros((4, 4))),
     lambda g: quadratic_gradient_block(g, 1, np.inf, np.ones((4, 1, 1)),
