@@ -8,8 +8,14 @@ connected network, so a disconnected graph is rejected early.
 A graph keeps its edges as arrays built once at construction: every
 vertex's neighbours, grouped by vertex in ascending order, and the offset
 where each vertex's group starts. The neighbour exchange of the schemes
-runs on them (`Graph.neighbor_sum`), so a step costs O(|E|) rather than
-the O(n^2) of a dense adjacency product.
+(`Graph.neighbor_sum`) reads the same entries in slot order, built once,
+on the first exchange. Let d_min be the smallest degree. Slot k < d_min
+holds entry k of every vertex of degree d_min, and the vertices of higher
+degree keep their whole groups in a tail. So an exchange is one gather of
+the 2|E| entries, with no padding: the slots are summed as whole rows,
+``s_0 + (s_1 + ... + s_{d_min-1})``, and only the tail goes through
+`np.add.reduceat`. A step costs O(|E|), with no per-vertex reduction on a
+regular graph, rather than the O(n^2) of a dense adjacency product.
 """
 
 import functools
@@ -80,6 +86,26 @@ class Graph:
                 f"graph on {n} vertices with {lo.size} edges is not connected")
 
     @functools.cached_property
+    def _exchange(self):
+        """The exchange order of `neighbor_sum`, built on the first
+        exchange: the edge-array entries in slot order (slot k of the
+        vertices of degree d_min, slot by slot, then the whole groups of
+        the others, the tail), the neighbours at them, d_min, the number
+        of vertices of degree d_min, the starts of the tail groups, and
+        the row of each vertex in the stack of slot sums over tail sums
+        (None when there is no tail)."""
+        counts = np.diff(self._starts, append=self._neighbors.size)
+        d_min = int(counts.min())
+        low = np.flatnonzero(counts == d_min)
+        high = np.flatnonzero(counts > d_min)
+        slots = (self._starts[low] + np.arange(d_min)[:, None]).ravel()
+        tail = np.flatnonzero(counts[self._owners] > d_min)
+        entries = np.concatenate([slots, tail])
+        order = np.argsort(np.concatenate([low, high])) if high.size else None
+        return (entries, self._neighbors[entries], d_min, low.size,
+                np.cumsum(counts[high]) - counts[high], order)
+
+    @functools.cached_property
     def edges(self):
         """The edges as a frozenset of (i, j) pairs with i < j, built when
         first read."""
@@ -121,16 +147,35 @@ class Graph:
 
         `x` is an (..., n, m) stack. With `weights`, one per neighbour
         entry in the order of the edge arrays (as `metropolis` gives
-        them), each row is scaled by its edge's weight first. One gather
-        and one `np.add.reduceat`, so the cost is O(|E|) per (n, m)
-        slice. A graph without edges sums to zero.
+        them), each row is scaled by its edge's weight first.
+
+        One gather takes the rows in exchange order (module docstring).
+        A vertex of degree d_min sums its slots as
+        ``s_0 + (s_1 + ... + s_{d_min-1})``, the order `np.add.reduceat`
+        takes within a group of at most 8, and a vertex of higher degree
+        sums its group by `np.add.reduceat` itself. So every row is
+        bitwise what one reduceat over the edge arrays gives, except the
+        rows of degree d_min when d_min > 8, which move in the last bits.
+        The cost is O(|E|) per (n, m) slice. A graph without edges sums
+        to zero.
         """
         if not self._neighbors.size:
             return np.zeros(np.shape(x))
-        terms = np.take(x, self._neighbors, axis=-2)
+        entries, neighbors, d_min, low, tail_starts, order = self._exchange
+        terms = np.take(x, neighbors, axis=-2)
         if weights is not None:
-            terms *= weights[:, None]
-        return np.add.reduceat(terms, self._starts, axis=-2)
+            terms *= weights[entries][:, None]
+        slots = terms[..., :d_min * low, :].reshape(
+            terms.shape[:-2] + (d_min, low, terms.shape[-1]))
+        total = slots[..., 0, :, :]
+        if d_min == 2:  # a reduce over the one slot left would copy it
+            total = total + slots[..., 1, :, :]
+        elif d_min > 2:
+            total = total + np.add.reduce(slots[..., 1:, :, :], axis=-3)
+        if order is None:
+            return total
+        tail = np.add.reduceat(terms[..., d_min * low:, :], tail_starts, axis=-2)
+        return np.take(np.concatenate([total, tail], axis=-2), order, axis=-2)
 
     @functools.cached_property
     def metropolis(self):

@@ -12,6 +12,7 @@ of the horizon.
 """
 
 import json
+import numbers
 import time
 
 import numpy as np
@@ -33,8 +34,8 @@ NOT_REACHED = "NotReached"
 
 class SpecError(ValueError):
     """An input that builds nothing: `name` is its flag without the dashes
-    (`graph`, `cost`, `scheme`, `steps`, `B`, or `tau_sweep`'s `schemes`),
-    `spec` is the value."""
+    (`graph`, `cost`, `scheme`, `steps`, `B`, `seed`, or `tau_sweep`'s
+    `schemes`), `spec` is the value."""
 
     def __init__(self, name, spec, message):
         super().__init__(str(message))
@@ -49,6 +50,15 @@ def _from_spec(name, build, spec, *args):
         raise SpecError(name, spec, exc) from exc
 
 
+def _require_number(name, value, kind, what):
+    """Raise a SpecError unless `value` is a `kind` number: a bool, a
+    string, or a float where an integer is due (which `int` would
+    truncate) is refused."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SpecError(name, value, f"{what}, got {type(value).__name__} "
+                                     f"{value!r}")
+
+
 class ExperimentConfig:
     """Everything needed to reproduce one run byte for byte.
 
@@ -59,6 +69,12 @@ class ExperimentConfig:
     def __init__(self, graph_spec, cost_spec, scheme_spec, steps,
                  accuracy_b=1e-6, seed=0, record_lyapunov=False,
                  output_path=None):
+        _require_number("steps", steps, numbers.Integral,
+                        "steps must be an integer")
+        _require_number("B", accuracy_b, numbers.Real,
+                        "accuracy_b must be a real number")
+        _require_number("seed", seed, numbers.Integral,
+                        "seed must be an integer")
         if steps < 1:
             raise SpecError("steps", steps, "steps must be >= 1")
         if not accuracy_b > 0:
@@ -88,6 +104,9 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = {"graph_spec", "cost_spec", "scheme_spec", "steps"} - set(data)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
         return cls(**data)
 
     @classmethod

@@ -17,9 +17,11 @@ Three discretizations of the same flow plus one conventional baseline:
 Every step also advances a stack of T independent cells at once: states
 of shape (T, N, m) with one step size per cell, tau of shape (T,). Every
 cell's result is bitwise the one its own (N, m) call gives. The `mid`,
-`euler` and `gt` steps exchange over the graph's edge arrays
-(`Graph.neighbor_sum`, O(|E|) per step); `dg` is the dense reference for
-small networks. Both implicit steps solve with the one batched Newton of
+`euler` and `gt` steps exchange with one gather of the graph's edge
+entries in slot order, summed slot by slot as whole rows
+(`Graph.neighbor_sum`, O(|E|) per step, with no per-vertex reduction on a
+regular graph); `dg` is the dense reference for small networks. Both
+implicit steps solve with the one batched Newton of
 `numerics.newton_solve`, whose settings are fixed constants of
 `numerics`.
 

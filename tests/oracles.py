@@ -48,6 +48,10 @@ Reference code that only the tests use.
   measures the certified decrease step by step.
 - `neighbors` reads one vertex's sorted neighbours off the graph's edge
   arrays, which an edge scan checks.
+- `reduceat_neighbor_sum` is the earlier neighbour exchange, one gather
+  over the edge arrays and one `np.add.reduceat`: `Graph.neighbor_sum`,
+  which sums its slots as whole rows, must match it bitwise on every row
+  of degree at most 8 and on every row above the smallest degree.
 - `by_scheme` picks one scheme's rows out of a sweep table.
 - `incidence`, `d2_minus_a2`, `tau_upper_bound` and
   `spectral_norm_symmetric` are graph matrices and the classical step-size
@@ -641,6 +645,18 @@ def neighbors(graph, i):
     """Sorted tuple of neighbors of vertex i."""
     start = graph._starts[i]
     return tuple(graph._neighbors[start:start + int(graph._degrees[i])].tolist())
+
+
+def reduceat_neighbor_sum(graph, x, weights=None):
+    """Neighbour sums of an (..., n, m) stack by one gather over the edge
+    arrays and one `np.add.reduceat` per vertex group, each row scaled by
+    its entry's weight first when `weights` are given."""
+    if not graph._neighbors.size:
+        return np.zeros(np.shape(x))
+    terms = np.take(x, graph._neighbors, axis=-2)
+    if weights is not None:
+        terms *= weights[:, None]
+    return np.add.reduceat(terms, graph._starts, axis=-2)
 
 
 def spectral_norm_symmetric(s):

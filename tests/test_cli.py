@@ -348,17 +348,37 @@ _SWEEP = ["sweep"] + _RUN + ["--schemes", "mid,euler", "--tau-grid", "1:2:2"]
     (["run", "--config", "{config}.missing"],
      "--config {config}.missing: [Errno 2] No such file or directory: "
      "'{config}.missing'"),
+    (["run", "--config", "{steps-text}"],
+     "--steps 3: steps must be an integer, got str '3'"),
+    (["run", "--config", "{steps-real}"],
+     "--steps 2.7: steps must be an integer, got float 2.7"),
+    (["run", "--config", "{b-text}"],
+     "--B 1e-6: accuracy_b must be a real number, got str '1e-6'"),
+    (["run", "--config", "{seed-real}"],
+     "--seed 1.5: seed must be an integer, got float 1.5"),
+    (["run", "--config", "{no-cost}"],
+     "--config {no-cost}: missing config keys: ['cost_spec']"),
 ], ids=["run-cost", "sweep-cost", "run-graph", "sweep-graph", "run-scheme",
         "certify-graph", "run-steps", "sweep-B", "run-config-key",
-        "run-config-missing"])
+        "run-config-missing", "run-config-steps-text", "run-config-steps-real",
+        "run-config-B-text", "run-config-seed-real", "run-config-no-cost"])
 def test_a_bad_spec_exits_in_one_line_naming_its_flag(argv, message, capsys,
                                                       tmp_path):
-    # "{config}" stands for a config file with a key that no flag mirrors
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"graph_spec": "cycle:4", "steps": 3,
-                                  "horizon": 3}))
-    argv = [arg.replace("{config}", str(config)) for arg in argv]
-    message = message.replace("{config}", str(config))
+    # "{name}" stands for the path of config file `name`: "config" has a key
+    # that no flag mirrors, the others a value of the wrong type or no cost
+    full = {"graph_spec": "cycle:4", "cost_spec": "quadratic:2:1",
+            "scheme_spec": "mid:tau=1", "steps": 3}
+    configs = {"config": {"graph_spec": "cycle:4", "steps": 3, "horizon": 3},
+               "steps-text": dict(full, steps="3"),
+               "steps-real": dict(full, steps=2.7),
+               "b-text": dict(full, accuracy_b="1e-6"),
+               "seed-real": dict(full, seed=1.5),
+               "no-cost": {k: v for k, v in full.items() if k != "cost_spec"}}
+    for name, data in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        argv = [arg.replace(f"{{{name}}}", str(path)) for arg in argv]
+        message = message.replace(f"{{{name}}}", str(path))
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == message

@@ -7,7 +7,7 @@ from phmid.graphs import (DisconnectedGraphError, GenerationFailedError, Graph,
 
 from oracles import (d2_minus_a2, erdos_renyi_edges, incidence, is_psd,
                      metropolis_weights, min_eigenvalue_symmetric, neighbors,
-                     tau_upper_bound)
+                     reduceat_neighbor_sum, tau_upper_bound)
 
 
 def _edge(n=2):
@@ -178,31 +178,58 @@ def test_construction_accepts_any_pair_iterable():
         Graph(3, [(0, 1), (1, 3)])
 
 
-_EXCHANGE_GRAPHS = [cycle(3), cycle(7), cycle(10), star(6), complete(5),
+_EXCHANGE_GRAPHS = [cycle(3), cycle(7), cycle(10), star(6), star(20),
+                    complete(5), complete(9), complete(12),
                     erdos_renyi(12, 0.4, seed=3), erdos_renyi(30, 0.15, seed=1),
-                    Graph(1, [])]
+                    erdos_renyi(40, 0.2, seed=1), Graph(1, [])]
 
 
 @pytest.mark.parametrize("g", _EXCHANGE_GRAPHS, ids=lambda g: f"n{g.n}e{len(g.edges)}")
 def test_edge_exchange_equals_the_dense_products(g):
     # neighbour sums and Metropolis mixing over the edge arrays against
-    # A @ x and W @ x: bitwise neighbour sums on cycles, and otherwise
-    # within 1e-14 of the summed magnitudes, on (N, m) and (T, N, m) stacks.
-    # Graph(1, []) has no edges: its sum is exactly zero, its self weight 1.
+    # A @ x and W @ x, within 1e-14 of the summed magnitudes, on (N, m),
+    # (T, N, m) and (2, T, N, m) stacks. Against the reduceat exchange the
+    # sums are bitwise, weighted and unweighted, on every row of degree at
+    # most 8 or above the smallest degree: so on cycles, stars, complete(9)
+    # and er:40:0.2:1 (smallest degree 3, largest 13) on every row, and only
+    # complete(12)'s rows of degree 11 may differ in the last bits. On cycles
+    # every sum has two terms, so it is bitwise A @ x too. Graph(1, []) has
+    # no edges: its sum is exactly zero, its self weight 1.
     rng = np.random.default_rng(g.n)
     adj, w = g.adjacency(), metropolis_weights(g)
     own, edge = g.metropolis
-    is_cycle = g.n >= 3 and all(d == 2 for d in g.degrees) and len(g.edges) == g.n
-    for shape in ((g.n, 3), (4, g.n, 2)):
-        x = rng.standard_normal(shape)
+    deg = g.degrees
+    bitwise = (deg <= 8) | (deg > deg.min())
+    is_cycle = g.n >= 3 and all(d == 2 for d in deg) and len(g.edges) == g.n
+    for shape in ((g.n, 3), (4, g.n, 2), (2, 3, g.n, 1)):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        for weights in (None, edge):
+            got = g.neighbor_sum(x, weights)
+            assert got.shape == x.shape
+            same = got == reduceat_neighbor_sum(g, x, weights)
+            assert np.moveaxis(same, -2, 0)[bitwise].all()
         got = g.neighbor_sum(x)
-        assert got.shape == x.shape
         if is_cycle:
             assert np.array_equal(got, adj @ x)
         assert np.all(np.abs(got - adj @ x) <= 1e-14 * (adj @ np.abs(x)))
         mixed = own[:, None] * x + g.neighbor_sum(x, edge)
         assert np.all(np.abs(mixed - w @ x) <= 1e-14 * (w @ np.abs(x)))
     assert np.abs(own + g.neighbor_sum(np.ones((g.n, 1)), edge)[:, 0] - 1.0).max() <= 1e-15
+
+
+def test_star_exchange_sums_the_leaves_in_linear_memory():
+    # the hub of star(2000) has 1999 neighbours and each leaf one: the hub's
+    # row is the sum of the leaves (exact on integers), a leaf's is the hub,
+    # and the exchange keeps O(N + |E|) index entries, not an N x d_max table
+    g = star(2000)
+    x = np.random.default_rng(0).integers(-1000, 1000, (2, g.n, 3)).astype(float)
+    got = g.neighbor_sum(x)
+    assert np.array_equal(got[:, 0], x[:, 1:].sum(axis=1))
+    assert np.array_equal(got[:, 1:], np.broadcast_to(x[:, :1], (2, g.n - 1, 3)))
+    arrays = [a for v in vars(g).values()
+              for a in (v if isinstance(v, tuple) else (v,))
+              if isinstance(a, np.ndarray)]
+    assert sum(a.size for a in arrays) <= 8 * (g.n + 2 * len(g.edges))
 
 
 @pytest.mark.parametrize("n, p, seed", [(2, 1.0, 0), (10, 0.4, 42), (10, 0.2, 5),
