@@ -17,8 +17,7 @@ from .integrators import (SchemeConfig, StepPlan, StepReport, dg_central_step,
                           step_plan)
 from .numerics import newton_solve
 from .stability import (CertificateVerdict, LmiCertificate, check_certificate,
-                        check_certificate_quadratic, closed_form_certificate,
-                        search_certificate)
+                        closed_form_certificate, search_certificate)
 
 __version__ = "0.1.0"
 
@@ -34,6 +33,5 @@ __all__ = [
     "parse_scheme_spec", "step_plan",
     "newton_solve",
     "CertificateVerdict", "LmiCertificate", "check_certificate",
-    "check_certificate_quadratic", "closed_form_certificate",
-    "search_certificate",
+    "closed_form_certificate", "search_certificate",
 ]

@@ -136,8 +136,9 @@ def _require_positive(flag, value):
 def _cmd_certify(args):
     # each family takes its constants from its own flags: quadratic ones
     # from --cost, the (mu, L) family from --mu. --m and --lipschitz are
-    # checked, but neither enters a verdict: a certificate stands for
-    # P22 (x) I_m at every m, and its (mu, L) bound has no Lipschitz term
+    # checked, but neither enters a verdict: the (mu, L) bound is checked
+    # as N 1 x 1 Hessians mu, whose verdict holds at every m, and it has no
+    # Lipschitz term
     if args.quadratic:
         for flag, value in (("--m", args.m), ("--mu", args.mu),
                             ("--lipschitz", args.lipschitz)):
@@ -165,15 +166,11 @@ def _cmd_certify(args):
         except (ValueError, costs_mod.NonQuadraticCostError) as exc:
             raise SystemExit(f"--cost {args.cost}: {exc}") from None
         mu = ensemble.mu
-        search_args = {"hessians": hessians}
-        check = functools.partial(stability.check_certificate_quadratic,
-                                  hessians=hessians)
     else:
         if args.mu is None:
             raise SystemExit("--mu is required without --quadratic")
         mu = args.mu
-        search_args = {"mu": mu}
-        check = functools.partial(stability.check_certificate, mu=mu)
+        hessians = np.full((graph.n, 1, 1), mu)
     try:
         # at huge taus the decrease matrix holds tau L and some products
         # pass the float range; they read as inf and the margins they enter
@@ -181,12 +178,12 @@ def _cmd_certify(args):
         # warning
         with np.errstate(over="ignore", invalid="ignore"):
             if args.search:
-                found = stability.search_certificate(graph, args.tau,
-                                                     **search_args)
+                found = stability.search_certificate(graph, args.tau, hessians)
                 verdict = None if found is None else found[1]
             else:
                 cert = stability.closed_form_certificate(graph, args.tau, mu)
-                verdict = check(cert, graph, args.tau)
+                verdict = stability.check_certificate(cert, graph, args.tau,
+                                                      hessians)
     except OverflowError as exc:
         raise SystemExit(f"--tau {args.tau:g}: {exc}; no verdict") from None
     except FloatingPointError as exc:

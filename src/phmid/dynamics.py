@@ -54,12 +54,6 @@ class NetworkState:
     def dim(self):
         return self.q.shape[-1]
 
-    def copy(self):
-        return NetworkState(self.q.copy(), self.p.copy())
-
-    def norm(self):
-        return float(np.sqrt(np.sum(self.q ** 2) + np.sum(self.p ** 2)))
-
     def __repr__(self):
         return f"NetworkState(n_agents={self.n_agents}, dim={self.dim})"
 

@@ -27,7 +27,6 @@ DIVERGENCE_LIMIT = 1e12
 
 STATUS_MAX_STEPS = "MaxSteps"
 STATUS_DIVERGED = "Diverged"
-STATUS_CONVERGED = "Converged"
 
 NOT_REACHED = "NotReached"
 

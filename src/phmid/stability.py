@@ -4,45 +4,48 @@ Eigenvalue-based stability certificates for the mixed implicit scheme.
 In the coordinates r = p - tau Q q, Q = (D + A)/2 (x) I_m, a mixed
 implicit step is a linear midpoint map S, which carries the inverse of
 G(tau) = I/tau^2 + Q/tau + Q^2, plus a gradient feedback term in the q
-row. A certificate (P22, u) proves global asymptotic stability of the
-consensus optimum when the metric P = blockdiag(G, P22) is positive
+row. A certificate (alpha, u) proves global asymptotic stability of the
+consensus optimum when the metric P = blockdiag(G, alpha I) is positive
 definite, u > 0, and the decrease inequality
 
     X = P S + S' P + B  <=  -u [[I, 0], [0, 0]]
 
-holds, where B = blockdiag(F, 0) bounds the feedback term: F = -mu/tau I
-for strongly convex costs with constant mu, or the symmetric part of
--H/tau with the per-agent Hessians H of quadratic costs. These are the
-members with P12 = 0, U = 0 and epsilon = 0 of the Young-inequality
-family (P12, P22, U, u, epsilon): their Schur block is blockdiag(0, I),
-whose margin is a structural 0, and no verdict depends on the Lipschitz
-constant; tests/oracles.py writes out the whole family's check.
+holds, where B = blockdiag(F, 0) bounds the feedback term: F is the
+symmetric part of -H/tau, with H the block diagonal of the per-agent
+Hessians, an (N, m, m) stack. One check serves both cost families:
+strongly convex costs with constant mu are the stack of N 1 x 1
+Hessians mu, whose F = -mu/tau I is the (mu, L) bound. These are the
+members with P12 = 0, P22 = alpha I, U = 0 and epsilon = 0 of the
+Young-inequality family (P12, P22, U, u, epsilon): their Schur block is
+blockdiag(0, I), whose margin is a structural 0, and no verdict depends
+on the Lipschitz constant; tests/oracles.py writes out the whole
+family's check, with a general P22.
 
 G^-1 cancels from X, so no check or search solves with G:
 
-    X11 = -2 K + F,  K = L/tau + D^2 - A^2,  X12 = tau L (P22 - I/tau^2),
+    X11 = -2 K + F,  K = L/tau + D^2 - A^2,  X12 = tau (alpha - 1/tau^2) L,
 
 and X22 = 0, with A^2 formed from the 0/1 adjacency, so that D^2 - A^2 is
 exact. G = (Q + I/(2 tau))^2 + 3/(4 tau^2) I, so lambda_min(G) = 1/tau^2
-+ q/tau + q^2 >= 1/tau^2 at q = lambda_min(Q) >= 0. For the closed form's
-P22 = I/tau^2, X12 is exactly 0 and the decrease margin is
++ q/tau + q^2 >= 1/tau^2 at q = lambda_min(Q) >= 0, and the metric
+margin is min(alpha, lambda_min(G)). For the closed form's alpha =
+1/tau^2, X12 is exactly 0 and the decrease margin is
 min(lambda_min(2 K - F - u I), 0). Every margin is a symmetric
 eigenvalue; the search screens candidates by Cholesky attempts, which
-only reject. P22 is N x N and stands for P22 (x) I_m, so the (mu, L)
-check decides on 2N x 2N factors, with the same verdict at every m; the
-quadratic check lifts its blocks once and runs at 2Nm. On a regular
-graph, a P22 that is a multiple of I is decided mode by mode, on N 2 x 2
-blocks. The closed form verifies on every graph with D^2 - A^2 PSD
-(cycles, complete graphs) at every step size, and for small enough steps
-on any connected graph.
+only reject. The check lifts K and X12 by (x) I_m and decides at 2Nm, so
+the (mu, L) family runs at m = 1, and its verdict holds at every m. On a
+regular graph whose Hessians are all one c I, it decides mode by mode,
+on N 2 x 2 blocks. The closed form verifies on every graph with D^2 -
+A^2 PSD (cycles, complete graphs) at every step size, and for small
+enough steps on any connected graph.
 """
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .costs import NonQuadraticCostError
-from .numerics import DimensionMismatchError, require_symmetric
 
 # the tolerance every margin of a check is held to
 _EIG_TOL = 1e-9
@@ -104,19 +107,19 @@ class _Blocks:
         q = max(float(np.linalg.eigvalsh(self.qmat)[0]), 0.0)
         return self.inverse_square + q / self.tau + q * q
 
-    def metric_margin(self, p22_min):
-        """min(lambda_min(P22), lambda_min(G)); lambda_min(G) is at least
-        1/tau^2, so it is read only above that."""
-        if p22_min <= self.inverse_square:
-            return p22_min
-        return min(p22_min, self.gram_min)
+    def metric_margin(self, alpha):
+        """min(alpha, lambda_min(G)); lambda_min(G) is at least 1/tau^2, so
+        it is read only above that."""
+        if alpha <= self.inverse_square:
+            return alpha
+        return min(alpha, self.gram_min)
 
-    def decrease(self, p22, feedback):
-        """-X = [[2 K - F, -X12], [-X12', 0]] for P = blockdiag(G, P22), at
-        the level of F: lifted by (x) I_m when F is Nm x Nm. X12 = tau L
-        (P22 - I/tau^2) is exactly 0 at P22 = I/tau^2."""
-        shifted = p22 - self.inverse_square * np.eye(p22.shape[0])
-        x11, x12 = 2.0 * self.k, self.tau * (self.lap @ shifted)
+    def decrease(self, alpha, feedback):
+        """-X = [[2 K - F, -X12], [-X12', 0]] for P = blockdiag(G, alpha I),
+        at the level of F: lifted by (x) I_m when F is Nm x Nm. X12 = tau
+        (alpha - 1/tau^2) L is exactly 0 at alpha = 1/tau^2."""
+        x11 = 2.0 * self.k
+        x12 = self.tau * (self.lap * (alpha - self.inverse_square))
         m = feedback.shape[0] // x11.shape[0]
         if m > 1:
             x11, x12 = _lifted(x11, m), _lifted(x12, m)
@@ -124,39 +127,46 @@ class _Blocks:
                          [-x12.T, np.zeros_like(x11)]])
 
 
-def _quadratic_feedback(hbd, tau):
-    """F of the quadratic check: the symmetric part of -H/tau, H = hbd."""
-    upper = -hbd / tau
-    return (upper + upper.T) / 2.0
-
-
-def _hessian_block_diag(hessians, n):
-    """Block diagonal of a per-agent (n, m, m) Hessian stack, m >= 1."""
+def _hessian_stack(hessians, n):
+    """The per-agent Hessians as a float (n, m, m) stack, m >= 1."""
     hessians = np.asarray(hessians, dtype=float)
     m = hessians.shape[-1] if hessians.ndim == 3 else 0
     if m < 1 or hessians.shape != (n, m, m):
         raise NonQuadraticCostError(
             f"expected per-agent Hessian stack of shape ({n}, m, m) with "
             f"m >= 1, got {hessians.shape}")
+    return hessians
+
+
+def _hessian_block_diag(hessians):
+    """Block diagonal of an (n, m, m) Hessian stack."""
+    n, m, _ = hessians.shape
     hbd = np.zeros((n, m, n, m))
     agents = np.arange(n)
     hbd[agents, :, agents, :] = hessians
     return hbd.reshape(n * m, n * m)
 
 
+def _feedback(hessians, tau):
+    """F, the symmetric part of -H/tau, with H the block diagonal of an
+    (n, m, m) Hessian stack."""
+    upper = -_hessian_block_diag(hessians) / tau
+    return (upper + upper.T) / 2.0
+
+
 class LmiCertificate:
     """Decision variables of a stability certificate.
 
-    P22 is a symmetric N x N matrix standing for P22 (x) I_m at every
-    per-agent dimension m; u is the claimed per-step decrease coefficient.
+    alpha is the scalar of P22 = alpha I, at every per-agent dimension m;
+    u is the claimed per-step decrease coefficient.
     """
 
-    def __init__(self, p22, u):
-        self.p22 = require_symmetric(p22, name="P22")
+    def __init__(self, alpha, u):
+        self.alpha = float(alpha)
         self.u = float(u)
 
     def __repr__(self):
-        return f"LmiCertificate(size={self.p22.shape[0]}, u={self.u})"
+        return f"LmiCertificate(alpha={self.alpha}, u={self.u})"
 
 
 class CertificateVerdict:
@@ -207,46 +217,22 @@ def _min_eig2(a, b, c):
     return np.where(b == 0, np.minimum(a, c), small) + 0.0
 
 
-def _require_checkable(cert, graph):
-    size, n = cert.p22.shape[0], graph.n
-    if size != n:
-        raise DimensionMismatchError(
-            f"certificate blocks are {size}x{size}, but {n} agents need "
-            f"{n}x{n}")
-    if cert.u <= 0:
-        raise InvalidCertificateError("certificate requires u > 0")
-
-
-def _scalar(block):
-    """c when `block` is exactly c I, else None.
-
-    Decided from the diagonal and the count of nonzero entries, without
-    forming c I.
-    """
-    c = block[0, 0]
-    diagonal = np.diagonal(block)
-    if (diagonal == c).all() and np.count_nonzero(block) == (
-            diagonal.size if c != 0 else 0):
-        return float(c)
-    return None
-
-
 def _verdict(metric_margin, decrease_margin):
     feasible = metric_margin >= _EIG_TOL and decrease_margin >= -_EIG_TOL
     return CertificateVerdict(feasible, (metric_margin, 0.0, decrease_margin))
 
 
-def _check_modes(c22, u, graph, tau, mu):
-    """`check_certificate` on a d-regular graph with P22 = c22 I.
+def _check_modes(cert, graph, tau, c):
+    """`check_certificate` on a d-regular graph whose Hessians are all c I.
 
     There L = d I - A, Q = (d I + A)/2 and K share the adjacency's
-    eigenvectors, so every block of the check splits into one 2 x 2 block
-    per eigenvalue a_j of A: with l = d - a_j and q = (d + a_j)/2,
-    G_j = 1/tau^2 + q/tau + q^2, k_j = l/tau + d^2 - a_j^2 and X12_j =
-    tau l (c22 - 1/tau^2). The computed a_j are clipped to [-d, d], so
-    G_j >= 1/tau^2 as in exact arithmetic, and the consensus one, A's
-    largest and simple, is set to d, so its mode has l = 0 and k_j = 0
-    without rounding.
+    eigenvectors, and F = -c/tau I, so every block of the check splits
+    into one 2 x 2 block per eigenvalue a_j of A: with l = d - a_j and
+    q = (d + a_j)/2, G_j = 1/tau^2 + q/tau + q^2, k_j = l/tau + d^2 -
+    a_j^2 and X12_j = tau l (alpha - 1/tau^2). The computed a_j are
+    clipped to [-d, d], so G_j >= 1/tau^2 as in exact arithmetic, and the
+    consensus one, A's largest and simple, is set to d, so its mode has
+    l = 0 and k_j = 0 without rounding.
     """
     inverse_square = _inverse_square(graph, tau)
     d = graph.degrees[0]
@@ -256,114 +242,97 @@ def _check_modes(c22, u, graph, tau, mu):
     gram = inverse_square + q / tau + q * q
     # d^2 - a_j^2 as (d + a_j) l, without cancellation near a_j = d
     k = lap / tau + (d + adj) * lap
-    x12 = tau * lap * (c22 - inverse_square)
+    x12 = tau * lap * (cert.alpha - inverse_square)
     # adding 0.0 turns -0 into +0
-    return _verdict(min(float(gram.min()), c22) + 0.0,
-                    _min_eig2((2.0 * k + mu / tau) - u, -x12, 0.0).min())
+    return _verdict(min(float(gram.min()), cert.alpha) + 0.0,
+                    _min_eig2((2.0 * k + c / tau) - cert.u, -x12, 0.0).min())
 
 
-def _check(cert, blocks, feedback):
-    """Verdict on P22 and u from the blocks and the feedback block F; the
-    decrease inequality is -X - u E11 >= 0."""
-    u_e11 = np.diag(np.repeat([cert.u, 0.0], feedback.shape[0]))
-    return _verdict(blocks.metric_margin(_min_eig(cert.p22)),
-                    _min_eig(blocks.decrease(cert.p22, feedback) - u_e11))
+def check_certificate(cert, graph, tau, hessians):
+    """Verify a certificate against the feedback of per-agent Hessians.
 
-
-def check_certificate(cert, graph, tau, mu):
-    """Verify a certificate for strongly convex costs with constant mu.
-
-    Returns a CertificateVerdict; raises DimensionMismatchError when P22
-    is not N x N and InvalidCertificateError when the claimed decrease
-    coefficient u is not positive. No Lipschitz constant enters this
-    bound (see the module docstring). It runs on the 2N x 2N factors,
-    whose verdict is the same for every m; on a regular graph with P22 a
-    multiple of I (the closed form and every search result), it runs mode
-    by mode instead: one N x N eigen-solve of A and N 2 x 2 blocks, in
-    which the conserved consensus mode reads exactly 0.
+    `hessians` is an (N, m, m) stack; strongly convex costs with constant
+    mu are checked as the stack np.full((N, 1, 1), mu), whose feedback is
+    the (mu, L) bound, and no Lipschitz constant enters it (see the module
+    docstring). Returns a CertificateVerdict; raises NonQuadraticCostError
+    for a stack of another shape and InvalidCertificateError when the
+    claimed decrease coefficient u is not positive. It decides on the
+    2Nm x 2Nm matrices, with K and X12 lifted by (x) I_m; on a regular
+    graph whose Hessians are all one c I (the (mu, L) family on cycles and
+    complete graphs), it runs mode by mode instead: one N x N eigen-solve
+    of A and N 2 x 2 blocks, in which the conserved consensus mode reads
+    exactly 0.
     """
-    _require_checkable(cert, graph)
+    hessians = _hessian_stack(hessians, graph.n)
+    if cert.u <= 0:
+        raise InvalidCertificateError("certificate requires u > 0")
     degrees = graph.degrees
-    if (degrees == degrees[0]).all():
-        c22 = _scalar(cert.p22)
-        if c22 is not None:
-            return _check_modes(c22, cert.u, graph, tau, mu)
-    return _check(cert, _Blocks(graph, tau), -mu / tau * np.eye(graph.n))
-
-
-def check_certificate_quadratic(cert, graph, tau, hessians):
-    """Verify a certificate against the exact quadratic-cost feedback term.
-
-    Tests metric positivity, u > 0 and the decrease inequality with the
-    per-agent Hessians, an (N, m, m) stack, in place of the (mu, L)
-    bound. Per-agent Hessians break the Kronecker structure, so this
-    check lifts K and X12 by (x) I_m once and decides the decrease on
-    2Nm x 2Nm matrices; the metric margin is the same at every m.
-    """
-    _require_checkable(cert, graph)
-    hbd = _hessian_block_diag(hessians, graph.n)
-    return _check(cert, _Blocks(graph, tau), _quadratic_feedback(hbd, tau))
+    c = hessians[0, 0, 0]
+    if ((degrees == degrees[0]).all()
+            and (hessians == c * np.eye(hessians.shape[-1])).all()):
+        return _check_modes(cert, graph, tau, float(c))
+    blocks = _Blocks(graph, tau)
+    feedback = _feedback(hessians, tau)
+    u_e11 = np.diag(np.repeat([cert.u, 0.0], feedback.shape[0]))
+    return _verdict(blocks.metric_margin(cert.alpha),
+                    _min_eig(blocks.decrease(cert.alpha, feedback) - u_e11))
 
 
 def closed_form_certificate(graph, tau, mu):
     """The certificate that needs no search.
 
-    P22 = I/tau^2 and u = mu * min(1, 1/tau); u is computed as
-    mu / max(1, tau), rounded once, so that at tau >= 1 it equals the
-    bound's mu/tau bit for bit; FloatingPointError where it
-    underflows to 0 (a tiny mu at a huge tau), since no u > 0 is left.
-    With these choices X12 = 0 and the decrease inequality reduces to the
-    positive semidefiniteness of L/tau + D^2 - A^2 (up to the rate), so
-    the certificate verifies on every graph with D^2 - A^2 PSD at every
-    step size, and on any connected graph for small enough steps. The
-    decrease coefficient is capped at mu / tau, the rate actually
-    guaranteed per step, so certified runs pass the trajectory audit.
+    alpha = 1/tau^2 and u the largest float at or below mu * min(1,
+    1/tau): mu / max(1, tau) rounded once, and one float lower where that
+    rounding went up, which exact rationals decide. FloatingPointError
+    where u underflows to 0 (a tiny mu at a huge tau), since no u > 0 is
+    left. With these choices X12 = 0 and the decrease inequality reduces
+    to the positive semidefiniteness of L/tau + D^2 - A^2 (up to the
+    rate), so the certificate verifies on every graph with D^2 - A^2 PSD
+    at every step size, and on any connected graph for small enough
+    steps. The decrease coefficient is capped at mu / tau, the rate
+    actually guaranteed per step, so certified runs pass the trajectory
+    audit.
     """
     inverse_square = _inverse_square(graph, tau)
     _require_positive("mu", mu)
-    u = mu / max(1.0, tau)
+    scale = max(1.0, tau)
+    u = mu / scale
+    if Fraction(u) * Fraction(scale) > Fraction(mu):
+        u = math.nextafter(u, 0.0)
     if u == 0.0:
         raise FloatingPointError("u = mu / tau underflows to 0")
-    return LmiCertificate(p22=np.eye(graph.n) * inverse_square, u=u)
+    return LmiCertificate(inverse_square, u)
 
 
-def search_certificate(graph, tau, mu=None, hessians=None):
+def search_certificate(graph, tau, hessians):
     """Scan a one-parameter certificate family; no semidefinite programming.
 
     The family is P22 = alpha I, u = beta, scanned over a log grid of
     alpha (the closed-form alpha = 1/tau^2 first) and descending beta
-    below the certified rate. Returns the first certificate that verifies
-    - against the quadratic check when `hessians` is given, else against
-    the (mu, L) check - with the verdict of the check that accepted it,
-    as (cert, verdict), or None when the whole family fails. None is NOT
-    evidence of instability; the family is only sufficient.
+    below the certified rate mu/tau, with mu the smallest eigenvalue of
+    the (N, m, m) Hessian stack. Returns the first certificate that
+    `check_certificate` accepts, with that verdict, as (cert, verdict),
+    or None when the whole family fails. None is NOT evidence of
+    instability; the family is only sufficient.
 
     The scan builds the blocks once per call and screens, with the
-    check's feedback block, at the level the public check uses: 2N x 2N
-    for the (mu, L) family, and 2Nm x 2Nm with an (N, m, m) Hessian
-    stack. The decrease matrix is affine in alpha, -X(alpha) = -X_G -
-    alpha X_1, with X_G its value at P22 = 0 and X_1 = [[0, tau L],
-    [tau L, 0]], and both terms are formed once. The metric margin does
-    not depend on beta, and the decrease margin only falls as beta grows,
-    so an alpha that fails at the smallest beta has no verifying beta and
-    is skipped, as is an alpha whose decrease matrix has a symmetric part
-    beyond the float range (alpha tau L near 1e308), which no check can
-    verify. The decrease screens are Cholesky attempts
-    (`_cholesky_rejects`): they reject only margins proven to fail by
-    more than their rounding error (`_rounding_slack`), and decide
-    nothing else. A candidate that passes them is returned only once the
-    public check (`check_certificate` or `check_certificate_quadratic`)
-    accepts it, so the result is the first candidate of the scan order
-    that the public check accepts, and its verdict, margins included, is
-    that check's.
+    check's feedback block, at 2Nm x 2Nm, the level of the public check.
+    The decrease matrix is affine in alpha, -X(alpha) = -X_G - alpha X_1,
+    with X_G its value at alpha = 0 and X_1 = [[0, tau L], [tau L, 0]],
+    and both terms are formed once. The metric margin does not depend on
+    beta, and the decrease margin only falls as beta grows, so an alpha
+    that fails at the smallest beta has no verifying beta and is skipped,
+    as is an alpha whose decrease matrix has a symmetric part beyond the
+    float range (alpha tau L near 1e308), which no check can verify. The
+    decrease screens are Cholesky attempts (`_cholesky_rejects`): they
+    reject only margins proven to fail by more than their rounding error
+    (`_rounding_slack`), and decide nothing else. A candidate that passes
+    them is returned only once `check_certificate` accepts it, so the
+    result is the first candidate of the scan order that the public check
+    accepts, and its verdict, margins included, is that check's.
     """
-    if hessians is not None:
-        hessians = np.asarray(hessians, dtype=float)
-        hbd = _hessian_block_diag(hessians, graph.n)
-        if mu is None:
-            mu = float(np.linalg.eigvalsh(hessians)[:, 0].min())
-    if mu is None:
-        raise ValueError("mu is required without Hessians")
+    hessians = _hessian_stack(hessians, graph.n)
+    mu = float(np.linalg.eigvalsh(hessians)[:, 0].min())
     _require_positive("mu", mu)
     blocks = _Blocks(graph, tau)
     alphas = [blocks.inverse_square] + list(np.logspace(-4, 4, 17))
@@ -380,16 +349,11 @@ def search_certificate(graph, tau, mu=None, hessians=None):
     if not candidates:  # every rate underflowed to 0
         return None
     smallest = min(candidates)
+    feedback = _feedback(hessians, tau)
     x1 = tau * blocks.lap
-    if hessians is None:
-        check = functools.partial(check_certificate, mu=mu)
-        feedback = -mu / tau * np.eye(graph.n)
-    else:
-        check = functools.partial(check_certificate_quadratic,
-                                  hessians=hessians)
-        feedback = _quadratic_feedback(hbd, tau)
-        x1 = _lifted(x1, hbd.shape[0] // graph.n)
-    neg_x_gram = blocks.decrease(np.zeros((graph.n, graph.n)), feedback)
+    if hessians.shape[-1] > 1:
+        x1 = _lifted(x1, hessians.shape[-1])
+    neg_x_gram = blocks.decrease(0.0, feedback)
     zero = np.zeros_like(x1)
     x_one = np.block([[zero, x1], [x1, zero]])
     e11 = np.diag(np.repeat([1.0, 0.0], x1.shape[0]))
@@ -414,8 +378,8 @@ def search_certificate(graph, tau, mu=None, hessians=None):
         for beta in candidates:
             if _cholesky_rejects(neg_x - beta * e11, _EIG_TOL + slack(beta)):
                 continue
-            cert = LmiCertificate(p22=alpha * np.eye(graph.n), u=beta)
-            verdict = check(cert, graph, tau)
+            cert = LmiCertificate(alpha, beta)
+            verdict = check_certificate(cert, graph, tau, hessians)
             if verdict.feasible:
                 return cert, verdict
     return None
@@ -430,8 +394,8 @@ def _rounding_slack(dim, x_norm):
     * eps * (x_norm + u); the screen builds its matrices at the level the
     public check uses, so delta bounds both (the mode-by-mode check of a
     regular graph works on 2 x 2 blocks and rounds less), and it covers
-    forming -X as -X_G - alpha X_1 where the check forms X12 as tau L
-    (P22 - I/tau^2). The exact margin only falls as u grows, so if the
+    forming -X as -X_G - alpha X_1 where the check forms X12 as tau
+    (alpha - 1/tau^2) L. The exact margin only falls as u grows, so if the
     exact margin of the screen's matrix is below -1e-9 - 2 delta at some
     u, the public check reads below -1e-9 at that u and at every larger
     one. The slack is 2 delta with a factor of 4 to spare. Where the

@@ -23,11 +23,17 @@ Reference code that only the tests use.
 - The (q, p) midpoint map and the change of basis to (q, r) are the other
   side of the similarity identity that checks the package's (q, r) map.
 - `reference_search` is the certificate search as a plain in-order scan
-  over the public checks, the behaviour `search_certificate` must keep.
+  over the public check, the behaviour `search_certificate` must keep.
+  `mu_hessians` is the (mu, L) family as the package checks it, N 1 x 1
+  Hessians mu.
+- `exact_definiteness` decides PD, PSD-singular or indefinite for a
+  matrix of `fractions.Fraction`, by a symmetric-pivoted LDL'; with the
+  inputs taken as exact rationals, it is the exact side of a verdict
+  that the package reaches in floats.
 - `GeneralCertificate` is a certificate of the wider family
   (P12, P22, U, u, epsilon) of the Young-inequality bound, of which the
-  package's (P22, u) certificates are the members with P12 = 0, U = 0
-  and epsilon = 0 (`general` writes one as such).
+  package's (alpha, u) certificates are the members with P12 = 0,
+  P22 = alpha I, U = 0 and epsilon = 0 (`general` writes one as such).
   `lifted_check_certificate` and `lifted_check_certificate_quadratic` are
   that family's checks written out on the 2Nm x 2Nm matrices, with the
   Schur block [[U, P12], [P12', I]] and the Lipschitz term: they lift a
@@ -35,9 +41,10 @@ Reference code that only the tests use.
   and the (q, r) midpoint map here from L and Q alone, by solves with
   G(tau) (`_step_gram_n`, `_step_gram`, `_midpoint_map_qr`, which the
   identity tests use too). They are the independent reference for the
-  wider family, and for the package's checks, which build X from its
-  blocks and never solve with G(tau): `check_certificate` on the 2N x 2N
-  factors, and the quadratic check on its members. `hessian_block_diag` is the
+  wider family, and for the package's one check, which builds X from
+  its blocks and never solves with G(tau): `check_certificate` is the
+  quadratic check of the members with P22 = alpha I, and takes the
+  (mu, L) ones as 1 x 1 Hessians mu. `hessian_block_diag` is the
   per-agent loop the vectorised `_hessian_block_diag` must match bitwise,
   and `quadratic_gradient_block` the exact quadratic feedback term as one
   matrix.
@@ -66,6 +73,7 @@ Reference code that only the tests use.
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 
@@ -75,8 +83,7 @@ from phmid.graphs import DisconnectedGraphError, Graph
 from phmid.numerics import (DimensionMismatchError, SingularMatrixError,
                             as_vector, require_symmetric)
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
-                             LmiCertificate, check_certificate,
-                             check_certificate_quadratic)
+                             LmiCertificate, check_certificate)
 
 
 def solve_linear(a, b):
@@ -456,13 +463,19 @@ GeneralCertificate = namedtuple("GeneralCertificate",
                                 "p12 p22 u_cap u epsilon")
 
 
-def general(cert):
-    """`cert` as a GeneralCertificate; a package certificate (P22, u) is
-    the one with P12 = 0, U = 0 and epsilon = 0."""
+def general(cert, n):
+    """`cert` as a GeneralCertificate of n agents; a package certificate
+    (alpha, u) is the one with P12 = 0, P22 = alpha I, U = 0 and
+    epsilon = 0."""
     if isinstance(cert, GeneralCertificate):
         return cert
-    zero = np.zeros_like(cert.p22)
-    return GeneralCertificate(zero, cert.p22, zero, cert.u, 0.0)
+    zero = np.zeros((n, n))
+    return GeneralCertificate(zero, cert.alpha * np.eye(n), zero, cert.u, 0.0)
+
+
+def mu_hessians(graph, mu):
+    """The (mu, L) family as the package checks it: N 1 x 1 Hessians mu."""
+    return np.full((graph.n, 1, 1), float(mu))
 
 
 def gradient_feedback_gain(graph, m, tau, lipschitz):
@@ -511,7 +524,7 @@ def _lift(block, m):
 
 def assemble_metric(cert, graph, m, tau):
     """Lyapunov metric P = [[G(tau), P12], [P12', P22]], lifted by (x) I_m."""
-    cert = general(cert)
+    cert = general(cert, graph.n)
     p12 = _lift(cert.p12, m)
     p = np.block([[_step_gram(graph, m, tau), p12],
                   [p12.T, _lift(cert.p22, m)]])
@@ -543,7 +556,7 @@ def _lifted_verdict(cert, p, smap, bound, tol, schur_required):
 def lifted_check_certificate(cert, graph, m, tau, mu, lipschitz, tol=1e-9):
     """The (mu, L) check of a general certificate on the 2Nm x 2Nm
     matrices."""
-    cert = general(cert)
+    cert = general(cert, graph.n)
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
     bound = gradient_bound_block(graph, m, tau, cert.epsilon, mu, lipschitz,
@@ -557,7 +570,7 @@ def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
                                        tol=1e-9):
     """The quadratic check of a general certificate, written out on its
     own; it does not require the Schur condition."""
-    cert = general(cert)
+    cert = general(cert, graph.n)
     if cert.u <= 0:
         raise InvalidCertificateError("certificate requires u > 0")
     bound = quadratic_gradient_block(graph, m, tau, hessians,
@@ -568,14 +581,12 @@ def lifted_check_certificate_quadratic(cert, graph, m, tau, hessians,
                            schur_required=False)
 
 
-def reference_search(graph, tau, mu=None, hessians=None):
+def reference_search(graph, tau, hessians):
     """Every (alpha, beta) of the family through the public check, in order."""
-    if hessians is not None:
-        hessians = np.asarray(hessians, dtype=float)
-        if mu is None:
-            mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
-    if mu is None or not mu > 0:
-        raise ValueError("a positive mu is required (given or from Hessians)")
+    hessians = np.asarray(hessians, dtype=float)
+    mu = min(float(np.linalg.eigvalsh(h)[0]) for h in hessians)
+    if not mu > 0:
+        raise ValueError("the Hessians must be positive definite")
     alphas = [1.0 / tau ** 2] + list(np.logspace(-4, 4, 17))
     rate = mu / tau
     betas = [mu * min(1.0, 1.0 / tau)] + list(rate * np.logspace(0, -8, 17))
@@ -586,15 +597,36 @@ def reference_search(graph, tau, mu=None, hessians=None):
             if key in seen or beta <= 0:
                 continue
             seen.add(key)
-            cert = LmiCertificate(p22=alpha * np.eye(graph.n), u=beta)
-            if hessians is not None:
-                verdict = check_certificate_quadratic(cert, graph, tau,
-                                                      hessians)
-            else:
-                verdict = check_certificate(cert, graph, tau, mu)
-            if verdict.feasible:
+            cert = LmiCertificate(alpha, beta)
+            if check_certificate(cert, graph, tau, hessians).feasible:
                 return cert
     return None
+
+
+def exact_definiteness(mat):
+    """The inertia of a symmetric matrix of Fractions, decided exactly:
+    "pd", "psd-singular" or "indefinite".
+
+    A symmetric-pivoted LDL': each step takes the largest remaining
+    diagonal entry as the pivot and replaces the rest by its Schur
+    complement, a congruence, which keeps the inertia. A negative
+    diagonal entry of a complement, or a zero diagonal beside a nonzero
+    entry of its row, makes the matrix indefinite; a complement that is
+    all zero leaves it singular and semidefinite.
+    """
+    rest = [[Fraction(x) for x in row] for row in mat]
+    while rest:
+        k = max(range(len(rest)), key=lambda i: rest[i][i])
+        pivot = rest[k][k]
+        if pivot < 0:
+            return "indefinite"
+        if pivot == 0:
+            return ("indefinite" if any(x for row in rest for x in row)
+                    else "psd-singular")
+        col = rest[k]
+        rest = [[x - col[i] * col[j] / pivot for j, x in enumerate(row)
+                 if j != k] for i, row in enumerate(rest) if i != k]
+    return "pd"
 
 
 def audit_lyapunov(trace, cert, equilibrium, graph, tau):

@@ -17,12 +17,12 @@ from phmid.graphs import complete, cycle, erdos_renyi, star, from_spec as graph_
 from phmid.harness import (STATUS_DIVERGED, STATUS_MAX_STEPS, ExperimentConfig,
                            export_csv, k_b, run, tau_sweep)
 from phmid.integrators import euler_step, mid_step
-from phmid.stability import (check_certificate, check_certificate_quadratic,
-                             closed_form_certificate)
+from phmid.stability import check_certificate, closed_form_certificate
 
 from oracles import (_midpoint_map_qr, _step_gram, agents, assemble_metric,
                      audit_lyapunov, by_scheme, change_of_basis, d2_minus_a2,
-                     discrete_gradient, incidence, kron, midpoint_map_qp)
+                     discrete_gradient, incidence, kron, midpoint_map_qp,
+                     mu_hessians)
 
 DESK_GRAPH = "cycle:10"
 DESK_COST = "quadratic:3:42"
@@ -137,23 +137,23 @@ def test_criterion_4_certificate_suite(desk_ensemble):
             g = builder(n)
             for tau in (0.01, 1.0, 100.0):
                 cert = closed_form_certificate(g, tau, mu=1.0)
-                verdict = check_certificate(cert, g, tau, mu=1.0)
+                verdict = check_certificate(cert, g, tau, mu_hessians(g, 1.0))
                 assert verdict.feasible, (builder.__name__, n, tau,
                                           verdict.margins)
 
     # (b) star(4) with mu = 0.01: feasible below the step bound, not at 1
     g = star(4)
     cert = closed_form_certificate(g, 0.0009, mu=0.01)
-    assert check_certificate(cert, g, 0.0009, mu=0.01).feasible
+    assert check_certificate(cert, g, 0.0009, mu_hessians(g, 0.01)).feasible
     cert1 = closed_form_certificate(g, 1.0, mu=0.01)
-    assert not check_certificate(cert1, g, 1.0, mu=0.01).feasible
+    assert not check_certificate(cert1, g, 1.0, mu_hessians(g, 0.01)).feasible
 
     # (c) quadratic-cost inequality on the criterion-1 problem
     g10 = graph_from_spec(DESK_GRAPH)
     hessians = desk_ensemble.hessian_blocks()
     for tau in (3.78, 10.0):
         cert = closed_form_certificate(g10, tau, desk_ensemble.mu)
-        verdict = check_certificate_quadratic(cert, g10, tau, hessians)
+        verdict = check_certificate(cert, g10, tau, hessians)
         assert verdict.feasible, (tau, verdict.margins)
     print("[criterion 4] PASS: certificates feasible on cycle/complete "
           "(n=3..12, tau in {0.01,1,100}), star(4) bound respected, "
@@ -168,7 +168,7 @@ def test_criterion_5_lyapunov_decrease_audit(mid_desk_traces, desk_ensemble):
     traces[3.78] = run(_desk_config("mid:tau=3.78", steps=1500, record=True))
     for tau, trace in traces.items():
         cert = closed_form_certificate(g, tau, desk_ensemble.mu)
-        assert check_certificate_quadratic(cert, g, tau, hessians).feasible
+        assert check_certificate(cert, g, tau, hessians).feasible
         init = NetworkState(trace.q_history[0], trace.p_history[0])
         equilibrium = equilibrium_state(desk_ensemble, g, initial=init,
                                         mid_tau=tau)
@@ -367,7 +367,7 @@ def test_criterion_10_determinism(tmp_path, mid_desk_traces, desk_sweep,
     rows = []
     for _ in range(2):
         cert = closed_form_certificate(g, 10.0, mu=1.0)
-        verdict = check_certificate(cert, g, 10.0, mu=1.0)
+        verdict = check_certificate(cert, g, 10.0, mu_hessians(g, 1.0))
         rows.append(",".join(format(x, ".17g") for x in verdict.margins))
     assert rows[0] == rows[1]
     print("[criterion 10] PASS: reruns reproduce traces, sweep tables and "

@@ -20,11 +20,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # hooks whose targets left the package before this test pinned the rest;
 # `step_gram` and `midpoint_map_qr` left because only tests called them
 # (the tests now lift `stability._step_matrices`), and their hooks already
-# read 0 on `certify`, which never called them
+# read 0 on `certify`, which never called them. `check_certificate_quadratic`
+# left when `check_certificate` took a Hessian stack for both cost
+# families, so `stability.check_certificate.ms_per_call` times both
 STALE_HOOKS = {"numerics.solve_linear", "integrators.metropolis_weights",
                "stability.gradient_bound_block",
                "stability.quadratic_gradient_block",
-               "stability.step_gram", "stability.midpoint_map_qr"}
+               "stability.step_gram", "stability.midpoint_map_qr",
+               "stability.check_certificate_quadratic"}
 
 
 def _load(name):

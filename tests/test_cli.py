@@ -170,7 +170,7 @@ def test_certify_rejects_bad_inputs(flag, value, graph, search, capsys):
 
 @pytest.mark.parametrize("graph", ["star:5", "star:20"])
 def test_certify_prints_no_negative_metric_margin_at_large_tau(graph, capsys):
-    # the metric margin is lambda_min(P22), or lambda_min(G) >= 1/tau^2
+    # the metric margin is alpha, or lambda_min(G) >= 1/tau^2
     # read from lambda_min(Q), never an eigenvalue of G computed as a
     # whole, which rounded to -2.8e-16 on star:5 at tau = 1e9
     for tau in ("1e6", "1e8", "1e9", "1e12", "1e50", "1e155"):
@@ -191,7 +191,7 @@ def test_certify_prints_no_negative_metric_margin_at_large_tau(graph, capsys):
 @pytest.mark.parametrize("tau", ["1e155", "1e200"])
 def test_certify_decides_where_tau_squared_overflows(graph, tau, capsys):
     # tau^2 overflows a float above about 1.3e154: the closed form's
-    # P22 = I/tau^2 then rounds to 0, and certify prints a verdict (here
+    # alpha = 1/tau^2 then rounds to 0, and certify prints a verdict (here
     # infeasible, as the check already is at tau = 1e150) or one line,
     # without a traceback or a numpy warning
     argv = ["certify", "--graph", graph, "--tau", tau, "--mu", "1"]

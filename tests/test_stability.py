@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,21 +12,19 @@ from phmid.dynamics import NetworkState, equilibrium_state
 from phmid.graphs import Graph, complete, cycle, erdos_renyi, star
 from phmid.graphs import from_spec as graph_from_spec
 from phmid.integrators import SchemeConfig, euler_step, mid_step
-from phmid.numerics import DimensionMismatchError
 from phmid.stability import (CertificateVerdict, InvalidCertificateError,
                              LmiCertificate, _hessian_block_diag,
                              _rounding_slack, check_certificate,
-                             check_certificate_quadratic,
                              closed_form_certificate, search_certificate)
 
 from oracles import (InvalidEpsilonError, _midpoint_map_qr, _step_gram,
                      _step_gram_n, assemble_metric, audit_lyapunov,
-                     change_of_basis, d2_minus_a2, general,
-                     gradient_bound_block,
+                     change_of_basis, d2_minus_a2, exact_definiteness,
+                     general, gradient_bound_block,
                      gradient_feedback_gain, hessian_block_diag, kron,
                      lifted_check_certificate,
                      lifted_check_certificate_quadratic, midpoint_map_qp,
-                     quadratic_gradient_block, reference_search)
+                     mu_hessians, quadratic_gradient_block, reference_search)
 
 
 def _lifted_step(graph, m, tau):
@@ -187,7 +186,7 @@ def test_check_certificate_cycle_all_step_sizes():
     g = cycle(6)
     for tau in (0.1, 1.0, 10.0, 1000.0):
         cert = closed_form_certificate(g, tau, mu=1.0)
-        verdict = check_certificate(cert, g, tau, mu=1.0)
+        verdict = check_certificate(cert, g, tau, mu_hessians(g, 1.0))
         assert verdict.feasible, (tau, verdict.margins)
 
 
@@ -197,14 +196,14 @@ def test_check_certificate_parameter_free_family():
         for k in range(-2, 4):
             tau = 10.0 ** k
             cert = closed_form_certificate(g, tau, mu=0.3)
-            verdict = check_certificate(cert, g, tau, mu=0.3)
+            verdict = check_certificate(cert, g, tau, mu_hessians(g, 0.3))
             assert verdict.feasible, (g.n, tau, verdict.margins)
 
 
 def test_check_certificate_star_infeasible_large_tau():
     g = star(4)
     cert = closed_form_certificate(g, 10.0, mu=0.01)
-    verdict = check_certificate(cert, g, 10.0, mu=0.01)
+    verdict = check_certificate(cert, g, 10.0, mu_hessians(g, 0.01))
     assert not verdict.feasible
     assert verdict.decrease_margin < -1e-6
     # at tau >= 1 the closed form's rate cancels the (mu, L) bound and
@@ -216,7 +215,7 @@ def test_check_certificate_star_infeasible_large_tau():
         want = 2.0 * np.linalg.eigvalsh(g.laplacian() / tau
                                         + d2_minus_a2(g))[0]
         verdict = check_certificate(closed_form_certificate(g, tau, 0.5), g,
-                                    tau, 0.5)
+                                    tau, mu_hessians(g, 0.5))
         assert not verdict.feasible
         assert abs(verdict.decrease_margin - want) <= 1e-9 * abs(want), (
             spec, verdict.decrease_margin, want)
@@ -226,25 +225,25 @@ def test_check_certificate_star_small_tau_feasible():
     g = star(4)
     tau = 0.0009  # below mu / ||D^2 - A^2|| = 0.01 / 6
     cert = closed_form_certificate(g, tau, mu=0.01)
-    verdict = check_certificate(cert, g, tau, mu=0.01)
+    verdict = check_certificate(cert, g, tau, mu_hessians(g, 0.01))
     assert verdict.feasible, verdict.margins
     # and the same certificate shape fails at tau = 1
     cert1 = closed_form_certificate(g, 1.0, mu=0.01)
-    assert not check_certificate(cert1, g, 1.0, mu=0.01).feasible
+    assert not check_certificate(cert1, g, 1.0, mu_hessians(g, 0.01)).feasible
 
 
 def test_check_certificate_rejects_nonpositive_u():
     g = cycle(4)
-    cert = LmiCertificate(np.eye(4), u=-1.0)
+    cert = LmiCertificate(1.0, u=-1.0)
     with pytest.raises(InvalidCertificateError):
-        check_certificate(cert, g, 1.0, mu=1.0)
+        check_certificate(cert, g, 1.0, mu_hessians(g, 1.0))
 
 
 def test_quadratic_check_identity_hessians():
     g = cycle(6)
     hs = np.repeat(np.eye(2)[None], 6, axis=0)
     cert = closed_form_certificate(g, 10.0, mu=1.0)
-    verdict = check_certificate_quadratic(cert, g, 10.0, hs)
+    verdict = check_certificate(cert, g, 10.0, hs)
     assert verdict.feasible, verdict.margins
 
 
@@ -256,7 +255,7 @@ def test_quadratic_check_er_graph_is_out_of_family():
     g = erdos_renyi(10, 0.4, seed=42)
     ens = random_quadratic_ensemble(10, 3, seed=42)
     hs = ens.hessian_blocks()
-    assert search_certificate(g, 10.0, hessians=hs) is None
+    assert search_certificate(g, 10.0, hs) is None
     theta = ens.centralized_optimum()
     rng = np.random.default_rng(0)
     st = NetworkState(rng.standard_normal((10, 3)), np.zeros((10, 3)))
@@ -271,7 +270,7 @@ def test_quadratic_check_robust_to_huge_scaling():
     g = cycle(4)
     hs = 1e6 * np.repeat(np.eye(1)[None], 4, axis=0)
     cert = closed_form_certificate(g, 1000.0, mu=1e6)
-    verdict = check_certificate_quadratic(cert, g, 1000.0, hs)
+    verdict = check_certificate(cert, g, 1000.0, hs)
     assert all(np.isfinite(m) for m in verdict.margins)
     assert isinstance(verdict, CertificateVerdict)
 
@@ -288,10 +287,9 @@ def test_quadratic_feasible_whenever_general_feasible():
         ens = random_quadratic_ensemble(g.n, m, seed=int(rng.integers(10000)))
         tau = float(10 ** rng.uniform(-2, 2))
         cert = closed_form_certificate(g, tau, ens.mu)
-        general = check_certificate(cert, g, tau, ens.mu)
-        if general.feasible:
-            quad = check_certificate_quadratic(cert, g, tau,
-                                               ens.hessian_blocks())
+        bound = check_certificate(cert, g, tau, mu_hessians(g, ens.mu))
+        if bound.feasible:
+            quad = check_certificate(cert, g, tau, ens.hessian_blocks())
             assert quad.feasible, (g.n, tau, quad.margins)
             checked += 1
     assert checked >= 5
@@ -299,21 +297,21 @@ def test_quadratic_feasible_whenever_general_feasible():
 
 def test_search_finds_closed_form_on_cycle():
     g = cycle(6)
-    cert, verdict = search_certificate(g, 1.0, mu=1.0)
+    hs = mu_hessians(g, 1.0)
+    cert, verdict = search_certificate(g, 1.0, hs)
     assert verdict.feasible
-    assert verdict.margins == check_certificate(cert, g, 1.0, 1.0).margins
-    assert cert.u == pytest.approx(1.0, abs=0)
-    assert np.allclose(cert.p22, np.eye(6), atol=0)
+    assert verdict.margins == check_certificate(cert, g, 1.0, hs).margins
+    assert (cert.alpha, cert.u) == (1.0, 1.0)
     # wherever the closed form verifies, the search cannot fail
     for g2 in (cycle(4), complete(4)):
         for tau in (0.5, 20.0):
-            assert search_certificate(g2, tau, mu=0.4) is not None
+            assert search_certificate(g2, tau, mu_hessians(g2, 0.4)) is not None
 
 
 def test_search_not_found_for_star_large_tau():
     g = star(4)
     hs = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
-    assert search_certificate(g, 50.0, hessians=hs) is None
+    assert search_certificate(g, 50.0, hs) is None
 
 
 @pytest.mark.parametrize("spec", ["cycle:6", "star:5", "star:6", "star:20",
@@ -329,29 +327,24 @@ def test_search_matches_the_in_order_scan(spec):
     # (mu, L) search is the same at every m, and the quadratic one runs
     # at m = 1 and 3. With P12 = 0 the decrease matrix's (2, 2) block is
     # 0, so its (1, 2) block (alpha tau - 1/tau) L must vanish: every found
-    # certificate has the closed form's P22 = I/tau^2
+    # certificate has the closed form's alpha = 1/tau^2
     g = graph_from_spec(spec)
-    families = [{"mu": 0.5}] + [
-        {"hessians": random_quadratic_ensemble(g.n, m, seed=5).hessian_blocks()}
+    families = [mu_hessians(g, 0.5)] + [
+        random_quadratic_ensemble(g.n, m, seed=5).hessian_blocks()
         for m in (1, 3)]
     taus = (list(np.logspace(-7, 2, 10)) + [1e4, 1e6, 1e8]
             if g.n <= 10 else np.logspace(-7, 8, 6))
     for tau in taus:
-        for kwargs in families:
-            want = reference_search(g, tau, **kwargs)
-            found = search_certificate(g, tau, **kwargs)
-            assert (found is None) == (want is None), (tau, kwargs.keys())
+        for hs in families:
+            want = reference_search(g, tau, hs)
+            found = search_certificate(g, tau, hs)
+            assert (found is None) == (want is None), (tau, hs.shape)
             if found is None:
                 continue
             got, verdict = found
-            assert (got.p22[0, 0], got.u) == (want.p22[0, 0], want.u)
-            assert (got.p22.tobytes()
-                    == closed_form_certificate(g, tau, 0.5).p22.tobytes())
-            if "hessians" in kwargs:
-                again = check_certificate_quadratic(got, g, tau,
-                                                    kwargs["hessians"])
-            else:
-                again = check_certificate(got, g, tau, 0.5)
+            assert (got.alpha, got.u) == (want.alpha, want.u)
+            assert got.alpha == closed_form_certificate(g, tau, 0.5).alpha
+            again = check_certificate(got, g, tau, hs)
             assert verdict.feasible
             assert verdict.margins == again.margins
 
@@ -392,10 +385,9 @@ def test_cholesky_screen_never_rejects_what_the_eigen_screen_keeps(n):
     assert not stability._cholesky_rejects(-np.eye(n), np.inf)
 
 
-def _dense_certificate(n, rng):
-    # a dense positive definite N x N P22, standing for P22 (x) I_m
-    x22 = rng.standard_normal((n, n))
-    return LmiCertificate(x22 @ x22.T + np.eye(n), u=0.05)
+def _random_certificate(rng):
+    # alpha log-uniform over six decades, around the grid of the search
+    return LmiCertificate(10.0 ** rng.uniform(-3.0, 3.0), u=0.05)
 
 
 def _eig_slack(mat):
@@ -407,7 +399,7 @@ def _margin_slacks(cert, g, m, tau, mu, lipschitz, bound=None):
     """Rounding bounds of the three margins, from the 2Nm x 2Nm matrices
     of the lifted check, whose X = P S + S' P + B is bounded by 2 |P| |S| +
     |B|; B is the (mu, L) bound unless given."""
-    cert = general(cert)
+    cert = general(cert, g.n)
     eye = np.eye(m)
     p = assemble_metric(cert, g, m, tau)
     p12, u_cap = kron(cert.p12, eye), kron(cert.u_cap, eye)
@@ -431,13 +423,11 @@ def test_reduced_check_matches_the_lifted_check():
         g = graph_from_spec(spec)
         for m in (1, 2, 3):
             for tau in np.logspace(-7, 9, 17):
-                zero = np.zeros((g.n, g.n))
                 certs = [
                     closed_form_certificate(g, tau, mu),
-                    LmiCertificate(np.eye(g.n), u=1e-2 * mu / tau),
-                    LmiCertificate(1e3 * np.eye(g.n),
-                                   u=mu * min(1.0, 1.0 / tau)),
-                    _dense_certificate(g.n, rng),
+                    LmiCertificate(1.0, u=1e-2 * mu / tau),
+                    LmiCertificate(1e3, u=mu * min(1.0, 1.0 / tau)),
+                    _random_certificate(rng),
                 ]
                 for cert in certs:
                     try:
@@ -447,7 +437,7 @@ def test_reduced_check_matches_the_lifted_check():
                         # G(tau) numerically singular: the lifted check,
                         # which solves with it, gives no verdict to compare
                         continue
-                    got = check_certificate(cert, g, tau, mu)
+                    got = check_certificate(cert, g, tau, mu_hessians(g, mu))
                     slacks = _margin_slacks(cert, g, m, tau, mu, lipschitz)
                     for a, b, slack in zip(got.margins, want.margins, slacks):
                         assert abs(a - b) <= slack, (spec, m, tau, a, b, slack)
@@ -474,8 +464,8 @@ def test_quadratic_check_matches_the_lifted_check():
             zero = np.zeros((g.n * m, g.n * m))
             for tau in np.logspace(-3, 3, 4):
                 for cert in (closed_form_certificate(g, tau, 0.5),
-                             _dense_certificate(g.n, rng)):
-                    got = check_certificate_quadratic(cert, g, tau, hs)
+                             _random_certificate(rng)):
+                    got = check_certificate(cert, g, tau, hs)
                     want = lifted_check_certificate_quadratic(cert, g, m, tau,
                                                               hs)
                     # the lifted check solves with G(tau), whose condition
@@ -506,8 +496,6 @@ def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch, capsys):
     # the benchmark's closed-form check and a search, through certify at
     # m = 3: N x N blocks, no lifted matrix and no eigen-solve above 2N
     g = cycle(80)
-    cert = closed_form_certificate(g, 1000.0, 0.5)
-    assert cert.p22.shape == (g.n, g.n)
     for search in ([], ["--search"]):
         sizes.clear()
         main(["certify", "--graph", "cycle:80", "--tau", "1000", "--m", "3",
@@ -517,12 +505,11 @@ def test_kronecker_certificate_is_checked_at_graph_level(monkeypatch, capsys):
 
 
 def _scalar_certificates(g, tau, mu):
-    """Certificates whose P22 is a multiple of I."""
-    eye = np.eye(g.n)
+    """The closed form and two other alphas."""
     return [
         closed_form_certificate(g, tau, mu),
-        LmiCertificate(eye, u=1e-2 * mu / tau),
-        LmiCertificate(1e3 * eye, u=mu * min(1.0, 1.0 / tau)),
+        LmiCertificate(1.0, u=1e-2 * mu / tau),
+        LmiCertificate(1e3, u=mu * min(1.0, 1.0 / tau)),
     ]
 
 
@@ -535,7 +522,8 @@ def test_mode_check_matches_the_lifted_check():
             for m in (1, 3):
                 for tau in np.logspace(-7, 9, 9):
                     for cert in _scalar_certificates(g, tau, mu):
-                        got = check_certificate(cert, g, tau, mu)
+                        got = check_certificate(cert, g, tau,
+                                                mu_hessians(g, mu))
                         try:
                             want = lifted_check_certificate(cert, g, m, tau,
                                                             mu, lipschitz)
@@ -575,9 +563,75 @@ def test_closed_form_decrease_margin_is_exactly_zero():
         for mu in (0.3, 0.5, 7.0):
             for tau in np.logspace(-6, 9, 16):
                 cert = closed_form_certificate(g, tau, mu)
-                margin = check_certificate(cert, g, tau, mu).decrease_margin
+                margin = check_certificate(
+                    cert, g, tau, mu_hessians(g, mu)).decrease_margin
                 assert margin == 0.0 and math.copysign(1.0, margin) == 1.0, (
                     spec, mu, tau, margin)
+
+
+def test_closed_form_rate_never_exceeds_mu_over_tau():
+    # u is the largest float at or below mu * min(1, 1/tau): with mu = 0.5,
+    # mu / tau rounds up at tau = 10, 3e4, 4e4 and 1e8, among others
+    g = cycle(10)
+    for mu in (0.5, 0.3, 7.0, 1e-30):
+        for tau in [*np.logspace(-6, 12, 181), 10.0, 3e4, 4e4, 1e8]:
+            u = closed_form_certificate(g, tau, mu).u
+            if tau <= 1.0:
+                assert u == mu
+                continue
+            assert Fraction(u) * Fraction(tau) <= Fraction(mu), (mu, tau)
+            above = math.nextafter(u, math.inf)
+            assert Fraction(above) * Fraction(tau) > Fraction(mu), (mu, tau)
+
+
+def _exact_closed_form_decrease(graph, tau, mu, u):
+    """2 K + (mu/tau - u) I, the closed form's decrease block at m = 1 (its
+    X12 and X22 are 0), with tau, mu and u taken as exact rationals."""
+    tau, shift = Fraction(tau), Fraction(mu) / Fraction(tau) - Fraction(u)
+    adj = graph.adjacency().astype(int)
+    deg = adj.sum(axis=1)
+    lap = np.diag(deg) - adj
+    k = np.diag(deg * deg) - adj @ adj
+    n = graph.n
+    return [[2 * (Fraction(int(lap[i, j])) / tau + int(k[i, j]))
+             + (shift if i == j else 0) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("spec", ["cycle:10", "complete:12"])
+def test_closed_form_rate_is_exactly_feasible(spec):
+    # fl(mu / tau) lies above mu / tau at the last four taus, where the
+    # decrease block of its consensus mode is exactly negative; the rate
+    # the closed form takes is exactly feasible at all five
+    g = graph_from_spec(spec)
+    mu = 0.5
+    for tau in (3.0, 10.0, 3e4, 4e4, 1e8):
+        rounded = mu / tau
+        want = "pd" if tau == 3.0 else "indefinite"
+        assert exact_definiteness(
+            _exact_closed_form_decrease(g, tau, mu, rounded)) == want, tau
+        u = closed_form_certificate(g, tau, mu).u
+        assert exact_definiteness(
+            _exact_closed_form_decrease(g, tau, mu, u)) == "pd", tau
+
+
+def test_exact_definiteness_on_small_matrices():
+    assert exact_definiteness([[2, 1], [1, 2]]) == "pd"
+    assert exact_definiteness([[1, 1], [1, 1]]) == "psd-singular"
+    assert exact_definiteness([[0, 0], [0, 0]]) == "psd-singular"
+    assert exact_definiteness([[1, 2], [2, 1]]) == "indefinite"
+    assert exact_definiteness([[0, 1], [1, 0]]) == "indefinite"
+    assert exact_definiteness([[1, 0], [0, -1]]) == "indefinite"
+    third = Fraction(1, 3)
+    assert exact_definiteness([[third, third], [third, third]]) == "psd-singular"
+    # a Laplacian is singular and semidefinite, and a shift either way
+    # by 1e-30 decides it
+    lap = cycle(6).laplacian()
+    assert exact_definiteness(lap) == "psd-singular"
+    for shift, want in ((Fraction(1, 10 ** 30), "pd"),
+                        (-Fraction(1, 10 ** 30), "indefinite")):
+        shifted = [[Fraction(int(x)) + (shift if i == j else 0)
+                    for j, x in enumerate(row)] for i, row in enumerate(lap)]
+        assert exact_definiteness(shifted) == want
 
 
 def test_closed_form_verifies_at_a_tiny_step():
@@ -589,11 +643,10 @@ def test_closed_form_verifies_at_a_tiny_step():
         ens = cost_from_spec("quadratic:3:42", g.n)
         for tau in (1e-6, 1e-7):
             cert = closed_form_certificate(g, tau, 0.5)
-            verdict = check_certificate(cert, g, tau, 0.5)
+            verdict = check_certificate(cert, g, tau, mu_hessians(g, 0.5))
             assert verdict.feasible, (spec, tau, verdict.margins)
             cert = closed_form_certificate(g, tau, ens.mu)
-            verdict = check_certificate_quadratic(cert, g, tau,
-                                                  ens.hessian_blocks())
+            verdict = check_certificate(cert, g, tau, ens.hessian_blocks())
             assert verdict.feasible, (spec, tau, verdict.margins)
 
 
@@ -607,36 +660,44 @@ def test_regular_graph_certificate_is_checked_mode_by_mode(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     tau = 1000.0
+    # Hessians that are all one c I, at any m, on a regular graph
     for spec in ("cycle:80", "complete:12"):
         g = graph_from_spec(spec)
-        sizes.clear()
-        check_certificate(closed_form_certificate(g, tau, 0.5), g, tau, 0.5)
-        assert max(sizes) == g.n
-    # a dense certificate, not a multiple of I, and the closed
-    # form on an irregular graph, keep the 2N x 2N check
+        cert = closed_form_certificate(g, tau, 0.5)
+        for hs in (mu_hessians(g, 0.5),
+                   np.repeat(0.5 * np.eye(3)[None], g.n, axis=0)):
+            sizes.clear()
+            check_certificate(cert, g, tau, hs)
+            assert max(sizes) == g.n
+    # Hessians that are not, on a regular graph, and a c I stack on an
+    # irregular one, keep the 2Nm x 2Nm check
     g = cycle(12)
-    sizes.clear()
-    check_certificate(_dense_certificate(g.n, np.random.default_rng(3)),
-                      g, tau, 0.5)
-    assert max(sizes) == 2 * g.n
+    cert = closed_form_certificate(g, tau, 0.5)
+    hs = np.repeat(0.5 * np.eye(2)[None], g.n, axis=0)
+    hs[3, 0, 0] = 0.75
+    coupled = np.repeat(np.array([[[0.5, 0.1], [0.1, 0.5]]]), g.n, axis=0)
+    for stack in (hs, coupled,
+                  random_quadratic_ensemble(g.n, 1, seed=3).hessian_blocks()):
+        sizes.clear()
+        check_certificate(cert, g, tau, stack)
+        assert max(sizes) == 2 * stack.shape[0] * stack.shape[-1]
     g = star(12)
     sizes.clear()
-    check_certificate(closed_form_certificate(g, tau, 0.5), g, tau, 0.5)
+    check_certificate(closed_form_certificate(g, tau, 0.5), g, tau,
+                      mu_hessians(g, 0.5))
     assert max(sizes) == 2 * g.n
 
 
-@pytest.mark.parametrize("m,size", [(1, 4), (2, 10), (2, 8)])
-def test_checks_reject_certificates_of_the_wrong_size(m, size):
-    # blocks are N x N at every m, so the N m x N m ones are refused too
+@pytest.mark.parametrize("shape", [(4, 1, 1), (5, 2, 3), (5, 2), (5, 0, 0)])
+def test_check_and_search_refuse_a_hessian_stack_of_another_shape(shape):
     g = graph_from_spec("cycle:5")
-    cert = LmiCertificate(np.eye(size), u=0.1)
-    hs = np.repeat(np.eye(m)[None], g.n, axis=0)
-    for check in (lambda: check_certificate(cert, g, 1.0, 0.5),
-                  lambda: check_certificate_quadratic(cert, g, 1.0, hs)):
-        with pytest.raises(DimensionMismatchError) as exc:
-            check()
-        assert f"{size}x{size}" in str(exc.value)
-        assert f"{g.n}x{g.n}" in str(exc.value)
+    hs = np.ones(shape)
+    cert = LmiCertificate(1.0, u=0.1)
+    for call in (lambda: check_certificate(cert, g, 1.0, hs),
+                 lambda: search_certificate(g, 1.0, hs)):
+        with pytest.raises(NonQuadraticCostError) as exc:
+            call()
+        assert "(5, m, m)" in str(exc.value)
 
 
 def test_one_build_per_decision(monkeypatch):
@@ -647,52 +708,46 @@ def test_one_build_per_decision(monkeypatch):
                         lambda *args: builds.append(args) or blocks(*args))
     g, m, tau = cycle(8), 3, 10.0
     cert = closed_form_certificate(g, tau, 0.5)
-    p22 = cert.p22.copy()
-    p22[1, 1] *= 2.0  # no longer a multiple of I: the dense N-level check
-    broken = LmiCertificate(p22, cert.u)
     hs = random_quadratic_ensemble(g.n, m, seed=3).hessian_blocks()
     hs4 = 0.01 * np.repeat(np.eye(1)[None], 4, axis=0)
-    # the closed form on a cycle is checked mode by mode, from the
+    er20 = graph_from_spec("er:20:0.3:1")
+    # the (mu, L) family on a cycle is checked mode by mode, from the
     # adjacency's spectrum: it forms no dense blocks at all
     for decide, count in (
-            (lambda: check_certificate(cert, g, tau, 0.5), 0),
-            (lambda: check_certificate(broken, g, tau, 0.5), 1),
-            (lambda: check_certificate_quadratic(cert, g, tau, hs), 1),
-            (lambda: search_certificate(star(4), 50.0, hessians=hs4), 1),
-            (lambda: search_certificate(graph_from_spec("er:20:0.3:1"), 10.0,
-                                        mu=0.5), 1)):
+            (lambda: check_certificate(cert, g, tau, mu_hessians(g, 0.5)), 0),
+            (lambda: check_certificate(cert, g, tau, hs), 1),
+            (lambda: check_certificate(cert, star(8), tau,
+                                       mu_hessians(g, 0.5)), 1),
+            (lambda: search_certificate(star(4), 50.0, hs4), 1),
+            (lambda: search_certificate(er20, 10.0, mu_hessians(er20, 0.5)),
+             1)):
         del builds[:]
         decide()
         assert len(builds) == count
-    assert search_certificate(star(4), 50.0, hessians=hs4) is None
+    assert search_certificate(star(4), 50.0, hs4) is None
 
 
 def test_a_found_search_runs_the_public_check_once(monkeypatch, capsys):
     # certify prints the verdict of the check that accepted the search's
     # certificate, and checks it no second time
     calls = []
-    for name in ("check_certificate", "check_certificate_quadratic"):
-        def counted(*args, _name=name, _check=getattr(stability, name),
-                    **kwargs):
-            calls.append(_name)
-            return _check(*args, **kwargs)
-
-        monkeypatch.setattr(stability, name, counted)
-    for argv, check in (
-            (["--graph", "er:10:0.4:42", "--tau", "0.1", "--quadratic",
-              "--cost", "quadratic:3:42"], "check_certificate_quadratic"),
-            (["--graph", "cycle:6", "--tau", "1", "--mu", "1",
-              "--lipschitz", "2"], "check_certificate")):
+    check = stability.check_certificate
+    monkeypatch.setattr(stability, "check_certificate",
+                        lambda *args: calls.append(args) or check(*args))
+    for argv in (["--graph", "er:10:0.4:42", "--tau", "0.1", "--quadratic",
+                  "--cost", "quadratic:3:42"],
+                 ["--graph", "cycle:6", "--tau", "1", "--mu", "1",
+                  "--lipschitz", "2"]):
         calls.clear()
         assert main(["certify"] + argv + ["--search"]) == 0
-        assert calls == [check]
+        assert len(calls) == 1
         assert capsys.readouterr().out.startswith("feasible,")
 
 
 def test_a_not_found_search_screens_without_eigen_solves(monkeypatch):
     # the benchmark's exhaustive search: one Cholesky screen per distinct
-    # alpha, and one eigen-solve of Q, for lambda_min(G) in the metric
-    # screen
+    # alpha, one eigen-solve of Q, for lambda_min(G) in the metric screen,
+    # and one batched solve of the 1 x 1 Hessians, for mu
     calls = {"eigvalsh": 0, "cholesky": 0}
     for name in calls:
         def counted(*args, _name=name, _solve=getattr(np.linalg, name),
@@ -702,14 +757,14 @@ def test_a_not_found_search_screens_without_eigen_solves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     g = graph_from_spec("er:20:0.3:1")
-    assert search_certificate(g, 10.0, mu=0.5) is None
-    assert calls == {"eigvalsh": 1, "cholesky": 17}
+    assert search_certificate(g, 10.0, mu_hessians(g, 0.5)) is None
+    assert calls == {"eigvalsh": 2, "cholesky": 17}
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (1, 3), (6, 1), (7, 2), (5, 3)])
 def test_hessian_block_diag_matches_the_agent_loop(n, m):
     hs = np.random.default_rng(10 * n + m).standard_normal((n, m, m))
-    got = _hessian_block_diag(hs, n)
+    got = _hessian_block_diag(hs)
     assert got.shape == (n * m, n * m)
     assert np.array_equal(got, hessian_block_diag(hs, n, m))
 
@@ -723,8 +778,8 @@ def test_hessian_block_diag_matches_the_agent_loop(n, m):
                                        np.zeros((4, 4))),
     lambda g: closed_form_certificate(g, np.inf, mu=1.0),
     lambda g: closed_form_certificate(g, 1.0, mu=np.inf),
-    lambda g: search_certificate(g, np.inf, mu=1.0),
-    lambda g: search_certificate(g, 1.0, mu=np.nan),
+    lambda g: search_certificate(g, np.inf, mu_hessians(g, 1.0)),
+    lambda g: search_certificate(g, 1.0, mu_hessians(g, np.nan)),
 ], ids=["gram-inf", "map-nan", "gain-0", "bound-neg", "quad-inf",
         "closed-tau-inf", "closed-mu-inf", "search-tau-inf",
         "search-mu-nan"])
@@ -771,8 +826,7 @@ def test_audit_certified_run_decreases():
     ens = random_quadratic_ensemble(6, 2, seed=9)
     tau = 10.0
     cert = closed_form_certificate(g, tau, ens.mu)
-    assert check_certificate_quadratic(cert, g, tau,
-                                       ens.hessian_blocks()).feasible
+    assert check_certificate(cert, g, tau, ens.hessian_blocks()).feasible
     rng = np.random.default_rng(10)
     trace, start = _mid_run(g, ens, tau, 800, rng)
     eq = equilibrium_state(ens, g, initial=start, mid_tau=tau)
