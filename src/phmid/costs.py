@@ -9,6 +9,8 @@ augmented internally with a constant 1). An ensemble holds one family as
 (N, ...) stacks, one row per agent, and evaluates every agent at once.
 """
 
+import functools
+
 import numpy as np
 
 from .numerics import (DimensionMismatchError, as_vector, newton_solve,
@@ -52,16 +54,16 @@ class CostEnsemble:
 
     Build one with `quadratic` or `logistic`. mu is the smallest certified
     strong-convexity constant over agents and `lipschitz` the largest
-    certified gradient Lipschitz constant.
+    certified gradient Lipschitz constant. Both are computed when first
+    read and then kept: a run never reads them, so building an ensemble
+    solves no eigenvalue problem.
     """
 
-    def __init__(self, family, n_agents, dim, mu, lipschitz):
-        """Shape and constants of a `family` ensemble; the family
-        constructors add its stacks."""
+    def __init__(self, family, n_agents, dim):
+        """Shape of a `family` ensemble; the family constructors add its
+        stacks."""
         self._family = family
         self._n, self._dim = n_agents, dim
-        self.mu = mu
-        self.lipschitz = lipschitz
         self._costs = None
 
     @classmethod
@@ -69,8 +71,9 @@ class CostEnsemble:
         """Quadratic costs from (N, m, m) Hessians and (N, m) offsets.
 
         Every check runs on the whole stack at once: finite entries,
-        matching shapes, symmetry and positive definiteness. The curvature
-        constants are the extreme Hessian eigenvalues.
+        matching shapes, symmetry and positive definiteness, which one
+        batched Cholesky factorisation decides. The curvature constants
+        are the extreme Hessian eigenvalues.
         """
         h = require_symmetric(h, name="h")
         b = np.asarray(b, dtype=float)
@@ -83,12 +86,17 @@ class CostEnsemble:
             raise ValueError("need at least one cost")
         if dim < 1:
             raise ValueError("costs need dimension m >= 1")
-        eigs = np.linalg.eigvalsh(h)[:, [0, -1]]
-        if not (eigs[:, 0] > 0).all():
-            first = eigs[np.argmin(eigs[:, 0] > 0), 0]
-            raise ValueError(f"h must be positive definite (min eig {first:.3e})")
-        ensemble = cls(QuadraticCost, n_agents, dim, float(eigs[:, 0].min()),
-                       float(eigs[:, 1].max()))
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            low = np.linalg.eigvalsh(h)[:, 0]
+            # the first agent with a smallest eigenvalue that is not
+            # positive; where rounding failed the factorisation alone, the
+            # smallest over the stack
+            first = low[np.argmax(low <= 0)] if (low <= 0).any() else low.min()
+            raise ValueError(
+                f"h must be positive definite (min eig {first:.3e})") from None
+        ensemble = cls(QuadraticCost, n_agents, dim)
         ensemble._h, ensemble._b = h, b
         return ensemble
 
@@ -130,14 +138,35 @@ class CostEnsemble:
         if not reg > 0:
             raise ValueError("reg must be > 0")
         aug = np.concatenate([points, np.ones(labels.shape + (1,))], axis=-1)
+        ensemble = cls(LogisticCost, n_agents, aug.shape[-1])
+        ensemble._aug, ensemble._labels = aug, labels
+        ensemble._reg, ensemble._floor = float(reg), float(reg) / n_agents
+        return ensemble
+
+    @functools.cached_property
+    def mu(self):
+        """The smallest certified strong-convexity constant over agents,
+        computed when first read."""
+        if self._family is QuadraticCost:
+            return float(self._hessian_extremes[:, 0].min())
+        return self._floor
+
+    @functools.cached_property
+    def lipschitz(self):
+        """The largest certified gradient Lipschitz constant over agents,
+        computed when first read."""
+        if self._family is QuadraticCost:
+            return float(self._hessian_extremes[:, 1].max())
+        aug = self._aug
         gram = np.swapaxes(aug, -1, -2) @ aug
         data_top = np.linalg.eigvalsh((gram + np.swapaxes(gram, -1, -2)) / 2.0)[:, -1]
-        floor = float(reg) / n_agents
-        ensemble = cls(LogisticCost, n_agents, aug.shape[-1], floor,
-                       float((floor + 0.25 * data_top).max()))
-        ensemble._aug, ensemble._labels = aug, labels
-        ensemble._reg, ensemble._floor = float(reg), floor
-        return ensemble
+        return float((self._floor + 0.25 * data_top).max())
+
+    @functools.cached_property
+    def _hessian_extremes(self):
+        """(N, 2) smallest and largest eigenvalue of each quadratic
+        Hessian, shared by `mu` and `lipschitz`."""
+        return np.linalg.eigvalsh(self._h)[:, [0, -1]]
 
     @property
     def costs(self):

@@ -1,9 +1,12 @@
 """
 Undirected communication topologies and their spectral objects.
 
-Graphs are immutable after construction and connectivity is enforced at
-construction time: every stability statement downstream assumes a
-connected network, so a disconnected graph is rejected early.
+Graphs are immutable after construction, and every graph is connected:
+every stability statement downstream assumes a connected network. `Graph`
+itself and `erdos_renyi` search an edge set for connectivity and reject
+a disconnected one at construction. `cycle`, `complete` and `star` build
+edge sets that are connected for every n they accept, so they skip the
+search, a Python walk over every edge.
 
 A graph keeps its edges as arrays built once at construction: every
 vertex's neighbours, grouped by vertex in ascending order, and the offset
@@ -51,6 +54,23 @@ class Graph:
     """
 
     def __init__(self, n, edges):
+        self._build(n, edges)
+        if not self._connected():
+            raise DisconnectedGraphError(
+                f"graph on {self.n} vertices with {self._neighbors.size // 2} "
+                "edges is not connected")
+
+    @classmethod
+    def _connected_by_construction(cls, n, edges):
+        """The graph on `edges`, built without the connectivity search:
+        for the topologies whose edge sets are connected for every `n`
+        their constructors accept."""
+        graph = cls.__new__(cls)
+        graph._build(n, edges)
+        return graph
+
+    def _build(self, n, edges):
+        """Check `n` and `edges` and build the edge arrays."""
         n = int(n)
         if n < 1:
             raise ValueError("need at least one vertex")
@@ -81,9 +101,6 @@ class Graph:
         self._neighbors = _read_only(ends[order])
         self._starts = _read_only(np.cumsum(counts) - counts)
         self._degrees = _read_only(counts.astype(float))
-        if not self._connected():
-            raise DisconnectedGraphError(
-                f"graph on {n} vertices with {lo.size} edges is not connected")
 
     @functools.cached_property
     def _exchange(self):
@@ -216,22 +233,23 @@ def cycle(n):
     if n < 3:
         raise ValueError("cycle needs n >= 3")
     i = np.arange(n)
-    return Graph(n, np.column_stack([i, (i + 1) % n]))
+    return Graph._connected_by_construction(n, np.column_stack([i, (i + 1) % n]))
 
 
 def complete(n):
     """Complete graph on n >= 2 vertices."""
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    return Graph(n, np.column_stack(np.triu_indices(n, k=1)))
+    return Graph._connected_by_construction(
+        n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def star(n):
     """Star with center 0 and n - 1 leaves, n >= 2."""
     if n < 2:
         raise ValueError("star needs n >= 2")
-    return Graph(n, np.column_stack([np.zeros(n - 1, dtype=np.int64),
-                                     np.arange(1, n)]))
+    return Graph._connected_by_construction(
+        n, np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]))
 
 
 def erdos_renyi(n, p, seed):

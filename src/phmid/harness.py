@@ -209,7 +209,8 @@ def _keep(state, plan, cells, *carried):
     """The cells `cells` (an index or mask over the leading axis) of a
     batched state, of its plan and of the per-cell arrays `carried`."""
     if isinstance(state, integrators.GtState):
-        state = integrators.GtState(state.q[cells], state.tracker[cells])
+        state = integrators.GtState(state.q[cells], state.tracker[cells],
+                                    state.grad[cells])
     else:
         state = NetworkState.stepped(state.q[cells], state.p[cells])
     return (state, plan.keep(cells)) + tuple(a[cells] for a in carried)

@@ -354,26 +354,30 @@ def _cell_failure(exc, rows_per_cell, row_name=None):
 
 
 class GtState:
-    """State of the gradient-tracking baseline: estimates and trackers."""
+    """State of the gradient-tracking baseline: estimates, trackers, and
+    the local gradients at the estimates, which the next step subtracts."""
 
-    def __init__(self, q, tracker):
+    def __init__(self, q, tracker, grad):
         self.q = np.asarray(q, dtype=float)
         self.tracker = np.asarray(tracker, dtype=float)
-        if self.q.shape != self.tracker.shape:
-            raise ValueError("q and tracker shapes differ")
+        self.grad = np.asarray(grad, dtype=float)
+        if not self.q.shape == self.tracker.shape == self.grad.shape:
+            raise ValueError("q, tracker and grad shapes differ")
 
 
 def gradient_tracking_init(q0, ensemble):
     """Initialize trackers at the local gradients (sum conservation)."""
     q0 = np.asarray(q0, dtype=float)
-    return GtState(q0, ensemble.gradient_stack(q0))
+    grad = ensemble.gradient_stack(q0)
+    return GtState(q0, grad, grad)
 
 
 def gradient_tracking_step(gt, ensemble, graph, tau, plan=None):
     """One gradient-tracking update with Metropolis mixing.
 
     q+ = W q - tau g;  g+ = W g + grad f(q+) - grad f(q), where W x mixes
-    over the graph's edges with its `metropolis` weights. `plan` (a
+    over the graph's edges with its `metropolis` weights. grad f(q) is the
+    one `gt` carries, so a step evaluates the gradients once. `plan` (a
     `StepPlan`, in place of `tau`) holds the step sizes.
     """
     tau = _plan_for("gt", graph, tau, gt.q, plan).tau_entry
@@ -381,7 +385,5 @@ def gradient_tracking_step(gt, ensemble, graph, tau, plan=None):
     both = np.array([gt.q, gt.tracker])
     mixed_q, mixed_tracker = own[:, None] * both + graph.neighbor_sum(both, edge)
     q_next = mixed_q - tau * gt.tracker
-    tracker_next = (mixed_tracker
-                    + ensemble.gradient_stack(q_next)
-                    - ensemble.gradient_stack(gt.q))
-    return GtState(q_next, tracker_next)
+    grad_next = ensemble.gradient_stack(q_next)
+    return GtState(q_next, mixed_tracker + grad_next - gt.grad, grad_next)

@@ -65,6 +65,9 @@ Reference code that only the tests use.
   bound that only the identity tests use.
 - `metropolis_weights` is the dense Metropolis matrix W, the reference for
   the edge-array mixing of `Graph.metropolis`/`Graph.neighbor_sum`.
+- `two_gradient_tracking_step` is the gradient-tracking step that
+  evaluates grad f(q) afresh rather than carrying it: the step that
+  carries it must match it bitwise.
 - `erdos_renyi_edges`, `quadratic_ensemble_stacks` and
   `logistic_ensemble_arrays` are the earlier generators written as plain
   per-pair and per-agent loops: the graph and cost draws of the
@@ -749,6 +752,19 @@ def metropolis_weights(graph):
         w[i, j] = w[j, i] = 1.0 / (1.0 + max(deg[i], deg[j]))
     np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
+
+
+def two_gradient_tracking_step(q, tracker, ensemble, graph, tau):
+    """(q+, tracker+) of one gradient-tracking step, with both gradient
+    stacks of tracker+ = W tracker + grad f(q+) - grad f(q) evaluated.
+    `tau` broadcasts against `q`: a (T, 1, 1) column for a stack of T
+    cells."""
+    own, edge = graph.metropolis
+    both = np.array([q, tracker])
+    mixed_q, mixed_tracker = own[:, None] * both + graph.neighbor_sum(both, edge)
+    q_next = mixed_q - tau * tracker
+    return q_next, (mixed_tracker + ensemble.gradient_stack(q_next)
+                    - ensemble.gradient_stack(q))
 
 
 def erdos_renyi_edges(n, p, seed):

@@ -104,6 +104,36 @@ def test_ensemble_constants_quadratic():
     assert lip == pytest.approx(3.0, abs=1e-12)
 
 
+def test_cost_builds_leave_the_curvature_constants_to_their_first_read(monkeypatch):
+    # neither family solves an eigenproblem to build; mu and lipschitz are
+    # the extremes of the eigenvalues the test computes itself, bitwise,
+    # from one solve that both constants share and keep
+    eigvalsh = np.linalg.eigvalsh
+    solved = []
+
+    def counted(a, *args, **kwargs):
+        solved.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    quad = random_quadratic_ensemble(50, 3, seed=4)
+    logi = random_logistic_ensemble(50, 3, 10, 0.1, seed=4)
+    assert solved == []
+    eigs = eigvalsh(quad.hessian_blocks())
+    assert quad.lipschitz == float(eigs[:, -1].max())
+    assert quad.mu == float(eigs[:, 0].min())
+    assert solved == [(50, 3, 3)]
+    points = np.stack([c.points for c in logi.costs])
+    aug = np.concatenate([points, np.ones(points.shape[:2] + (1,))], axis=-1)
+    gram = np.swapaxes(aug, -1, -2) @ aug
+    top = eigvalsh((gram + np.swapaxes(gram, -1, -2)) / 2.0)[:, -1]
+    assert logi.mu == 0.1 / 50
+    assert solved == [(50, 3, 3)]
+    assert logi.lipschitz == float((0.1 / 50 + 0.25 * top).max())
+    assert logi.lipschitz == float((0.1 / 50 + 0.25 * top).max())
+    assert solved == [(50, 3, 3)] * 2
+
+
 def test_ensemble_constants_logistic():
     ens = random_logistic_ensemble(10, 3, 10, 0.1, seed=42)
     assert ens.mu == pytest.approx(0.1 / 10, rel=1e-15)

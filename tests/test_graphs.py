@@ -32,6 +32,34 @@ def test_construction_rejects_disconnected():
         Graph(4, [(0, 1), (2, 3)])
 
 
+def test_only_edge_sets_not_connected_by_construction_are_searched(monkeypatch):
+    # cycles, stars and complete graphs are connected for every n their
+    # constructors accept, and skip the search; a graph built from any
+    # other edge set, or drawn by erdos_renyi, is searched and refused
+    # when it is disconnected
+    searched = []
+    search = Graph._connected
+
+    def counted(graph):
+        searched.append(graph.n)
+        return search(graph)
+
+    monkeypatch.setattr(Graph, "_connected", counted)
+    for n in (2, 3, 4, 5, 10, 257):
+        built = [star(n), complete(n)] + ([cycle(n)] if n >= 3 else [])
+        assert searched == []
+        for g in built:
+            assert _bfs_connected(g.edges, g.n)
+            assert Graph(n, sorted(g.edges)) == g
+        assert searched == [n] * len(built)
+        searched.clear()
+    with pytest.raises(DisconnectedGraphError):
+        Graph(4, [(0, 1), (2, 3)])
+    assert searched == [4]
+    erdos_renyi(10, 0.4, seed=42)
+    assert len(searched) > 1 and set(searched[1:]) == {10}
+
+
 def test_adjacency_examples():
     assert np.array_equal(cycle(3).adjacency(), complete(3).adjacency())
     assert np.array_equal(_edge().adjacency(), [[0.0, 1.0], [1.0, 0.0]])

@@ -7,14 +7,14 @@ from phmid.costs import (CostEnsemble, random_logistic_ensemble,
                          random_quadratic_ensemble)
 from phmid.dynamics import NetworkState, continuous_rhs, equilibrium_state
 from phmid.graphs import Graph, cycle, erdos_renyi
-from phmid import harness, numerics
+from phmid import graphs, harness, numerics
 from phmid.integrators import (GtState, MaxIterationsError, SchemeConfig,
                                dg_central_step, euler_step,
                                gradient_tracking_init, gradient_tracking_step,
                                mid_step, parse_scheme_spec, step_plan)
 from phmid.numerics import DimensionMismatchError
 
-from oracles import kron, metropolis_weights
+from oracles import kron, metropolis_weights, two_gradient_tracking_step
 
 
 def _scalar_problem():
@@ -323,7 +323,8 @@ def test_batched_steps_equal_single_cell_steps():
         mid = mid_step(stack, ens, g, taus)
         dg = dg_central_step(stack, ens, g, taus)
         euler = euler_step(stack, ens, g, taus)
-        gt = gradient_tracking_step(GtState(q, p), ens, g, taus)
+        gt = gradient_tracking_step(GtState(q, p, ens.gradient_stack(q)), ens, g,
+                                    taus)
         assert mid.newton_iterations.shape == (4, 7)
         assert dg.newton_iterations.shape == (4, 7)
         for t, tau in enumerate(taus):
@@ -339,7 +340,8 @@ def test_batched_steps_equal_single_cell_steps():
             one = euler_step(cell, ens, g, tau)
             assert np.array_equal(euler.q[t], one.q)
             assert np.array_equal(euler.p[t], one.p)
-            one = gradient_tracking_step(GtState(q[t], p[t]), ens, g, tau)
+            one = gradient_tracking_step(
+                GtState(q[t], p[t], ens.gradient_stack(q[t])), ens, g, tau)
             assert np.array_equal(gt.q[t], one.q)
             assert np.array_equal(gt.tracker[t], one.tracker)
     with pytest.raises(DimensionMismatchError):
@@ -383,7 +385,9 @@ def _step_kind(kind, state, ens, g, tau, plan=None):
 
 
 def _blocks(state):
-    return (state.q, state.tracker) if isinstance(state, GtState) else (state.q, state.p)
+    if isinstance(state, GtState):
+        return state.q, state.tracker, state.grad
+    return state.q, state.p
 
 
 @pytest.mark.parametrize("kind", ["mid", "dg", "euler", "gt"])
@@ -399,7 +403,8 @@ def test_a_plan_built_once_steps_as_one_off_calls(kind):
     for ens in (random_quadratic_ensemble(7, 3, seed=32),
                 random_logistic_ensemble(7, 3, 10, 0.1, seed=32)):
         for state, tau in (((q, p), taus), ((q[1], p[1]), float(taus[1]))):
-            state = GtState(*state) if kind == "gt" else NetworkState(*state)
+            state = (GtState(*state, ens.gradient_stack(state[0])) if kind == "gt"
+                     else NetworkState(*state))
             plan = step_plan(kind, g, tau, state.q.shape)
             planned = one_off = state
             for _ in range(6):
@@ -499,4 +504,29 @@ def test_gradient_tracking_converges_small_tau():
 
 def test_gt_state_validation():
     with pytest.raises(ValueError):
-        GtState(np.zeros((2, 2)), np.zeros((3, 2)))
+        GtState(np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        GtState(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("spec", ["cycle:10", "star:6"])
+def test_gradient_tracking_carries_the_gradient_bitwise(spec):
+    # 200 steps that carry grad f(q) from step to step are bitwise the
+    # steps that evaluate it again, on a stack of cells and on one state,
+    # for both cost families
+    g = graphs.from_spec(spec)
+    rng = np.random.default_rng(41)
+    for ens in (random_quadratic_ensemble(g.n, 3, seed=42),
+                random_logistic_ensemble(g.n, 3, 10, 0.1, seed=42)):
+        for q0, tau in ((rng.standard_normal((3, g.n, 3)),
+                         np.array([0.01, 0.05, 0.1])),
+                        (rng.standard_normal((g.n, 3)), 0.05)):
+            gt = gradient_tracking_init(q0, ens)
+            q, tracker = gt.q, gt.tracker
+            for _ in range(200):
+                gt = gradient_tracking_step(gt, ens, g, tau)
+                q, tracker = two_gradient_tracking_step(
+                    q, tracker, ens, g, np.asarray(tau)[..., None, None])
+                assert np.array_equal(gt.q, q)
+                assert np.array_equal(gt.tracker, tracker)
+                assert np.array_equal(gt.grad, ens.gradient_stack(q))

@@ -6,7 +6,7 @@ import pytest
 from phmid import numerics
 from phmid.numerics import (DimensionMismatchError, MaxIterationsError,
                             NonSymmetricError, SingularMatrixError, _row_norms,
-                            newton_solve)
+                            newton_solve, require_symmetric)
 
 from oracles import (discrete_gradient, is_psd, kron, min_eigenvalue_symmetric,
                      solve_linear)
@@ -64,6 +64,23 @@ def test_min_eigenvalue_examples():
 def test_min_eigenvalue_rejects_nonsymmetric():
     with pytest.raises(NonSymmetricError):
         min_eigenvalue_symmetric([[0.0, 1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e6])
+def test_symmetry_holds_each_matrix_to_its_own_scale(scale):
+    # one matrix of a stack skewed just above 1e-12 times its own largest
+    # entry (at least 1) is refused, and one skewed just to it passes,
+    # whether or not the skew exceeds 1e-12 itself
+    stack = np.tile(np.eye(3), (4, 1, 1))
+    stack[2] *= scale
+    bound = 1e-12 * max(1.0, scale)
+    below = stack.copy()
+    below[2, 0, 1] = bound
+    assert require_symmetric(below, name="h") is not None
+    above = stack.copy()
+    above[2, 0, 1] = np.nextafter(bound, np.inf)
+    with pytest.raises(NonSymmetricError, match="h is not symmetric within 1e-12"):
+        require_symmetric(above, name="h")
 
 
 def test_is_psd_examples():
